@@ -40,20 +40,16 @@ from .lindblad import (
     bath_dissipator_matrix,
     bath_propagator,
     build_generator,
-    dissipator_action,
     evolve_expm,
     evolve_ode,
     expm_trajectory,
-    state_diagnostics,
 )
 from .markovianity import (
     BlpResult,
     DivisibilityVerdict,
     DivisibilityWitness,
-    MarkovianityReport,
     QubitState,
     StatePair,
-    assess_markovianity,
     blp_numeric,
     choi_matrix,
     choi_min_eigenvalue,
@@ -74,8 +70,6 @@ from .operator_space import (
     from_coherence4,
     initial_joint_vector,
     partial_trace_bath,
-    partial_trace_system,
-    pauli_matrix,
     sandwich_superop_rep,
     vectorize2q,
 )

@@ -16,10 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .analytic import (
+    abs_coherence_derivative,
     bath_correlation,
     blp_analytic,
     coherence_factor,
-    coherence_factor_derivative,
     default_blp_horizon,
     has_information_backflow,
     increase_intervals,
@@ -50,7 +50,6 @@ __all__ = [
     "CheckResult",
     "reference_generator_matrix",
     "reference_sandwich_table",
-    "contour_values",
     "run_acceptance",
     "ALL_CHECK_NAMES",
 ]
@@ -123,17 +122,6 @@ def reference_sandwich_table() -> dict[tuple[str, str], np.ndarray]:
         ("Z", "Z"): [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     }
     return {key: np.array(rows, dtype=complex) for key, rows in table.items()}
-
-
-def contour_values(xi: float, kappas: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """d|c|/dt on the (kappa, t) grid, shape (len(kappas), len(times))."""
-    out = np.empty((len(kappas), len(times)))
-    for row, kappa in enumerate(kappas):
-        params = ModelParams(xi, float(kappa))
-        c = np.atleast_1d(coherence_factor(params, times))
-        cdot = np.atleast_1d(coherence_factor_derivative(params, times))
-        out[row] = np.sign(c) * cdot
-    return out
 
 
 def _timed(budget: float):
@@ -310,10 +298,9 @@ def _check_contour_sign_structure() -> tuple[bool, str]:
     xi = 1.0
     kappas = np.linspace(0.0, 14.0, 57)
     times = np.linspace(0.0, 10.0, 1001)
-    grid = contour_values(xi, kappas, times)
     problems = []
-    for row, kappa in enumerate(kappas):
-        values = grid[row]
+    for kappa in kappas:
+        values = abs_coherence_derivative(ModelParams(xi, float(kappa)), times)
         if kappa >= 8.0:
             if values.max() > 1e-12:
                 problems.append(f"kappa={kappa:g}: positive value {values.max():.2e}")

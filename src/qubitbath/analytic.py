@@ -112,29 +112,38 @@ def _check_times(t) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def coherence_factor(params: ModelParams, t):
-    """The factor c(t) multiplying the system's y and z Bloch components."""
+def _closed_form(params: ModelParams, t, regular, long_time):
+    """Evaluate one closed form of the coherence dynamics at time(s) ``t``.
+
+    ``regular(t, s)`` serves every regime through the sinhc/cosh kernel of
+    s = disc*(t/4)**2.  Where s > _BIG_S (overdamped, long times) sinh and
+    cosh overflow, and ``long_time(t, r)``, with r = sqrt(disc), takes over
+    with the decaying exponentials written out.
+    """
     arr, scalar = _check_times(t)
     arr = np.atleast_1d(arr)
-    disc = params.discriminant
-    k = params.kappa
-    s = disc * (arr / 4.0) ** 2
+    s = params.discriminant * (arr / 4.0) ** 2
     out = np.empty_like(arr)
     big = s > _BIG_S
     reg = ~big
-    tr = arr[reg]
-    out[reg] = np.exp(-k * tr / 4.0) * (
-        (k * tr / 4.0) * _sinhc_ext(s[reg]) + _cosh_ext(s[reg])
-    )
+    out[reg] = regular(arr[reg], s[reg])
     if np.any(big):
-        # overdamped at long times: recombine into decaying exponentials
-        r = math.sqrt(disc)
-        tb = arr[big]
-        out[big] = 0.5 * (
-            (1.0 + k / r) * np.exp((r - k) * tb / 4.0)
-            + (1.0 - k / r) * np.exp(-(r + k) * tb / 4.0)
-        )
+        out[big] = long_time(arr[big], math.sqrt(params.discriminant))
     return float(out[0]) if scalar else out
+
+
+def coherence_factor(params: ModelParams, t):
+    """The factor c(t) multiplying the system's y and z Bloch components."""
+    k = params.kappa
+    return _closed_form(
+        params,
+        t,
+        lambda t, s: np.exp(-k * t / 4.0) * ((k * t / 4.0) * _sinhc_ext(s) + _cosh_ext(s)),
+        lambda t, r: 0.5 * (
+            (1.0 + k / r) * np.exp((r - k) * t / 4.0)
+            + (1.0 - k / r) * np.exp(-(r + k) * t / 4.0)
+        ),
+    )
 
 
 def coherence_factor_derivative(params: ModelParams, t):
@@ -142,26 +151,14 @@ def coherence_factor_derivative(params: ModelParams, t):
 
     All regimes collapse to dc/dt = -4*xi**2 * t * exp(-kt/4) * sinhc(s).
     """
-    arr, scalar = _check_times(t)
-    arr = np.atleast_1d(arr)
-    disc = params.discriminant
     k = params.kappa
-    s = disc * (arr / 4.0) ** 2
-    out = np.empty_like(arr)
-    big = s > _BIG_S
-    reg = ~big
-    tr = arr[reg]
-    out[reg] = -4.0 * params.xi**2 * tr * np.exp(-k * tr / 4.0) * _sinhc_ext(s[reg])
-    if np.any(big):
-        r = math.sqrt(disc)
-        tb = arr[big]
-        out[big] = (
-            -8.0
-            * params.xi**2
-            / r
-            * (np.exp((r - k) * tb / 4.0) - np.exp(-(r + k) * tb / 4.0))
-        )
-    return float(out[0]) if scalar else out
+    x2 = params.xi**2
+    return _closed_form(
+        params,
+        t,
+        lambda t, s: -4.0 * x2 * t * np.exp(-k * t / 4.0) * _sinhc_ext(s),
+        lambda t, r: -8.0 * x2 / r * (np.exp((r - k) * t / 4.0) - np.exp(-(r + k) * t / 4.0)),
+    )
 
 
 def _nearest_zero(params: ModelParams, t: float) -> float | None:
@@ -195,15 +192,15 @@ def coherence_log_derivative(params: ModelParams, t: float) -> float:
             "logarithmic derivative is not resolvable",
             nearest_zero=_nearest_zero(params, tv),
         )
-    disc = params.discriminant
     k = params.kappa
-    s = disc * (tv / 4.0) ** 2
-    if s > _BIG_S:
-        # coth(sqrt(s)) = 1 to double precision here
-        return -16.0 * params.xi**2 / (k + math.sqrt(disc))
-    num = -4.0 * params.xi**2 * tv * float(_sinhc_ext(s))
-    den = (k * tv / 4.0) * float(_sinhc_ext(s)) + float(_cosh_ext(s))
-    return num / den
+    x2 = params.xi**2
+
+    def regular(t, s):
+        sinhc = _sinhc_ext(s)
+        return (-4.0 * x2 * t * sinhc) / ((k * t / 4.0) * sinhc + _cosh_ext(s))
+
+    # coth(sqrt(s)) = 1 to double precision at long times
+    return _closed_form(params, tv, regular, lambda t, r: -16.0 * x2 / (k + r))
 
 
 def dephasing_rate(params: ModelParams, t: float) -> float:
@@ -216,23 +213,12 @@ def dephasing_rate(params: ModelParams, t: float) -> float:
 
 
 def abs_coherence_derivative(params: ModelParams, t):
-    """d|c|/dt, i.e. sign(c(t)) * c'(t); same sign as c'(t)/c(t)."""
-    arr, scalar = _check_times(t)
-    c = coherence_factor(params, arr)
-    cdot = coherence_factor_derivative(params, arr)
-    if np.any(np.abs(np.atleast_1d(c)) < POLE_TOL):
-        if scalar:
-            raise PoleError(
-                f"|c| below {POLE_TOL:.0e} at t={float(arr):.6g}",
-                nearest_zero=_nearest_zero(params, float(arr)),
-            )
-        bad = np.atleast_1d(np.abs(c)) < POLE_TOL
-        t_bad = float(np.atleast_1d(arr)[bad][0])
-        raise PoleError(
-            f"|c| below {POLE_TOL:.0e} at t={t_bad:.6g}",
-            nearest_zero=_nearest_zero(params, t_bad),
-        )
-    return np.sign(c) * cdot
+    """d|c|/dt, i.e. sign(c(t)) * c'(t); same sign as c'(t)/c(t).
+
+    Finite for every valid t, and 0 where c is exactly 0: unlike the
+    logarithmic derivative it has no pole at the zeros of c.
+    """
+    return np.sign(coherence_factor(params, t)) * coherence_factor_derivative(params, t)
 
 
 @dataclass(frozen=True)

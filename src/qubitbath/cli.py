@@ -1,12 +1,20 @@
 """Command-line front end: trajectories, sweeps, measures, verification.
 
-Subcommands
------------
+Subcommands and the flags each one reads
+----------------------------------------
 evolve     reduced Bloch trajectory plus analytic/numeric coherence factors
+           --xi --kappa --t-max --dt --bloch --format --out
 contour    d|c|/dt on a (t, kappa) grid at fixed coupling
+           --xi --kappa-range --t-max --dt --format --out
 blp        analytic vs numeric non-Markovianity measure over a kappa sweep
+           --xi --kappa-range --t-max --pairs --seed --format --out
 threshold  bisection for the Markovian/non-Markovian transition rate
+           --xi --kappa-range --tol --format --out
 verify     run the acceptance checks and exit non-zero on any failure
+           --tol --seed --format --out
+
+:data:`SUBCOMMANDS` is the one table of handlers, flags and defaults; a
+flag a subcommand does not read is a validation error there.
 
 Outputs are deterministic for a fixed configuration and seed: CSV with LF
 line endings and 17 significant digits, or JSON with a ``records`` list.
@@ -23,24 +31,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .acceptance import contour_values, run_acceptance
-from .analytic import (
-    Regime,
-    blp_analytic,
-    classify_regime,
-    coherence_factor,
-    default_blp_horizon,
-)
+from .acceptance import run_acceptance
+from .analytic import abs_coherence_derivative, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import blp_numeric, threshold_scan
 from .operator_space import initial_joint_vector
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["SUBCOMMANDS", "build_parser", "main", "entry"]
 
 _INF_CSV = "inf"
 _INF_JSON = "infinite"
@@ -51,118 +52,72 @@ EXIT_NUMERIC = 2
 EXIT_ACCEPTANCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration for one subcommand invocation."""
-
-    subcommand: str
-    xi: float
-    kappa: float | None
-    kappa_range: tuple[float, float, int] | None
-    t_max: float
-    dt: float
-    bloch: tuple[float, float, float]
-    pairs: int
-    seed: int
-    fmt: str
-    out: str | None
-    tol: float | None
-
-    def __post_init__(self):
-        numbers = [self.xi, self.t_max, self.dt, *self.bloch]
-        if self.kappa is not None:
-            numbers.append(self.kappa)
-        if self.tol is not None:
-            numbers.append(self.tol)
-        if self.kappa_range is not None:
-            numbers.extend(self.kappa_range[:2])
-        if not all(math.isfinite(x) for x in numbers):
-            raise ValidationError("all numeric options must be finite")
-        if self.fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown format {self.fmt!r}")
-        # t_max = 0 means "choose automatically" where a horizon is optional
-        if self.t_max < 0 or self.dt <= 0:
-            raise ValidationError("--t-max must be >= 0 and --dt positive")
-        if self.kappa_range is not None and self.kappa_range[2] < 1:
-            raise ValidationError("--kappa-range needs at least one step")
-        if self.pairs < 0:
-            raise ValidationError("--pairs must be >= 0")
-
-
 class _Parser(argparse.ArgumentParser):
     # route argparse usage errors through the package's validation exit code
     def error(self, message):
         raise ValidationError(message)
 
 
-def _parse_bloch(text: str) -> tuple[float, float, float]:
+def _checked(convert, accept, what: str):
+    """A flag type: ``convert`` the text, then require ``accept(value)``.
+
+    argparse reports the ArgumentTypeError as "argument --flag: ...", which
+    main() prints with exit code 1.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_count = _checked(int, lambda v: v >= 0, ">= 0")
+
+
+def _bloch(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValidationError(f"--bloch expects 'x,y,z', got {text!r}")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ValidationError(f"--bloch components must be numbers: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"expects 'x,y,z', got {text!r}")
+    x, y, z = (_finite(p) for p in parts)
     if x * x + y * y + z * z > 1.0 + 1e-12:
-        raise ValidationError("--bloch vector must have norm <= 1")
+        raise argparse.ArgumentTypeError("vector must have norm <= 1")
     return (x, y, z)
 
 
-def _parse_kappa_range(text: str) -> tuple[float, float, int]:
+def _kappa_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise ValidationError(f"--kappa-range expects 'lo:hi:steps', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        steps = int(parts[2]) if len(parts) == 3 else 2
-    except ValueError as exc:
-        raise ValidationError(f"--kappa-range fields must be numbers: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"expects 'lo:hi:steps', got {text!r}")
+    lo, hi = _finite(parts[0]), _finite(parts[1])
+    steps = int(parts[2]) if len(parts) == 3 else 2
     if hi <= lo:
-        raise ValidationError("--kappa-range needs lo < hi")
+        raise argparse.ArgumentTypeError("needs lo < hi")
+    if steps < 1:
+        raise argparse.ArgumentTypeError("needs at least one step")
     return (lo, hi, steps)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qubitbath", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults = {
-        "evolve": dict(xi=1.0, t_max=10.0, dt=0.01),
-        "contour": dict(xi=1.0, t_max=10.0, dt=0.01),
-        "blp": dict(xi=1.0, t_max=0.0, dt=0.01),
-        "threshold": dict(xi=1.0, t_max=0.0, dt=0.01),
-        "verify": dict(xi=1.0, t_max=0.0, dt=0.01),
-    }
-    for name in ("evolve", "contour", "blp", "threshold", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--xi", type=float, default=defaults[name]["xi"])
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--kappa-range", type=str, default=None, metavar="LO:HI:STEPS")
-        p.add_argument("--t-max", type=float, default=defaults[name]["t_max"])
-        p.add_argument("--dt", type=float, default=defaults[name]["dt"])
-        p.add_argument("--bloch", type=str, default="0,0,1", metavar="X,Y,Z")
-        p.add_argument("--pairs", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None, metavar="PATH")
-        p.add_argument("--tol", type=float, default=None)
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        xi=args.xi,
-        kappa=args.kappa,
-        kappa_range=_parse_kappa_range(args.kappa_range) if args.kappa_range else None,
-        t_max=args.t_max,
-        dt=args.dt,
-        bloch=_parse_bloch(args.bloch),
-        pairs=args.pairs,
-        seed=args.seed,
-        fmt=args.fmt,
-        out=args.out,
-        tol=args.tol,
-    )
+#: argparse keywords of each flag; its default depends on the subcommand.
+_FLAGS = {
+    "xi": dict(type=_finite),
+    "kappa": dict(type=_finite),
+    "kappa-range": dict(type=_kappa_range, metavar="LO:HI:STEPS"),
+    "t-max": dict(type=_non_negative),
+    "dt": dict(type=_positive),
+    "bloch": dict(type=_bloch, metavar="X,Y,Z"),
+    "pairs": dict(type=_count),
+    "seed": dict(type=int),
+    "tol": dict(type=_finite),
+    "format": dict(choices=("csv", "json")),
+    "out": dict(metavar="PATH"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +174,16 @@ BLP_COLUMNS = ["kappa", "blp_analytic", "blp_numeric", "abs_gap", "intervals_use
 THRESHOLD_COLUMNS = ["xi", "kappa_star", "abs_dev_from_8xi", "witness"]
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    if cfg.kappa is None:
+def cmd_evolve(args: argparse.Namespace) -> int:
+    if args.kappa is None:
         raise ValidationError("evolve requires --kappa")
-    if cfg.t_max == 0:
+    if args.t_max == 0:
         raise ValidationError("evolve requires --t-max > 0")
-    params = ModelParams(cfg.xi, cfg.kappa)
+    params = ModelParams(args.xi, args.kappa)
     gen = build_generator(params)
-    times = _time_axis(cfg.t_max, cfg.dt)
+    times = _time_axis(args.t_max, args.dt)
     grid = TimeGrid(0.0, float(times[-1]), len(times))
-    traj = expm_trajectory(gen, initial_joint_vector(cfg.bloch), grid)
+    traj = expm_trajectory(gen, initial_joint_vector(args.bloch), grid)
     probe = expm_trajectory(gen, initial_joint_vector((0.0, 0.0, 1.0)), grid)
     c_analytic = np.atleast_1d(coherence_factor(params, times))
     c_numeric = 4.0 * probe[:, 12]
@@ -244,45 +199,39 @@ def cmd_evolve(cfg: RunConfig) -> int:
         ]
         for k in range(len(times))
     ]
-    write_records(cfg.out, cfg.fmt, EVOLVE_COLUMNS, rows)
+    write_records(args.out, args.format, EVOLVE_COLUMNS, rows)
     return EXIT_OK
 
 
-def cmd_contour(cfg: RunConfig) -> int:
-    if cfg.t_max == 0:
+def cmd_contour(args: argparse.Namespace) -> int:
+    if args.t_max == 0:
         raise ValidationError("contour requires --t-max > 0")
-    lo, hi, steps = cfg.kappa_range or (0.0, 14.0, 141)
+    lo, hi, steps = args.kappa_range
     if lo < 0:
         raise ValidationError("cooling rates must be >= 0")
-    kappas = np.linspace(lo, hi, steps)
-    times = _time_axis(cfg.t_max, cfg.dt)
-    values = contour_values(cfg.xi, kappas, times)
-    rows = [
-        [float(t), float(kappa), float(values[i, j])]
-        for i, kappa in enumerate(kappas)
-        for j, t in enumerate(times)
-    ]
-    write_records(cfg.out, cfg.fmt, CONTOUR_COLUMNS, rows)
+    times = _time_axis(args.t_max, args.dt)
+    rows = []
+    for kappa in np.linspace(lo, hi, steps):
+        values = abs_coherence_derivative(ModelParams(args.xi, float(kappa)), times)
+        rows.extend([float(t), float(kappa), float(v)] for t, v in zip(times, values))
+    write_records(args.out, args.format, CONTOUR_COLUMNS, rows)
     return EXIT_OK
 
 
-def cmd_blp(cfg: RunConfig) -> int:
-    lo, hi, steps = cfg.kappa_range or (0.0, 8.0, 17)
+def cmd_blp(args: argparse.Namespace) -> int:
+    lo, hi, steps = args.kappa_range
     if lo < 0:
         raise ValidationError("cooling rates must be >= 0")
-    kappas = np.linspace(lo, hi, steps)
     rows = []
-    for kappa in kappas:
-        params = ModelParams(cfg.xi, float(kappa))
-        if kappa == 0.0 and cfg.xi != 0.0:
+    for kappa in np.linspace(lo, hi, steps):
+        params = ModelParams(args.xi, float(kappa))
+        if kappa == 0.0 and args.xi != 0.0:
             # the measure diverges: report the sentinel, not a horizon artifact
             rows.append([float(kappa), math.inf, math.inf, math.inf, 0])
             continue
         analytic = blp_analytic(params)
-        horizon = cfg.t_max if cfg.t_max > 0 else None
-        if horizon is None and classify_regime(params) is Regime.UNDERDAMPED:
-            horizon, _ = default_blp_horizon(params)
-        result = blp_numeric(params, horizon=horizon, n_pairs=cfg.pairs, seed=cfg.seed)
+        # --t-max 0 (the default) leaves the horizon to blp_numeric
+        result = blp_numeric(params, horizon=args.t_max or None, n_pairs=args.pairs, seed=args.seed)
         rows.append(
             [
                 float(kappa),
@@ -292,58 +241,72 @@ def cmd_blp(cfg: RunConfig) -> int:
                 result.n_intervals,
             ]
         )
-    write_records(cfg.out, cfg.fmt, BLP_COLUMNS, rows)
+    write_records(args.out, args.format, BLP_COLUMNS, rows)
     return EXIT_OK
 
 
-def cmd_threshold(cfg: RunConfig) -> int:
-    if cfg.xi == 0:
+def cmd_threshold(args: argparse.Namespace) -> int:
+    if args.xi == 0:
         raise ValidationError("threshold requires a nonzero coupling")
-    if cfg.kappa_range is not None:
-        lo, hi, _ = cfg.kappa_range
+    if args.kappa_range is not None:
+        lo, hi, _ = args.kappa_range
     else:
-        lo, hi = 4.0 * abs(cfg.xi), 20.0 * abs(cfg.xi)
-    tol = cfg.tol if cfg.tol is not None else 1e-6
+        lo, hi = 4.0 * abs(args.xi), 20.0 * abs(args.xi)
     witness = "rate-sign (information backflow)"
-    star = threshold_scan(cfg.xi, lo, hi, tol=tol)
-    deviation = abs(star - 8.0 * abs(cfg.xi))
+    star = threshold_scan(args.xi, lo, hi, tol=args.tol)
+    deviation = abs(star - 8.0 * abs(args.xi))
     print(f"kappa* = {star:.12g}")
     print(f"|kappa* - 8|xi|| = {deviation:.3e}")
     print(f"witness: {witness}")
-    if cfg.out:
-        write_records(cfg.out, cfg.fmt, THRESHOLD_COLUMNS, [[cfg.xi, star, deviation, witness]])
+    if args.out:
+        write_records(args.out, args.format, THRESHOLD_COLUMNS, [[args.xi, star, deviation, witness]])
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_acceptance(tol=cfg.tol, seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_acceptance(tol=args.tol, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<{width}}  {status}  [{r.seconds:6.2f} s]  {r.detail}")
     n_failed = sum(not r.passed for r in results)
     print(f"{len(results) - n_failed}/{len(results)} checks passed")
-    if cfg.out:
+    if args.out:
         rows = [[r.name, int(r.passed), r.seconds, r.detail] for r in results]
-        write_records(cfg.out, cfg.fmt, ["check", "passed", "seconds", "detail"], rows)
+        write_records(args.out, args.format, ["check", "passed", "seconds", "detail"], rows)
     return EXIT_OK if n_failed == 0 else EXIT_ACCEPTANCE
 
 
-_COMMANDS = {
-    "evolve": cmd_evolve,
-    "contour": cmd_contour,
-    "blp": cmd_blp,
-    "threshold": cmd_threshold,
-    "verify": cmd_verify,
+_OUTPUT = {"format": "csv", "out": None}
+
+#: Each subcommand's handler and the flags it reads, with their defaults.
+#: A flag missing from a subcommand's set is an error there, not ignored.
+SUBCOMMANDS = {
+    "evolve": (cmd_evolve, {"xi": 1.0, "kappa": None, "t-max": 10.0, "dt": 0.01, "bloch": "0,0,1", **_OUTPUT}),
+    "contour": (cmd_contour, {"xi": 1.0, "kappa-range": "0:14:141", "t-max": 10.0, "dt": 0.01, **_OUTPUT}),
+    "blp": (cmd_blp, {"xi": 1.0, "kappa-range": "0:8:17", "t-max": 0.0, "pairs": 16, "seed": 0, **_OUTPUT}),
+    "threshold": (cmd_threshold, {"xi": 1.0, "kappa-range": None, "tol": 1e-6, **_OUTPUT}),
+    "verify": (cmd_verify, {"tol": None, "seed": 0, **_OUTPUT}),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="qubitbath", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (handler, defaults) in SUBCOMMANDS.items():
+        # no abbreviations: "--kappa" must not silently mean "--kappa-range"
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        for flag, default in defaults.items():
+            p.add_argument(f"--{flag}", default=default, **_FLAGS[flag])
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -33,7 +33,6 @@ from .operator_space import (
     SIGMA_PLUS,
     SIGMA_X,
     coherence4,
-    devectorize2q,
     vectorize2q,
 )
 
@@ -42,12 +41,10 @@ __all__ = [
     "GeneratorMatrix",
     "TimeGrid",
     "build_generator",
-    "dissipator_action",
     "evolve_expm",
     "expm_trajectory",
     "evolve_ode",
     "bath_propagator",
-    "state_diagnostics",
 ]
 
 
@@ -122,11 +119,6 @@ def build_generator(params: ModelParams) -> GeneratorMatrix:
     return GeneratorMatrix(matrix=m, params=params)
 
 
-def dissipator_action(v: np.ndarray) -> np.ndarray:
-    """Apply the unit-rate bath cooling dissipator to a coherence 16-vector."""
-    return COOLING_PART @ np.asarray(v, dtype=float)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling of [start, stop] with ``num`` points."""
@@ -144,15 +136,6 @@ class TimeGrid:
             raise ValidationError("grid must be strictly increasing")
         if self.num < 2:
             raise ValidationError("grid needs at least two samples")
-
-    @classmethod
-    def from_step(cls, start: float, stop: float, step: float) -> "TimeGrid":
-        if step <= 0:
-            raise ValidationError("step must be positive")
-        n = int(round((stop - start) / step))
-        if abs(start + n * step - stop) > 1e-9 * max(1.0, abs(stop)):
-            raise ValidationError("step does not divide the grid span")
-        return cls(start, stop, n + 1)
 
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num)
@@ -367,14 +350,3 @@ def bath_dissipator_matrix(kappa: float) -> np.ndarray:
         out = SIGMA_MINUS @ rho @ SIGMA_PLUS - 0.5 * (jdj @ rho + rho @ jdj)
         cols.append(coherence4(out).real)
     return kappa * np.stack(cols, axis=1)
-
-
-def state_diagnostics(v: np.ndarray) -> tuple[float, float]:
-    """(trace, smallest eigenvalue) of the state encoded by ``v``.
-
-    Positivity is a diagnostic here, not an enforcement: the exact dynamics
-    is completely positive, so negative eigenvalues beyond round-off point
-    at integration error.
-    """
-    rho = devectorize2q(v)
-    return float(np.trace(rho).real), float(np.linalg.eigvalsh(rho)[0])

@@ -59,11 +59,6 @@ PAULIS_2Q = np.stack(
 )
 
 
-def pauli_matrix(label: PauliLabel) -> np.ndarray:
-    """Return a copy of the 2x2 matrix for ``label``."""
-    return PAULIS[PauliLabel(label).value].copy()
-
-
 def coherence4(op: np.ndarray) -> np.ndarray:
     """Complex expansion coefficients (w, x, y, z) of a 2x2 operator.
 
@@ -153,17 +148,3 @@ def partial_trace_bath(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     return 2.0 * v[[0, 4, 8, 12]]
-
-
-def partial_trace_system(v: np.ndarray) -> np.ndarray:
-    """Coherence 4-vector of the bath qubit, tracing out the system."""
-    v = np.asarray(v, dtype=float)
-    return 2.0 * v[[0, 1, 2, 3]]
-
-
-def min_state_eigenvalue(v: np.ndarray) -> float:
-    """Smallest eigenvalue of the 4x4 operator encoded by ``v``.
-
-    Diagnostic used to monitor positivity along trajectories.
-    """
-    return float(np.linalg.eigvalsh(devectorize2q(v))[0])

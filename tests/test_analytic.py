@@ -204,6 +204,26 @@ class TestAbsCoherenceDerivative:
             0.0, abs=1e-12
         )
 
+    def test_finite_where_log_derivative_poles(self):
+        # |c| ~ 3e-47 here: coherence_log_derivative raises, d|c|/dt does not
+        value = abs_coherence_derivative(ModelParams(1.0, 16.0), 200.0)
+        assert math.isfinite(value)
+        assert value <= 0.0
+
+    def test_zero_where_coherence_is_exactly_zero(self):
+        params = ModelParams(1.0, 4.0)
+        t = np.array([1e4, 2e4])  # the envelope exp(-kappa*t/4) underflows to 0
+        assert np.all(coherence_factor(params, t) == 0.0)
+        assert np.all(abs_coherence_derivative(params, t) == 0.0)
+
+    def test_matches_sign_times_derivative_on_readme_grid(self):
+        # the former contour route: sign(c) * dc/dt, one kappa row at a time
+        times = 0.01 * np.arange(1001)
+        for kappa in np.linspace(0.0, 14.0, 141):
+            params = ModelParams(1.0, float(kappa))
+            expected = np.sign(coherence_factor(params, times)) * coherence_factor_derivative(params, times)
+            assert np.array_equal(abs_coherence_derivative(params, times), expected)
+
     def test_sign_matches_log_derivative(self):
         params = ModelParams(1.0, 4.0)
         for t in (0.3, 1.5, 1.7, 2.5):

@@ -1,5 +1,9 @@
+import importlib.util
 import json
 import math
+import pathlib
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -248,3 +252,60 @@ class TestParsing:
 
     def test_non_finite_xi(self):
         assert cli.main(["evolve", "--kappa", "1", "--xi", "nan"]) == 1
+
+
+# The flags each subcommand reads, written out here rather than read from
+# cli.SUBCOMMANDS, so that a change to the table has to be made twice.
+READS = {
+    "evolve": {"xi", "kappa", "t-max", "dt", "bloch", "format", "out"},
+    "contour": {"xi", "kappa-range", "t-max", "dt", "format", "out"},
+    "blp": {"xi", "kappa-range", "t-max", "pairs", "seed", "format", "out"},
+    "threshold": {"xi", "kappa-range", "tol", "format", "out"},
+    "verify": {"tol", "seed", "format", "out"},
+}
+VALID_VALUE = {
+    "xi": "1", "kappa": "4", "kappa-range": "0:8:3", "t-max": "1", "dt": "0.1",
+    "bloch": "0,0,1", "pairs": "2", "seed": "1", "tol": "1e-3", "format": "json",
+    "out": "unused.csv",
+}
+FOREIGN = [
+    (name, flag) for name, flags in READS.items() for flag in sorted(set(VALID_VALUE) - flags)
+]
+
+README_COMMANDS = [
+    "evolve --xi 1 --kappa 8 --bloch 0,0,1 --t-max 10 --dt 0.01 --out traj.csv",
+    "contour --xi 1 --kappa-range 0:14:141 --t-max 10 --dt 0.01 --out contour.csv",
+    "blp --xi 1 --kappa-range 0:8:17 --pairs 16 --seed 0 --out blp.csv",
+    "threshold --xi 2 --kappa-range 8:40 --tol 1e-6",
+    "verify",
+    "verify --tol 1e-2 --out report.csv",
+]
+
+
+class TestFlagsPerSubcommand:
+    def test_table_registers_29_flags(self):
+        assert {name: set(flags) for name, (_, flags) in cli.SUBCOMMANDS.items()} == READS
+        assert sum(map(len, READS.values())) == 29
+
+    @pytest.mark.parametrize("name,flag", FOREIGN)
+    def test_unread_flag_is_rejected(self, name, flag, capsys):
+        required = ["--kappa", "4"] if name == "evolve" else []
+        assert cli.main([name, *required, f"--{flag}", VALID_VALUE[flag]]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_readme_command_parses(self, command):
+        args = cli.build_parser().parse_args(command.split())
+        assert args.handler is cli.SUBCOMMANDS[command.split()[0]][0]
+
+    def test_benchmark_argvs_parse(self, monkeypatch):
+        perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))  # run.py imports its sibling checks.py
+        spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look their module up
+        spec.loader.exec_module(run)
+        for workload in run.WORKLOADS.values():
+            for small in (False, True):
+                argv, _ = workload.make(random.Random(3), 3, small)
+                cli.build_parser().parse_args(argv + ["--out", "unused"])

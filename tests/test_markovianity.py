@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qubitbath.markovianity import (
     QubitState,
     StatePair,
     _diag_choi_min_eigenvalues,
-    assess_markovianity,
+    _refine_crossing,
     blp_numeric,
     choi_matrix,
     choi_min_eigenvalue,
@@ -174,6 +175,13 @@ class TestDivisibilityWitness:
         witness = cp_divisibility_witness(ModelParams(1.0, 8.0))
         assert witness.verdict is DivisibilityVerdict.DIVISIBLE
 
+    @pytest.mark.parametrize("kappa", [0.0, 4.0])
+    def test_default_horizon_catches_backflow(self, kappa):
+        witness = cp_divisibility_witness(ModelParams(1.0, kappa))
+        assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
+        assert witness.divisible is False
+        assert witness.min_choi_eigenvalue < -1e-10
+
     def test_non_markovian_point_and_offending_window(self):
         params = ModelParams(1.0, 4.0)
         first = increase_intervals(params, 1)[0]
@@ -310,10 +318,49 @@ class TestIncreaseDetection:
         assert detect_increase_segments(ModelParams(1.0, 8.0), 20.0) == []
 
 
+class TestRefineCrossing:
+    """Bisection must end where 1e-10 is below one ulp of t (t > 2**19)."""
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        def timeout(signum, frame):
+            raise TimeoutError("bisection did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_terminates_below_ulp_resolution(self):
+        t = _refine_crossing(ModelParams(1.0, 4.0), 900000.1, 900000.11, True)
+        assert 900000.1 <= t <= 900000.11
+
+    def test_finds_coherence_zero_near_9e5(self):
+        params = ModelParams(1.0, 1e-5)
+        r = math.sqrt(-params.discriminant)
+        n = round(9e5 * r / (4.0 * math.pi))
+        zero = n * 4.0 * math.pi / r - 4.0 * math.atan2(r, params.kappa) / r
+        # the trace distance starts to grow where c vanishes
+        t = _refine_crossing(params, zero - 0.005, zero + 0.005, True)
+        assert t == pytest.approx(zero, abs=1e-6)
+
+
 class TestBlpNumeric:
     def test_zero_at_and_above_threshold(self):
-        assert blp_numeric(ModelParams(1.0, 8.0), n_pairs=2).value == 0.0
-        assert blp_numeric(ModelParams(1.0, 12.0), n_pairs=2).value == 0.0
+        for kappa in (8.0, 10.0, 12.0):
+            result = blp_numeric(ModelParams(1.0, kappa), n_pairs=2)
+            assert result.value == 0.0
+            assert result.segments == ()
+
+    def test_default_horizon_windows_match_predicted(self):
+        params = ModelParams(1.0, 4.0)
+        result = blp_numeric(params, n_pairs=8, seed=5)
+        assert not result.divergent
+        assert result.value == pytest.approx(blp_analytic(params), abs=1e-3)
+        predicted = increase_intervals(params, result.n_intervals)
+        for (lo, hi), window in zip(result.segments, predicted):
+            assert hi == pytest.approx(window.t_hi, abs=1e-6)
 
     def test_matches_analytic(self):
         params = ModelParams(1.0, 4.0)
@@ -378,29 +425,3 @@ class TestThresholdScan:
     def test_invalid_bracket_order(self):
         with pytest.raises(ValidationError):
             threshold_scan(1.0, 5.0, 4.0)
-
-
-class TestAssess:
-    def test_non_markovian_report(self):
-        report = assess_markovianity(ModelParams(1.0, 4.0), seed=5)
-        assert report.cp_divisible is False
-        assert report.min_choi_eigenvalue < -1e-10
-        assert report.blp_numeric_value == pytest.approx(report.blp_analytic_value, abs=1e-3)
-        assert not report.blp_divergent
-        assert len(report.increase_windows) >= 1
-        predicted = increase_intervals(report.params, len(report.increase_windows))
-        for found, want in zip(report.increase_windows, predicted):
-            assert found.t_hi == pytest.approx(want.t_hi, abs=1e-6)
-
-    def test_markovian_report(self):
-        report = assess_markovianity(ModelParams(1.0, 10.0))
-        assert report.cp_divisible is True
-        assert report.blp_numeric_value == 0.0
-        assert report.blp_analytic_value == 0.0
-        assert report.increase_windows == ()
-
-    def test_divergent_report(self):
-        report = assess_markovianity(ModelParams(1.0, 0.0))
-        assert report.blp_divergent
-        assert report.blp_analytic_value == math.inf
-        assert report.cp_divisible is False
