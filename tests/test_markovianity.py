@@ -348,7 +348,7 @@ class TestRefineCrossing:
 
 class TestBlpNumeric:
     def test_zero_at_and_above_threshold(self):
-        for kappa in (8.0, 10.0, 12.0):
+        for kappa in (8.0, 12.0):
             result = blp_numeric(ModelParams(1.0, kappa), n_pairs=2)
             assert result.value == 0.0
             assert result.segments == ()
@@ -405,6 +405,17 @@ class TestBlpNumeric:
         quadrature = float(np.sum(np.clip(rates, 0, None) * np.diff(t)))
         result = blp_numeric(params, horizon=horizon, n_pairs=0)
         assert result.value == pytest.approx(quadrature, abs=1e-4)
+
+
+class TestAssess:
+    def test_markovian_report(self):
+        # every Markovianity verdict agrees at a point above the threshold
+        params = ModelParams(1.0, 10.0)
+        assert cp_divisibility_witness(params).divisible is True
+        result = blp_numeric(params, n_pairs=2)
+        assert result.value == 0.0
+        assert blp_analytic(params) == 0.0
+        assert result.segments == ()
 
 
 class TestThresholdScan:
