@@ -63,13 +63,10 @@ from .markovianity import (
 )
 from .operator_space import (
     PauliLabel,
-    bloch_to_coherence4,
     coherence4,
-    coherence4_to_bloch,
     devectorize2q,
     from_coherence4,
     initial_joint_vector,
-    partial_trace_bath,
     sandwich_superop_rep,
     vectorize2q,
 )

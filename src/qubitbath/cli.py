@@ -16,6 +16,10 @@ verify     run the acceptance checks and exit non-zero on any failure
 :data:`SUBCOMMANDS` is the one table of handlers, flags and defaults; a
 flag a subcommand does not read is a validation error there.
 
+``threshold`` and ``verify`` print a text summary and write a data file
+(CSV unless --format says otherwise) only with --out; --format without
+--out is a validation error there.
+
 Outputs are deterministic for a fixed configuration and seed: CSV with LF
 line endings and 17 significant digits, or JSON with a ``records`` list.
 An infinite measure is written as the token ``inf`` in CSV and the string
@@ -245,7 +249,19 @@ def cmd_blp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _data_format(args: argparse.Namespace) -> str:
+    """Format of the data file of a subcommand that prints a text summary.
+
+    Such a file is written only with --out, so --format alone is an error
+    rather than a flag that does nothing.
+    """
+    if args.format is not None and not args.out:
+        raise ValidationError(f"{args.subcommand} --format needs --out; the summary is plain text")
+    return args.format or "csv"
+
+
 def cmd_threshold(args: argparse.Namespace) -> int:
+    fmt = _data_format(args)
     if args.xi == 0:
         raise ValidationError("threshold requires a nonzero coupling")
     if args.kappa_range is not None:
@@ -259,11 +275,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     print(f"|kappa* - 8|xi|| = {deviation:.3e}")
     print(f"witness: {witness}")
     if args.out:
-        write_records(args.out, args.format, THRESHOLD_COLUMNS, [[args.xi, star, deviation, witness]])
+        write_records(args.out, fmt, THRESHOLD_COLUMNS, [[args.xi, star, deviation, witness]])
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    fmt = _data_format(args)
     results = run_acceptance(tol=args.tol, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -273,11 +290,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"{len(results) - n_failed}/{len(results)} checks passed")
     if args.out:
         rows = [[r.name, int(r.passed), r.seconds, r.detail] for r in results]
-        write_records(args.out, args.format, ["check", "passed", "seconds", "detail"], rows)
+        write_records(args.out, fmt, ["check", "passed", "seconds", "detail"], rows)
     return EXIT_OK if n_failed == 0 else EXIT_ACCEPTANCE
 
 
 _OUTPUT = {"format": "csv", "out": None}
+# csv unless --format is given, and --format only together with --out
+_SUMMARY_OUTPUT = {"format": None, "out": None}
 
 #: Each subcommand's handler and the flags it reads, with their defaults.
 #: A flag missing from a subcommand's set is an error there, not ignored.
@@ -285,8 +304,8 @@ SUBCOMMANDS = {
     "evolve": (cmd_evolve, {"xi": 1.0, "kappa": None, "t-max": 10.0, "dt": 0.01, "bloch": "0,0,1", **_OUTPUT}),
     "contour": (cmd_contour, {"xi": 1.0, "kappa-range": "0:14:141", "t-max": 10.0, "dt": 0.01, **_OUTPUT}),
     "blp": (cmd_blp, {"xi": 1.0, "kappa-range": "0:8:17", "t-max": 0.0, "pairs": 16, "seed": 0, **_OUTPUT}),
-    "threshold": (cmd_threshold, {"xi": 1.0, "kappa-range": None, "tol": 1e-6, **_OUTPUT}),
-    "verify": (cmd_verify, {"tol": None, "seed": 0, **_OUTPUT}),
+    "threshold": (cmd_threshold, {"xi": 1.0, "kappa-range": None, "tol": 1e-6, **_SUMMARY_OUTPUT}),
+    "verify": (cmd_verify, {"tol": None, "seed": 0, **_SUMMARY_OUTPUT}),
 }
 
 

@@ -293,6 +293,21 @@ class TestFlagsPerSubcommand:
         assert cli.main([name, *required, f"--{flag}", VALID_VALUE[flag]]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["threshold", "verify"])
+    def test_format_without_out_is_rejected(self, name, capsys):
+        assert cli.main([name, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "--out" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["threshold", "verify"])
+    def test_format_with_out_is_written(self, name, tmp_path, monkeypatch):
+        fake = [CheckResult("fake", True, "ok", 0.5, 1.0)]
+        monkeypatch.setattr(cli, "run_acceptance", lambda tol, seed: fake)
+        out = tmp_path / "data.json"
+        assert cli.main([name, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["records"]
+
     @pytest.mark.parametrize("command", README_COMMANDS)
     def test_readme_command_parses(self, command):
         args = cli.build_parser().parse_args(command.split())

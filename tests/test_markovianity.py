@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubitbath import markovianity
 from qubitbath.analytic import (
     blp_analytic,
     coherence_factor,
@@ -20,7 +21,7 @@ from qubitbath.markovianity import (
     QubitState,
     StatePair,
     _diag_choi_min_eigenvalues,
-    _refine_crossing,
+    _refine_crossings,
     blp_numeric,
     choi_matrix,
     choi_min_eigenvalue,
@@ -317,6 +318,35 @@ class TestIncreaseDetection:
         assert detect_increase_segments(ModelParams(1.0, 9.0), 20.0) == []
         assert detect_increase_segments(ModelParams(1.0, 8.0), 20.0) == []
 
+    def test_hundreds_of_windows_match_closed_form(self):
+        params = ModelParams(1.0, 0.1)
+        result = blp_numeric(params, n_pairs=0)
+        assert len(result.segments) == result.n_intervals == 352
+        predicted = increase_intervals(params, result.n_intervals)
+        detected = np.array(result.segments)
+        expected = np.array([(w.t_lo, w.t_hi) for w in predicted])
+        assert np.abs(detected - expected).max() <= 1e-8
+
+    @given(st.floats(0.25, 4.0), st.floats(0.05, 0.95))
+    @settings(max_examples=50)
+    def test_three_windows_match_closed_form(self, xi, fraction):
+        params = ModelParams(xi, fraction * 8.0 * xi)
+        predicted = increase_intervals(params, 3)
+        # a quarter period past the third window, well before the fourth opens
+        horizon = predicted[-1].t_hi + math.pi / math.sqrt(-params.discriminant)
+        detected = detect_increase_segments(params, horizon)
+        assert len(detected) == 3
+        for (lo, hi), window in zip(detected, predicted):
+            assert lo == pytest.approx(window.t_lo, abs=1e-8)
+            assert hi == pytest.approx(window.t_hi, abs=1e-8)
+
+
+def _far_zero(params, t):
+    """The zero of c nearest ``t``, where the trace distance starts to grow."""
+    r = math.sqrt(-params.discriminant)
+    n = round(t * r / (4.0 * math.pi))
+    return n * 4.0 * math.pi / r - 4.0 * math.atan2(r, params.kappa) / r
+
 
 class TestRefineCrossing:
     """Bisection must end where 1e-10 is below one ulp of t (t > 2**19)."""
@@ -332,18 +362,44 @@ class TestRefineCrossing:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+    @staticmethod
+    def refine(params, lo, hi, rising):
+        return _refine_crossings(params, np.array(lo), np.array(hi), np.array(rising))
+
     def test_terminates_below_ulp_resolution(self):
-        t = _refine_crossing(ModelParams(1.0, 4.0), 900000.1, 900000.11, True)
+        (t,) = self.refine(ModelParams(1.0, 4.0), [900000.1], [900000.11], [True])
         assert 900000.1 <= t <= 900000.11
 
     def test_finds_coherence_zero_near_9e5(self):
         params = ModelParams(1.0, 1e-5)
-        r = math.sqrt(-params.discriminant)
-        n = round(9e5 * r / (4.0 * math.pi))
-        zero = n * 4.0 * math.pi / r - 4.0 * math.atan2(r, params.kappa) / r
-        # the trace distance starts to grow where c vanishes
-        t = _refine_crossing(params, zero - 0.005, zero + 0.005, True)
+        zero = _far_zero(params, 9e5)
+        (t,) = self.refine(params, [zero - 0.005], [zero + 0.005], [True])
         assert t == pytest.approx(zero, abs=1e-6)
+
+    def test_mixed_batch_freezes_finished_bracket(self, monkeypatch):
+        # the narrow bracket near t = 9e5 stops at one ulp (~1.2e-10) after
+        # ~14 halvings; the one near t = 1 halves on down to 1e-10
+        params = ModelParams(1.0, 1e-5)
+        near = increase_intervals(params, 1)[0].t_lo
+        far = _far_zero(params, 9e5)
+        sizes = []
+        kernel = markovianity._signal
+        monkeypatch.setattr(markovianity, "_signal", lambda p, t: sizes.append(t.size) or kernel(p, t))
+
+        def refine_counted(lo, hi):
+            sizes.clear()
+            return self.refine(params, lo, hi, [True] * len(lo)), list(sizes)
+
+        (t_near,), near_sizes = refine_counted([near - 0.005], [near + 0.005])
+        (t_far,), far_sizes = refine_counted([far - 1e-6], [far + 1e-6])
+        both, both_sizes = refine_counted([near - 0.005, far - 1e-6], [near + 0.005, far + 1e-6])
+        assert both.tolist() == [t_near, t_far]
+        assert len(far_sizes) < len(near_sizes)
+        # one vector call per halving: two midpoints until the far bracket
+        # stops, then the near one alone
+        assert both_sizes == [2] * len(far_sizes) + [1] * (len(near_sizes) - len(far_sizes))
+        assert t_near == pytest.approx(near, abs=1e-9)
+        assert t_far == pytest.approx(far, abs=1e-6)
 
 
 class TestBlpNumeric:
