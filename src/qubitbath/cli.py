@@ -22,8 +22,13 @@ flag a subcommand does not read is a validation error there.
 
 Outputs are deterministic for a fixed configuration and seed: CSV with LF
 line endings and 17 significant digits, or JSON with a ``records`` list.
-An infinite measure is written as the token ``inf`` in CSV and the string
-``"infinite"`` in JSON.
+Both are printed by row templates built once per column layout; the JSON
+is byte-identical to ``json.dumps(..., indent=1)``.  A CSV text cell that
+holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
+value is written as the token ``inf`` in CSV and the string ``"infinite"``
+in JSON.  ``evolve`` and ``contour`` write at most :data:`MAX_ROWS` rows
+(time points x kappa steps); a larger or non-finite ``--t-max/--dt`` is a
+validation error.
 
 Exit codes: 0 success, 1 validation or I/O error, 2 numeric failure,
 3 acceptance failure.
@@ -47,8 +52,7 @@ from .operator_space import initial_joint_vector
 
 __all__ = ["SUBCOMMANDS", "build_parser", "main", "entry"]
 
-_INF_CSV = "inf"
-_INF_JSON = "infinite"
+_INF_JSON = json.dumps("infinite")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -124,38 +128,67 @@ _FLAGS = {
 }
 
 
+#: Most rows ``evolve`` or ``contour`` may write; a larger request is a
+#: validation error raised before any array is allocated.
+MAX_ROWS = 10_000_000
+
+
 # ---------------------------------------------------------------------------
 # Serialization.
 # ---------------------------------------------------------------------------
 
 
-def _fmt_csv(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return _INF_CSV
-        return format(value + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
-    return str(value)
+def _csv_text(text: str) -> str:
+    """A CSV text cell, quoted per RFC 4180 when it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _json_safe(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return _INF_JSON
-        return value + 0.0
-    return value
+def _column(values, fmt: str) -> tuple[str, list]:
+    """The template spec of one column and its cells.
 
-
-def write_records(path: str | None, fmt: str, columns: list[str], rows: list[list]):
-    """Serialize rows to CSV (LF, UTF-8, 17 significant digits) or JSON."""
+    A float column (of a float ndarray, or floats only) is folded once in
+    numpy: -0.0 becomes 0.0 and +-inf the infinity token.  Its cells are
+    Python floats, printed by '%.17g' in CSV and by '%s' (float.__repr__,
+    as json's encoder does) in JSON.  Other cells are rendered one by one:
+    str() with quoting in CSV, json.dumps() in JSON.
+    """
+    if isinstance(values, np.ndarray) or all(isinstance(v, float) for v in values):
+        folded = np.asarray(values, dtype=float) + 0.0
+        infinite = np.isinf(folded)
+        if fmt == "csv":
+            folded[infinite] = np.inf  # '%.17g' % inf is the token "inf"
+            return "%.17g", folded.tolist()
+        cells = folded.tolist()
+        for k in np.flatnonzero(~np.isfinite(folded)).tolist():
+            cells[k] = _INF_JSON if infinite[k] else "NaN"
+        return "%s", cells
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt_csv(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        return "%s", [_csv_text(str(v)) for v in values]
+    return "%s", [json.dumps(v) for v in values]
+
+
+def write_records(path: str | None, fmt: str, columns: list[str], rows: np.ndarray | list[list]):
+    """Serialize a table to CSV (LF, UTF-8, 17 significant digits) or JSON.
+
+    ``rows`` is a 2-D float ndarray or a list of rows, one cell per column.
+    Each row is printed by one ``%`` of a template built once per column
+    layout; the JSON one reproduces ``json.dumps(..., indent=1)`` exactly.
+    """
+    # no rows: zip(*rows) yields no columns either
+    by_column = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows)) or [()] * len(columns)
+    specs, cells = zip(*(_column(values, fmt) for values in by_column))
+    if fmt == "csv":
+        lines = map(",".join(specs).__mod__, zip(*cells))
+        text = "\n".join([",".join(map(_csv_text, columns)), *lines]) + "\n"
     else:
-        records = [
-            {col: _json_safe(v) for col, v in zip(columns, row)} for row in rows
-        ]
-        text = json.dumps({"columns": columns, "records": records}, indent=1) + "\n"
+        keys = (json.dumps(col).replace("%", "%%") for col in columns)
+        record = "  {\n" + ",\n".join(f"   {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
+        body = ",\n".join(map(record.__mod__, zip(*cells)))
+        text = json.dumps({"columns": columns, "records": []}, indent=1) + "\n"
+        if body:  # open the empty records list up as indent=1 does a full one
+            text = text.removesuffix("[]\n}\n") + "[\n" + body + "\n ]\n}\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -163,9 +196,21 @@ def write_records(path: str | None, fmt: str, columns: list[str], rows: list[lis
         handle.write(text)
 
 
-def _time_axis(t_max: float, dt: float) -> np.ndarray:
-    n = int(math.floor(t_max / dt + 1e-9))
-    return dt * np.arange(n + 1)
+def _time_axis(t_max: float, dt: float, rows_per_time: int = 1) -> np.ndarray:
+    """The times 0, dt, ... up to t_max, each written as ``rows_per_time`` rows.
+
+    The row count is checked against :data:`MAX_ROWS` before anything is
+    allocated.
+    """
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise ValidationError(f"--t-max / --dt = {steps} is not a finite number of time steps")
+    n_times = math.floor(steps + 1e-9) + 1
+    if n_times * rows_per_time > MAX_ROWS:
+        raise ValidationError(
+            f"{n_times * rows_per_time} output rows exceed the limit of {MAX_ROWS}; use a larger --dt or a smaller grid"
+        )
+    return dt * np.arange(n_times)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +236,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     probe = expm_trajectory(gen, initial_joint_vector((0.0, 0.0, 1.0)), grid)
     c_analytic = np.atleast_1d(coherence_factor(params, times))
     c_numeric = 4.0 * probe[:, 12]
-    rows = [
-        [
-            float(times[k]),
-            4.0 * traj[k, 4],
-            4.0 * traj[k, 8],
-            4.0 * traj[k, 12],
-            float(c_analytic[k]),
-            float(c_numeric[k]),
-            abs(float(c_analytic[k]) - float(c_numeric[k])),
-        ]
-        for k in range(len(times))
-    ]
-    write_records(args.out, args.format, EVOLVE_COLUMNS, rows)
+    table = np.column_stack(
+        (times, 4.0 * traj[:, [4, 8, 12]], c_analytic, c_numeric, np.abs(c_analytic - c_numeric))
+    )
+    write_records(args.out, args.format, EVOLVE_COLUMNS, table)
     return EXIT_OK
 
 
@@ -213,12 +249,14 @@ def cmd_contour(args: argparse.Namespace) -> int:
     lo, hi, steps = args.kappa_range
     if lo < 0:
         raise ValidationError("cooling rates must be >= 0")
-    times = _time_axis(args.t_max, args.dt)
-    rows = []
-    for kappa in np.linspace(lo, hi, steps):
-        values = abs_coherence_derivative(ModelParams(args.xi, float(kappa)), times)
-        rows.extend([float(t), float(kappa), float(v)] for t, v in zip(times, values))
-    write_records(args.out, args.format, CONTOUR_COLUMNS, rows)
+    times = _time_axis(args.t_max, args.dt, steps)
+    kappas = np.linspace(lo, hi, steps)
+    table = np.empty((steps, len(times), 3))
+    table[:, :, 0] = times
+    table[:, :, 1] = kappas[:, None]
+    for block, kappa in zip(table, kappas):
+        block[:, 2] = abs_coherence_derivative(ModelParams(args.xi, float(kappa)), times)
+    write_records(args.out, args.format, CONTOUR_COLUMNS, table.reshape(-1, 3))
     return EXIT_OK
 
 

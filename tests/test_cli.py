@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import math
@@ -234,6 +235,46 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_acceptance", fake)
         assert cli.main(["verify", "--tol", "1e-2"]) == 0
         assert seen["tol"] == pytest.approx(1e-2)
+
+    def test_out_rows_read_back_as_four_fields(self, capsys, tmp_path):
+        # threshold_reproduction and conservation details hold commas
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()[:-1]
+        with open(out, newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["check", "passed", "seconds", "detail"]
+        assert [len(row) for row in rows] == [4] * len(printed)
+        assert [row[3] for row in rows] == [line.split("]  ", 1)[1] for line in printed]
+        assert any("," in row[3] for row in rows)
+
+
+class TestRowBudget:
+    def test_non_finite_step_count(self, capsys):
+        assert cli.main(["evolve", "--kappa", "1", "--t-max", "1e300", "--dt", "1e-10"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--kappa", "1", "--t-max", "1000", "--dt", "1e-5"],  # 1e8 + 1 rows
+            ["contour", "--t-max", "1000", "--dt", "0.01"],  # 100001 times x 141 kappas
+        ],
+    )
+    def test_over_budget_is_rejected(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert f"exceed the limit of {cli.MAX_ROWS}" in capsys.readouterr().err
+
+    def test_budget_edge(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "MAX_ROWS", 12)
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["evolve", "--kappa", "1", "--t-max", "0.11", "--dt", "0.01", "--out", out]) == 0
+        assert len(read_csv(pathlib.Path(out))[1]) == 12
+        assert cli.main(["evolve", "--kappa", "1", "--t-max", "0.12", "--dt", "0.01", "--out", out]) == 1
+        # contour counts time points x kappa steps
+        assert cli.main(["contour", "--kappa-range", "0:1:6", "--t-max", "0.01", "--dt", "0.01", "--out", out]) == 0
+        assert len(read_csv(pathlib.Path(out))[1]) == 12
+        assert cli.main(["contour", "--kappa-range", "0:1:7", "--t-max", "0.01", "--dt", "0.01", "--out", out]) == 1
 
 
 class TestParsing:
