@@ -2,7 +2,10 @@
 
 Pins the SHA-256 of what the README commands write, plus the JSON variants
 of ``evolve``, ``contour`` and ``blp`` and an underdamped ``evolve`` whose
-negative and exponent-form values the README commands do not reach.  A refactor that is meant to leave behaviour
+negative and exponent-form values the README commands do not reach.  Two
+in-process digests pin the numbers under them: the closed-form kernel
+across the three regimes, and the trace-distance windows that
+``verify``'s criteria_agreement check finds.  A refactor that is meant to leave behaviour
 unchanged must leave every digest unchanged; a deliberate output change
 updates the digest together with a line in CHANGES.md saying why.
 
@@ -14,9 +17,21 @@ regression, until reproduced on that platform's own baseline.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import qubitbath.cli as cli
+from qubitbath.analytic import (
+    abs_coherence_derivative,
+    coherence_factor,
+    coherence_factor_derivative,
+    coherence_log_derivative,
+    has_information_backflow,
+    increase_intervals,
+)
+from qubitbath.errors import PoleError
+from qubitbath.lindblad import ModelParams
+from qubitbath.markovianity import blp_numeric
 
 EVOLVE = ["evolve", "--xi", "1", "--kappa", "8", "--bloch", "0,0,1", "--t-max", "10", "--dt", "0.01"]
 CONTOUR = ["contour", "--xi", "1", "--kappa-range", "0:14:141", "--t-max", "10", "--dt", "0.01"]
@@ -54,3 +69,46 @@ def test_threshold_stdout_digest(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2960e086cd65dd84becd226bfff2e1ec2ef4d2436f21376473df7c93cc4e834a"
     )
+
+
+# underdamped (incl. kappa = 0 and negative xi), critical and both sides of
+# it inside the REGIME_TOL band, overdamped (incl. xi = 0); the overdamped
+# points reach s = disc*(t/4)**2 > 900, where the long-time form takes over
+KERNEL_PARAMS = [
+    (1.0, 4.0), (-0.5, 3.9), (1.0, 0.0), (1.0, 8.0), (1.0, 8.0 * (1 + 1e-9)),
+    (1.0, 8.0 * (1 - 1e-9)), (1.0, 8.5), (1.0, 20.0), (0.0, 3.0), (1e-3, 50.0),
+]
+KERNEL_TIMES = [0.0, 1e-170, 1e-8, 0.1, 1.0, 3.7, 6.0, 7.0, 10.0, 50.0, 200.0, 1e3, 1e5]
+
+
+def test_closed_form_kernel_digest():
+    digest = hashlib.sha256()
+    times = np.array(KERNEL_TIMES)
+    for xi, kappa in KERNEL_PARAMS:
+        params = ModelParams(xi, kappa)
+        for fn in (coherence_factor, coherence_factor_derivative, abs_coherence_derivative):
+            digest.update(np.asarray(fn(params, times)).tobytes())
+            digest.update(np.array([fn(params, t) for t in KERNEL_TIMES]).tobytes())
+        for t in KERNEL_TIMES:
+            try:
+                digest.update(np.float64(coherence_log_derivative(params, t)).tobytes())
+            except PoleError:
+                digest.update(b"pole")
+    assert digest.hexdigest() == "72fbe317d1ab0c9b763b5a0a1088299273c8717b3515b8e5c9f7fec92caed606"
+
+
+def test_criteria_agreement_edges_digest():
+    # the grid, horizons and blp_numeric calls of acceptance's criteria_agreement
+    digest = hashlib.sha256()
+    for xi in np.linspace(0.25, 2.0, 20):
+        for f in np.linspace(0.0, 1.9, 20):
+            kappa = float(f * 8.0 * xi)
+            if kappa == 0.0:
+                continue
+            params = ModelParams(float(xi), kappa)
+            horizon = None
+            if has_information_backflow(params):
+                horizon = 1.25 * increase_intervals(params, 1)[0].t_hi
+            segments = blp_numeric(params, horizon=horizon, n_pairs=0).segments
+            digest.update(np.array(segments, dtype=float).tobytes() + b";")
+    assert digest.hexdigest() == "74c63d9935b3885a1269444fd0676514ee69a84e934e59e1aa9a406d6cca6a33"
