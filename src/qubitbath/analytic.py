@@ -12,6 +12,8 @@ All three branches are evaluated through one analytic function of
 s = disc * (t/4)**2 (a sinh-cardinal extended through negative argument),
 which removes the catastrophic cancellation the printed branches suffer
 near the critical boundary and makes c continuous in the parameters.
+One evaluator, :func:`coherence_factor_with_derivative`, gives c and dc/dt
+in a single pass; c, dc/dt, d|c|/dt and the signal c*dc/dt all read from it.
 
 Everything in this module is a pure function; scalar time arguments give
 scalars, arrays give arrays.
@@ -73,92 +75,75 @@ def classify_regime(params: ModelParams, tol: float = REGIME_TOL) -> Regime:
     return Regime.OVERDAMPED if k2 > x2 else Regime.UNDERDAMPED
 
 
-def _sinhc_ext(s: np.ndarray) -> np.ndarray:
-    """sinh(sqrt(s))/sqrt(s), continued through s <= 0 as sin(sqrt(-s))/sqrt(-s)."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    small = np.abs(s) < 1e-6
-    pos = (s > 0) & ~small
-    neg = (s < 0) & ~small
-    r = np.sqrt(s[pos])
-    out[pos] = np.sinh(r) / r
-    r = np.sqrt(-s[neg])
-    out[neg] = np.sin(r) / r
-    u = s[small]
-    out[small] = 1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0))
-    return out
-
-
-def _cosh_ext(s: np.ndarray) -> np.ndarray:
-    """cosh(sqrt(s)), continued through s <= 0 as cos(sqrt(-s))."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    small = np.abs(s) < 1e-6
-    pos = (s > 0) & ~small
-    neg = (s < 0) & ~small
-    out[pos] = np.cosh(np.sqrt(s[pos]))
-    out[neg] = np.cos(np.sqrt(-s[neg]))
-    u = s[small]
-    out[small] = 1.0 + u / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0))
-    return out
+def _sinhc_cosh_ext(s: np.ndarray, disc: float) -> tuple[np.ndarray, np.ndarray]:
+    """sinh(sqrt(s))/sqrt(s) and cosh(sqrt(s)), continued through s <= 0 as
+    sin(sqrt(-s))/sqrt(-s) and cos(sqrt(-s)); outside the |s| < 1e-6 series
+    band every s = disc*(t/4)**2 has the sign of ``disc``, which picks the branch."""
+    u = np.abs(s)
+    small = u < 1e-6
+    series = small.any()
+    r = np.sqrt(u)
+    if series:
+        r[small] = 1.0  # keeps the division finite; the series overwrites it
+    if disc > 0:
+        sinhc, cosh = np.sinh(r) / r, np.cosh(r)
+    else:
+        sinhc, cosh = np.sin(r) / r, np.cos(r)
+    if series:
+        u = s[small]
+        sinhc[small] = 1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0))
+        cosh[small] = 1.0 + u / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0))
+    return sinhc, cosh
 
 
 def _check_times(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("time must be finite")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValidationError("time must be >= 0")
     return arr, arr.ndim == 0
 
 
-def _closed_form(params: ModelParams, t, regular, long_time):
-    """Evaluate one closed form of the coherence dynamics at time(s) ``t``.
+def coherence_factor_with_derivative(params: ModelParams, t):
+    """c(t) and dc/dt, from one pass over the time(s) ``t``.
 
-    ``regular(t, s)`` serves every regime through the sinhc/cosh kernel of
-    s = disc*(t/4)**2.  Where s > _BIG_S (overdamped, long times) sinh and
-    cosh overflow, and ``long_time(t, r)``, with r = sqrt(disc), takes over
-    with the decaying exponentials written out.
+    Every regime goes through the sinhc/cosh kernel of s = disc*(t/4)**2:
+    c = exp(-kt/4) * (kt/4 * sinhc(s) + cosh(s)) and, in all regimes,
+    dc/dt = -4*xi**2 * t * exp(-kt/4) * sinhc(s).  Where s > _BIG_S
+    (overdamped, long times) sinh and cosh overflow; the kernel sees s
+    clipped to _BIG_S there, and both values are replaced by their forms
+    with the decaying exponentials written out, r = sqrt(disc).
     """
     arr, scalar = _check_times(t)
     arr = np.atleast_1d(arr)
-    s = params.discriminant * (arr / 4.0) ** 2
-    out = np.empty_like(arr)
+    k, x2, disc = params.kappa, params.xi**2, params.discriminant
+    s = disc * (arr / 4.0) ** 2
     big = s > _BIG_S
-    reg = ~big
-    out[reg] = regular(arr[reg], s[reg])
-    if np.any(big):
-        out[big] = long_time(arr[big], math.sqrt(params.discriminant))
-    return float(out[0]) if scalar else out
+    long_time = big.any()
+    if long_time:
+        s[big] = _BIG_S
+    sinhc, cosh = _sinhc_cosh_ext(s, disc)
+    kt4 = k * arr / 4.0
+    envelope = np.exp(-kt4)
+    c = envelope * (kt4 * sinhc + cosh)
+    dc = -4.0 * x2 * arr * envelope * sinhc
+    if long_time:
+        tb, r = arr[big], math.sqrt(disc)
+        grow, decay = np.exp((r - k) * tb / 4.0), np.exp(-(r + k) * tb / 4.0)
+        c[big] = 0.5 * ((1.0 + k / r) * grow + (1.0 - k / r) * decay)
+        dc[big] = -8.0 * x2 / r * (grow - decay)
+    return (float(c[0]), float(dc[0])) if scalar else (c, dc)
 
 
 def coherence_factor(params: ModelParams, t):
     """The factor c(t) multiplying the system's y and z Bloch components."""
-    k = params.kappa
-    return _closed_form(
-        params,
-        t,
-        lambda t, s: np.exp(-k * t / 4.0) * ((k * t / 4.0) * _sinhc_ext(s) + _cosh_ext(s)),
-        lambda t, r: 0.5 * (
-            (1.0 + k / r) * np.exp((r - k) * t / 4.0)
-            + (1.0 - k / r) * np.exp(-(r + k) * t / 4.0)
-        ),
-    )
+    return coherence_factor_with_derivative(params, t)[0]
 
 
 def coherence_factor_derivative(params: ModelParams, t):
-    """Time derivative of :func:`coherence_factor`.
-
-    All regimes collapse to dc/dt = -4*xi**2 * t * exp(-kt/4) * sinhc(s).
-    """
-    k = params.kappa
-    x2 = params.xi**2
-    return _closed_form(
-        params,
-        t,
-        lambda t, s: -4.0 * x2 * t * np.exp(-k * t / 4.0) * _sinhc_ext(s),
-        lambda t, r: -8.0 * x2 / r * (np.exp((r - k) * t / 4.0) - np.exp(-(r + k) * t / 4.0)),
-    )
+    """Time derivative of :func:`coherence_factor`."""
+    return coherence_factor_with_derivative(params, t)[1]
 
 
 def _nearest_zero(params: ModelParams, t: float) -> float | None:
@@ -192,15 +177,13 @@ def coherence_log_derivative(params: ModelParams, t: float) -> float:
             "logarithmic derivative is not resolvable",
             nearest_zero=_nearest_zero(params, tv),
         )
-    k = params.kappa
-    x2 = params.xi**2
-
-    def regular(t, s):
-        sinhc = _sinhc_ext(s)
-        return (-4.0 * x2 * t * sinhc) / ((k * t / 4.0) * sinhc + _cosh_ext(s))
-
-    # coth(sqrt(s)) = 1 to double precision at long times
-    return _closed_form(params, tv, regular, lambda t, r: -16.0 * x2 / (k + r))
+    k, x2, disc = params.kappa, params.xi**2, params.discriminant
+    s = disc * (np.array([tv]) / 4.0) ** 2
+    if s[0] > _BIG_S:
+        # coth(sqrt(s)) = 1 to double precision at long times
+        return -16.0 * x2 / (k + math.sqrt(disc))
+    sinhc, cosh = _sinhc_cosh_ext(s, disc)
+    return float((-4.0 * x2 * tv * sinhc[0]) / ((k * tv / 4.0) * sinhc[0] + cosh[0]))
 
 
 def dephasing_rate(params: ModelParams, t: float) -> float:
@@ -218,7 +201,8 @@ def abs_coherence_derivative(params: ModelParams, t):
     Finite for every valid t, and 0 where c is exactly 0: unlike the
     logarithmic derivative it has no pole at the zeros of c.
     """
-    return np.sign(coherence_factor(params, t)) * coherence_factor_derivative(params, t)
+    c, dc = coherence_factor_with_derivative(params, t)
+    return np.sign(c) * dc
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .analytic import (
     blp_tail_bound,
     classify_regime,
     coherence_factor,
-    coherence_factor_derivative,
+    coherence_factor_with_derivative,
     default_blp_horizon,
     has_information_backflow,
     increase_intervals,
@@ -66,6 +66,9 @@ MAP_SINGULARITY_TOL = 1e-12
 
 #: Default threshold on negative Choi eigenvalues for the CP witness.
 CP_EIGENVALUE_TOL = 1e-10
+
+#: Most grid points :func:`detect_increase_segments` scans (80 MB per float array).
+MAX_SCAN_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,8 @@ _CHOI_TENSOR = 0.5 * np.stack(
     [np.stack([np.kron(PAULIS[l], unit) for unit in _BASIS_UNITS]) for l in range(4)]
 )
 
-# response of the Choi operator to each output coefficient, summed over units
-_CHOI_RESPONSE = np.einsum("lk,lkab->lab", _UNIT_COEFFS, _CHOI_TENSOR)
+# response of the Choi operator to each output coefficient, summed over units (exactly real)
+_CHOI_RESPONSE = np.einsum("lk,lkab->lab", _UNIT_COEFFS, _CHOI_TENSOR).real.copy()
 
 
 def _apply_transfer(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -195,7 +198,8 @@ def _diag_choi_min_eigenvalues(ratios: np.ndarray) -> np.ndarray:
     """Min Choi eigenvalue for each map diag(1, 1, r, r), as a batch.
 
     Same construction as :func:`choi_matrix` with the basis response
-    precomputed; cross-checked against the scalar route in the test suite.
+    precomputed and real, so a real float64 ``eigvalsh``; the test suite
+    cross-checks it against the complex scalar route.
     """
     d = np.ones((len(ratios), 4))
     d[:, 2] = ratios
@@ -325,7 +329,8 @@ def evolved_trace_distance(params: ModelParams, pair: StatePair, t):
 
 def _signal(params: ModelParams, t):
     """c * dc/dt; positive exactly where the trace distance increases."""
-    return coherence_factor(params, t) * coherence_factor_derivative(params, t)
+    c, dc = coherence_factor_with_derivative(params, t)
+    return c * dc
 
 
 def _refine_crossings(params: ModelParams, lo, hi, rising) -> np.ndarray:
@@ -359,7 +364,8 @@ def detect_increase_segments(
 
     Sign changes of c*dc/dt are located on a uniform grid and all refined
     together by bisection, one vector kernel call per halving; the default
-    grid step resolves the oscillation period with 200 points.
+    grid step resolves the oscillation period with 200 points.  A grid of
+    more than :data:`MAX_SCAN_POINTS` points is refused before it is built.
     """
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
@@ -368,8 +374,14 @@ def detect_increase_segments(
     if disc < 0:
         period = 8.0 * math.pi / math.sqrt(-disc)
         step = min(step, period / 200.0)
-    n = int(math.ceil(horizon / step))
-    times = np.linspace(0.0, horizon, n + 1)
+    points = math.ceil(horizon / step) + 1 if math.isfinite(horizon) else math.inf
+    if points > MAX_SCAN_POINTS:
+        raise ValidationError(
+            f"scanning the trace distance up to t = {horizon:.6g} takes {points} grid points, "
+            f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
+            "blp_tail_bound for the tail beyond a shorter horizon"
+        )
+    times = np.linspace(0.0, horizon, points)
     positive = np.atleast_1d(_signal(params, times)) > 0
     idx = np.flatnonzero(positive[1:] != positive[:-1])
     rising = positive[idx + 1]
@@ -487,7 +499,8 @@ def threshold_scan(
 
     The predicate is the existence of a time with negative dephasing rate.
     ``kappa_lo`` must show backflow (non-Markovian) and ``kappa_hi`` must
-    not; the returned rate is within ``tol`` of the transition.
+    not; the returned rate is within ``tol`` of the transition, or one ulp
+    where ``tol`` is finer: bisection stops when the midpoint rounds onto an endpoint.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -502,10 +515,11 @@ def threshold_scan(
         raise ValidationError(
             f"kappa_hi={hi} still shows backflow; bracket does not straddle the threshold"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if has_information_backflow(ModelParams(xi, mid)):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import signal
 import sys
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestBlp:
         assert payload["records"][0]["blp_analytic"] == "infinite"
         assert isinstance(payload["records"][1]["blp_analytic"], float)
 
+    def test_scan_over_point_budget_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
+        linspace = np.linspace
+
+        def small_only(start, stop, num):
+            # the kappa sweep is a linspace too; only the scan grid is refused
+            assert num <= 1000, "grid allocated"
+            return linspace(start, stop, num)
+
+        out = tmp_path / "blp.csv"
+        monkeypatch.setattr(np, "linspace", small_only)
+        assert cli.main(["blp", "--kappa-range", "0:2e-6:3", "--out", str(out)]) == 1
+        assert "blp_tail_bound" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeded_determinism(self, tmp_path):
         args = ["blp", "--kappa-range", "2:6:3", "--pairs", "8", "--seed", "9"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -200,6 +215,20 @@ class TestThreshold:
 
     def test_zero_coupling_rejected(self):
         assert cli.main(["threshold", "--xi", "0"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--xi", "1e10"], ["--tol", "1e-20"]])
+    def test_tol_below_one_ulp_terminates(self, argv, capsys):
+        def timeout(signum, frame):
+            raise TimeoutError("threshold bisection did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            assert cli.main(["threshold"] + argv) == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capsys.readouterr().out.startswith("kappa* = ")
 
 
 class TestVerify:

@@ -348,19 +348,21 @@ def _far_zero(params, t):
     return n * 4.0 * math.pi / r - 4.0 * math.atan2(r, params.kappa) / r
 
 
+@pytest.fixture
+def alarm():
+    def timeout(signum, frame):
+        raise TimeoutError("bisection did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("alarm")
 class TestRefineCrossing:
     """Bisection must end where 1e-10 is below one ulp of t (t > 2**19)."""
-
-    @pytest.fixture(autouse=True)
-    def alarm(self):
-        def timeout(signum, frame):
-            raise TimeoutError("bisection did not terminate")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(5)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
     @staticmethod
     def refine(params, lo, hi, rising):
@@ -451,6 +453,37 @@ class TestBlpNumeric:
         b = blp_numeric(params, n_pairs=16, seed=42)
         assert a.random_values == b.random_values
 
+    def test_scan_over_point_budget_raises_before_allocating(self, monkeypatch):
+        # kappa = 1e-6 asks for a 5.5e9-point grid (44 GB per float array)
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(ValidationError, match="blp_analytic.*blp_tail_bound"):
+            blp_numeric(ModelParams(1.0, 1e-6), n_pairs=0)
+
+    def test_scan_budget_admits_kappa_1e_3(self, monkeypatch):
+        # 5.5e6 points: admitted, so the grid is built (and stopped right there)
+        class Admitted(Exception):
+            pass
+
+        def admitted(start, stop, num):
+            raise Admitted(num)
+
+        monkeypatch.setattr(np, "linspace", admitted)
+        with pytest.raises(Admitted) as info:
+            blp_numeric(ModelParams(1.0, 1e-3), n_pairs=0)
+        assert 5_000_000 < info.value.args[0] <= markovianity.MAX_SCAN_POINTS
+
+    def test_scan_budget_edge(self, monkeypatch):
+        params = ModelParams(1.0, 9.0)  # step 0.01: horizon 1 is 101 points
+        monkeypatch.setattr(markovianity, "MAX_SCAN_POINTS", 101)
+        assert detect_increase_segments(params, 1.0) == []
+        with pytest.raises(ValidationError):
+            detect_increase_segments(params, 1.001)
+        with pytest.raises(ValidationError):
+            detect_increase_segments(params, math.inf)
+
     def test_telescoped_increase_equals_quadrature(self):
         # independent oracle: integrate max(d', 0) by fine trapezoidal quadrature
         params = ModelParams(1.0, 4.0)
@@ -492,3 +525,14 @@ class TestThresholdScan:
     def test_invalid_bracket_order(self):
         with pytest.raises(ValidationError):
             threshold_scan(1.0, 5.0, 4.0)
+
+    @pytest.mark.usefixtures("alarm")
+    @pytest.mark.parametrize(
+        "xi,tol",
+        # one ulp of kappa near 8e10 (1.5e-5) exceeds the default tol; 1e-20 is below one ulp of 8
+        [(1e10, 1e-6), (1.0, 1e-20)],
+    )
+    def test_terminates_below_ulp_resolution(self, xi, tol):
+        star = threshold_scan(xi, 4.0 * xi, 20.0 * xi, tol=tol)
+        # the critical band of classify_regime counts as backflow-free
+        assert star == pytest.approx(8.0 * xi, rel=1e-8)
