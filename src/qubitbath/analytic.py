@@ -36,6 +36,7 @@ __all__ = [
     "classify_regime",
     "coherence_factor",
     "coherence_factor_derivative",
+    "coherence_factor_with_derivative",
     "coherence_log_derivative",
     "dephasing_rate",
     "abs_coherence_derivative",

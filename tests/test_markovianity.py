@@ -1,5 +1,4 @@
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -346,18 +345,6 @@ def _far_zero(params, t):
     r = math.sqrt(-params.discriminant)
     n = round(t * r / (4.0 * math.pi))
     return n * 4.0 * math.pi / r - 4.0 * math.atan2(r, params.kappa) / r
-
-
-@pytest.fixture
-def alarm():
-    def timeout(signum, frame):
-        raise TimeoutError("bisection did not terminate")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(5)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.usefixtures("alarm")
