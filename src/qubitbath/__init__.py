@@ -3,10 +3,15 @@ continuously cooled single-qubit bath.
 
 The reduced system dynamics is solvable in closed form and switches
 abruptly from non-Markovian to Markovian at the cooling rate 8|xi|.  The
-package provides the vectorized joint generator, exact and Runge-Kutta
-propagation, the closed-form solution, and both Markovianity criteria
-(CP divisibility via Choi eigenvalues, and the trace-distance measure),
-each cross-validated against the other.
+package provides the vectorized joint generator, exact propagation by the
+matrix exponential, the closed-form solution, and both Markovianity
+criteria: CP divisibility from the closed-form Choi spectrum of the
+intermediate maps, and the trace-distance measure.
+
+Only production routes are exported here.  The independent second routes
+that cross-check them (Runge-Kutta integration, the generic Choi operator,
+the eigenvalue trace distance, c'/c, the bath propagator) live in
+:mod:`qubitbath.oracles`.
 """
 
 from .analytic import (
@@ -18,30 +23,21 @@ from .analytic import (
     blp_tail_bound,
     classify_regime,
     coherence_factor,
-    coherence_factor_derivative,
-    coherence_log_derivative,
     default_blp_horizon,
-    dephasing_rate,
     has_information_backflow,
     increase_intervals,
 )
 from .errors import (
     DegenerateModelError,
     NumericsError,
-    PoleError,
     RegimeError,
-    SingularMapError,
     ValidationError,
 )
 from .lindblad import (
     GeneratorMatrix,
     ModelParams,
     TimeGrid,
-    bath_dissipator_matrix,
-    bath_propagator,
     build_generator,
-    evolve_expm,
-    evolve_ode,
     expm_trajectory,
 )
 from .markovianity import (
@@ -51,20 +47,13 @@ from .markovianity import (
     QubitState,
     StatePair,
     blp_numeric,
-    choi_matrix,
-    choi_min_eigenvalue,
     cp_divisibility_witness,
-    density_trace_distance,
     evolved_trace_distance,
-    intermediate_map,
-    system_map,
     threshold_scan,
-    trace_distance,
 )
 from .operator_space import (
     PauliLabel,
     coherence4,
-    devectorize2q,
     from_coherence4,
     initial_joint_vector,
     sandwich_superop_rep,

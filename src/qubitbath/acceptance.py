@@ -4,6 +4,9 @@ Each check pins one reproducibility claim with an explicit tolerance and a
 runtime budget.  Reference data that the checks compare against (the 16x16
 generator coefficient table and the 16 sandwich-superoperator matrices) is
 transcribed here by hand, independent of the construction code under test.
+This is the one production module that imports :mod:`qubitbath.oracles`:
+the bath dissipator matrix and the generic Choi operator are second routes
+inside ``verify``.
 """
 
 from __future__ import annotations
@@ -24,14 +27,7 @@ from .analytic import (
     has_information_backflow,
     increase_intervals,
 )
-from .lindblad import (
-    ModelParams,
-    TimeGrid,
-    bath_dissipator_matrix,
-    build_generator,
-    expm_trajectory,
-    _expm,
-)
+from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory, _expm
 from .markovianity import (
     DivisibilityVerdict,
     blp_numeric,
@@ -45,6 +41,7 @@ from .operator_space import (
     initial_joint_vector,
     sandwich_superop_rep,
 )
+from .oracles import bath_dissipator_matrix, choi_min_eigenvalue, intermediate_map
 
 __all__ = [
     "CheckResult",
@@ -255,6 +252,12 @@ def _check_criteria_agreement() -> tuple[bool, str]:
             if witness.verdict is DivisibilityVerdict.INCONCLUSIVE:
                 disagreements.append((xi, kappa, "inconclusive witness"))
                 continue
+            # the closed-form Choi minimum against the generic Choi operator
+            generic = choi_min_eigenvalue(intermediate_map(params, *witness.worst_interval))
+            if abs(generic - witness.min_choi_eigenvalue) > 1e-12:
+                disagreements.append(
+                    (xi, kappa, f"Choi minimum {witness.min_choi_eigenvalue:.3e}, generic {generic:.3e}")
+                )
             markov_cp = witness.verdict is DivisibilityVerdict.DIVISIBLE
             if kappa == 0.0:
                 markov_blp = False  # divergent measure

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateModelError, PoleError, RegimeError, ValidationError
+from .errors import DegenerateModelError, RegimeError, ValidationError
 from .lindblad import ModelParams
 
 __all__ = [
@@ -35,10 +35,7 @@ __all__ = [
     "IncreaseInterval",
     "classify_regime",
     "coherence_factor",
-    "coherence_factor_derivative",
     "coherence_factor_with_derivative",
-    "coherence_log_derivative",
-    "dephasing_rate",
     "abs_coherence_derivative",
     "increase_intervals",
     "blp_analytic",
@@ -48,11 +45,13 @@ __all__ = [
     "has_information_backflow",
 ]
 
-#: |c| below this is treated as a pole of the logarithmic derivative.
-POLE_TOL = 1e-12
-
 #: Default relative width of the band classified as critical.
 REGIME_TOL = 1e-8
+
+#: Largest time the closed forms accept.  (t/4)**2 overflows above about
+#: 5.4e154, and below 1e150 s = disc*(t/4)**2 stays finite for |disc| up to
+#: about 2.9e9 (kappa and 8|xi| up to about 5e4).
+MAX_TIME = 1e150
 
 # Above this value of s = disc*(t/4)**2 the sinh/cosh forms overflow and the
 # evaluation switches to explicitly negative exponentials.
@@ -103,6 +102,8 @@ def _check_times(t) -> tuple[np.ndarray, bool]:
         raise ValidationError("time must be finite")
     if (arr < 0).any():
         raise ValidationError("time must be >= 0")
+    if (arr > MAX_TIME).any():
+        raise ValidationError(f"time must be <= MAX_TIME = {MAX_TIME:g}")
     return arr, arr.ndim == 0
 
 
@@ -140,60 +141,6 @@ def coherence_factor_with_derivative(params: ModelParams, t):
 def coherence_factor(params: ModelParams, t):
     """The factor c(t) multiplying the system's y and z Bloch components."""
     return coherence_factor_with_derivative(params, t)[0]
-
-
-def coherence_factor_derivative(params: ModelParams, t):
-    """Time derivative of :func:`coherence_factor`."""
-    return coherence_factor_with_derivative(params, t)[1]
-
-
-def _nearest_zero(params: ModelParams, t: float) -> float | None:
-    """Closest zero of c to ``t`` (underdamped only; None otherwise)."""
-    disc = params.discriminant
-    if disc >= 0:
-        return None
-    r = math.sqrt(-disc)
-    phase = math.atan2(r, params.kappa)
-    n = max(1, round((t * r / 4.0 + phase) / math.pi))
-    candidates = [
-        (4.0 / r) * (m * math.pi - phase) for m in (n - 1, n, n + 1) if m >= 1
-    ]
-    return min(candidates, key=lambda z: abs(z - t))
-
-
-def coherence_log_derivative(params: ModelParams, t: float) -> float:
-    """c'(t)/c(t), the logarithmic derivative of the coherence factor.
-
-    The master-equation dephasing rate is minus one half of this.  Raises
-    :class:`PoleError` when |c(t)| < POLE_TOL: the rate genuinely diverges
-    at zeros of c in the underdamped regime.  The ratio itself is formed
-    with the decay envelope cancelled analytically.
-    """
-    arr, _ = _check_times(t)
-    tv = float(arr)
-    c = coherence_factor(params, tv)
-    if abs(c) < POLE_TOL:
-        raise PoleError(
-            f"coherence factor below {POLE_TOL:.0e} at t={tv:.6g}; "
-            "logarithmic derivative is not resolvable",
-            nearest_zero=_nearest_zero(params, tv),
-        )
-    k, x2, disc = params.kappa, params.xi**2, params.discriminant
-    s = disc * (np.array([tv]) / 4.0) ** 2
-    if s[0] > _BIG_S:
-        # coth(sqrt(s)) = 1 to double precision at long times
-        return -16.0 * x2 / (k + math.sqrt(disc))
-    sinhc, cosh = _sinhc_cosh_ext(s, disc)
-    return float((-4.0 * x2 * tv * sinhc[0]) / ((k * tv / 4.0) * sinhc[0] + cosh[0]))
-
-
-def dephasing_rate(params: ModelParams, t: float) -> float:
-    """Coefficient of the dephasing dissipator in the time-local master equation.
-
-    Non-negative for all t exactly when kappa >= 8|xi|; its sign is the
-    divisibility criterion.
-    """
-    return -0.5 * coherence_log_derivative(params, t)
 
 
 def abs_coherence_derivative(params: ModelParams, t):
@@ -307,19 +254,27 @@ def bath_correlation(kappa: float, tau):
     return float(out) if arr.ndim == 0 else out
 
 
-def has_information_backflow(params: ModelParams) -> bool:
-    """Whether any time has a negative dephasing rate (trace-distance backflow).
+def _cot_form_negative(params: ModelParams) -> bool:
+    """Whether the rate's denominator kappa + r*cot(r*t/4) is negative at a
+    probe inside the first predicted backflow window (False unless disc < 0).
 
-    Evaluated through the sign of the rate's denominator
-    kappa + r*cot(r*t/4) at a probe inside the first predicted backflow
-    window; this form stays finite arbitrarily close to the threshold,
-    where the coherence factor itself underflows.  Points inside the
-    critical tolerance band count as backflow-free, consistently with
-    :func:`classify_regime`.
+    The form stays finite arbitrarily close to the threshold, where the
+    coherence factor itself underflows.
     """
-    if classify_regime(params) is not Regime.UNDERDAMPED:
+    if params.discriminant >= 0:
         return False
     r = math.sqrt(-params.discriminant)
     theta_probe = math.pi - 0.5 * math.atan2(r, params.kappa)
     denominator = params.kappa + r / math.tan(theta_probe)
     return denominator < 0
+
+
+def has_information_backflow(params: ModelParams) -> bool:
+    """Whether any time has a negative dephasing rate (trace-distance backflow).
+
+    Evaluated through the sign of the rate's denominator at a probe inside
+    the first predicted backflow window.  Points inside the critical
+    tolerance band count as backflow-free, consistently with
+    :func:`classify_regime`.
+    """
+    return classify_regime(params) is Regime.UNDERDAMPED and _cot_form_negative(params)

@@ -3,8 +3,11 @@
 Two independent witnesses are implemented against the same dynamics:
 
 * CP divisibility: the evolution map between two times is completely
-  positive for every division of the time axis.  Checked through the
-  minimum eigenvalue of the Choi operator of every sub-interval map.
+  positive for every division of the time axis.  Every sub-interval map
+  is diag(1, 1, r, r) with r = c_t/c_s, whose Choi spectrum is
+  {(1+r)/2, (1-r)/2, 0, 0} in closed form, so the map is CP exactly when
+  |r| <= 1.  The generic Choi operator in :mod:`qubitbath.oracles`
+  cross-checks this closed form.
 * Trace-distance contractivity: distinguishability of state pairs never
   increases.  Quantified by the closed-form trace distance telescoped over
   the numerically detected windows where it grows, maximized over
@@ -13,7 +16,7 @@ Two independent witnesses are implemented against the same dynamics:
   call per halving.
 
 Both flip at the same cooling rate, kappa = 8|xi|; :func:`threshold_scan`
-locates the flip by bisection on the rate-sign predicate.
+locates the flip by bisection on the sign of the rate's cot form.
 """
 
 from __future__ import annotations
@@ -32,29 +35,19 @@ from .analytic import (
     coherence_factor,
     coherence_factor_with_derivative,
     default_blp_horizon,
-    has_information_backflow,
     increase_intervals,
+    _cot_form_negative,
 )
-from .errors import (
-    DegenerateModelError,
-    SingularMapError,
-    ValidationError,
-)
+from .errors import DegenerateModelError, ValidationError
 from .lindblad import ModelParams, TimeGrid
-from .operator_space import PAULIS, coherence4, from_coherence4
+from .operator_space import PAULIS
 
 __all__ = [
     "QubitState",
     "StatePair",
-    "system_map",
-    "intermediate_map",
-    "choi_matrix",
-    "choi_min_eigenvalue",
     "DivisibilityVerdict",
     "DivisibilityWitness",
     "cp_divisibility_witness",
-    "trace_distance",
-    "density_trace_distance",
     "evolved_trace_distance",
     "BlpResult",
     "blp_numeric",
@@ -122,90 +115,9 @@ class StatePair:
 OPTIMAL_PAIR = StatePair(QubitState(0.0, 0.0, 1.0), QubitState(0.0, 0.0, -1.0))
 
 
-def system_map(params: ModelParams, t: float) -> np.ndarray:
-    """Transfer matrix of the reduced evolution on coherence 4-vectors.
-
-    Diagonal: the identity on (w, x), the coherence factor on (y, z).
-    """
-    if t < 0:
-        raise ValidationError("t must be >= 0")
-    c = coherence_factor(params, t)
-    return np.diag([1.0, 1.0, c, c])
-
-
-def intermediate_map(params: ModelParams, s: float, t: float) -> np.ndarray:
-    """Transfer matrix of the evolution from time ``s`` to time ``t``.
-
-    Equals diag(1, 1, c_t/c_s, c_t/c_s); undefined at zeros of the
-    coherence factor, where :class:`SingularMapError` is raised.
-    """
-    if not 0 <= s <= t:
-        raise ValidationError(f"need 0 <= s <= t, got s={s}, t={t}")
-    cs = coherence_factor(params, s)
-    if abs(cs) < MAP_SINGULARITY_TOL:
-        raise SingularMapError(
-            f"coherence factor vanishes at s={s:.6g}; the intermediate map "
-            "does not exist there"
-        )
-    ratio = coherence_factor(params, t) / cs
-    return np.diag([1.0, 1.0, ratio, ratio])
-
-
-_BASIS_UNITS = [np.eye(2, dtype=complex)[i][:, None] @ np.eye(2, dtype=complex)[j][None, :]
-                for i in range(2) for j in range(2)]
-
-# coherence coefficients of each basis unit |i><j|, shape (coefficient, unit)
-_UNIT_COEFFS = np.stack([coherence4(unit) for unit in _BASIS_UNITS], axis=1)
-
-# (1/2) kron(sigma_l, E_k) for every (coefficient, unit) pair
-_CHOI_TENSOR = 0.5 * np.stack(
-    [np.stack([np.kron(PAULIS[l], unit) for unit in _BASIS_UNITS]) for l in range(4)]
-)
-
-# response of the Choi operator to each output coefficient, summed over units (exactly real)
-_CHOI_RESPONSE = np.einsum("lk,lkab->lab", _UNIT_COEFFS, _CHOI_TENSOR).real.copy()
-
-
-def _apply_transfer(ptm: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Apply a (real) transfer matrix to an arbitrary complex 2x2 operator."""
-    return from_coherence4(ptm @ coherence4(op))
-
-
-def choi_matrix(ptm: np.ndarray) -> np.ndarray:
-    """Choi operator of the qubit map, normalized to unit trace.
-
-    Built from the map's action on the full operator basis |i><j|:
-    C = (1/2) sum_ij map(|i><j|) (x) |i><j|.  Positive semidefinite iff the
-    map is completely positive.
-    """
-    ptm = np.asarray(ptm, dtype=float)
-    if ptm.shape != (4, 4):
-        raise ValidationError("transfer matrix must be 4x4")
-    if np.abs(ptm[0] - np.array([1.0, 0, 0, 0])).max() > 1e-9:
-        raise ValidationError("transfer matrix is not trace preserving")
-    c = np.zeros((4, 4), dtype=complex)
-    for k, unit in enumerate(_BASIS_UNITS):
-        c += 0.5 * np.kron(_apply_transfer(ptm, unit), unit)
-    return c
-
-
-def choi_min_eigenvalue(ptm: np.ndarray) -> float:
-    """Smallest eigenvalue of the map's Choi operator (>= 0 iff CP)."""
-    return float(np.linalg.eigvalsh(choi_matrix(ptm))[0])
-
-
-def _diag_choi_min_eigenvalues(ratios: np.ndarray) -> np.ndarray:
-    """Min Choi eigenvalue for each map diag(1, 1, r, r), as a batch.
-
-    Same construction as :func:`choi_matrix` with the basis response
-    precomputed and real, so a real float64 ``eigvalsh``; the test suite
-    cross-checks it against the complex scalar route.
-    """
-    d = np.ones((len(ratios), 4))
-    d[:, 2] = ratios
-    d[:, 3] = ratios
-    chois = np.einsum("nl,lab->nab", d, _CHOI_RESPONSE)
-    return np.linalg.eigvalsh(chois)[:, 0]
+def _choi_min_eigenvalue(ratio):
+    """Min Choi eigenvalue of diag(1, 1, r, r): its spectrum is {(1+r)/2, (1-r)/2, 0, 0}."""
+    return np.minimum(0.0, 0.5 * (1.0 - np.abs(ratio)))
 
 
 class DivisibilityVerdict(Enum):
@@ -248,9 +160,12 @@ def cp_divisibility_witness(
     """Scan consecutive sub-interval maps for complete positivity.
 
     The division of [0, horizon] comes from ``grid`` when given, otherwise
-    400 uniform sub-intervals.  Sub-intervals with an endpoint at a zero of
-    the coherence factor are skipped and counted; divisibility across an
-    isolated zero is decided by the adjacent sub-intervals.
+    400 uniform sub-intervals.  Each map is diag(1, 1, r, r), and the
+    reported Choi minimum is the closed form min(0, (1 - |r|)/2) of the
+    sub-interval with the largest |r|, ``worst_interval``.  Sub-intervals
+    with an endpoint at a zero of the coherence factor are skipped and
+    counted; divisibility across an isolated zero is decided by the
+    adjacent sub-intervals.
 
     In the underdamped regime a horizon shorter than the first predicted
     increase window cannot decide, and the verdict is INCONCLUSIVE rather
@@ -273,10 +188,9 @@ def cp_divisibility_witness(
     min_eig = math.inf
     worst = None
     if np.any(valid):
-        ratios = c[1:][valid] / c[:-1][valid]
-        eigs = _diag_choi_min_eigenvalues(ratios)
-        k = int(np.argmin(eigs))
-        min_eig = float(eigs[k])
+        ratios = np.abs(c[1:][valid] / c[:-1][valid])
+        k = int(np.argmax(ratios))
+        min_eig = float(_choi_min_eigenvalue(ratios[k]))
         idx = np.flatnonzero(valid)[k]
         worst = (float(times[idx]), float(times[idx + 1]))
     if min_eig < -tol:
@@ -296,21 +210,6 @@ def cp_divisibility_witness(
         n_skipped=skipped,
         horizon=float(horizon),
     )
-
-
-def trace_distance(a: QubitState, b: QubitState) -> float:
-    """Half the Euclidean norm of the Bloch difference (qubit closed form)."""
-    return 0.5 * float(np.linalg.norm(a.bloch - b.bloch))
-
-
-def density_trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """Trace distance from the eigenvalues of the (Hermitian) difference.
-
-    Generic route, kept independent of :func:`trace_distance` so the two
-    can cross-check each other.
-    """
-    diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def evolved_trace_distance(params: ModelParams, pair: StatePair, t):
@@ -374,14 +273,14 @@ def detect_increase_segments(
     if disc < 0:
         period = 8.0 * math.pi / math.sqrt(-disc)
         step = min(step, period / 200.0)
-    points = math.ceil(horizon / step) + 1 if math.isfinite(horizon) else math.inf
-    if points > MAX_SCAN_POINTS:
+    span = horizon / step  # inf for an infinite horizon, or one beyond the float range
+    if not span <= MAX_SCAN_POINTS - 1:  # ceil(span) + 1 points; also refuses nan
         raise ValidationError(
-            f"scanning the trace distance up to t = {horizon:.6g} takes {points} grid points, "
+            f"scanning the trace distance up to t = {horizon:.6g} takes {span + 1:.3g} grid points, "
             f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
             "blp_tail_bound for the tail beyond a shorter horizon"
         )
-    times = np.linspace(0.0, horizon, points)
+    times = np.linspace(0.0, horizon, math.ceil(span) + 1)
     positive = np.atleast_1d(_signal(params, times)) > 0
     idx = np.flatnonzero(positive[1:] != positive[:-1])
     rising = positive[idx + 1]
@@ -497,7 +396,10 @@ def threshold_scan(
 ) -> float:
     """Bisect the cooling rate at which information backflow disappears.
 
-    The predicate is the existence of a time with negative dephasing rate.
+    The predicate is the sign of the dephasing rate's cot-form denominator
+    (see :func:`~qubitbath.analytic.has_information_backflow`), taken
+    without the critical tolerance band, so the bisection converges on
+    kappa = 8|xi| itself rather than on the band's lower edge.
     ``kappa_lo`` must show backflow (non-Markovian) and ``kappa_hi`` must
     not; the returned rate is within ``tol`` of the transition, or one ulp
     where ``tol`` is finer: bisection stops when the midpoint rounds onto an endpoint.
@@ -507,17 +409,17 @@ def threshold_scan(
     if not 0 <= kappa_lo < kappa_hi:
         raise ValidationError("need 0 <= kappa_lo < kappa_hi")
     lo, hi = float(kappa_lo), float(kappa_hi)
-    if not has_information_backflow(ModelParams(xi, lo)):
+    if not _cot_form_negative(ModelParams(xi, lo)):
         raise ValidationError(
             f"kappa_lo={lo} shows no backflow; bracket does not straddle the threshold"
         )
-    if has_information_backflow(ModelParams(xi, hi)):
+    if _cot_form_negative(ModelParams(xi, hi)):
         raise ValidationError(
             f"kappa_hi={hi} still shows backflow; bracket does not straddle the threshold"
         )
     mid = 0.5 * (lo + hi)
     while hi - lo > tol and lo < mid < hi:
-        if has_information_backflow(ModelParams(xi, mid)):
+        if _cot_form_negative(ModelParams(xi, mid)):
             lo = mid
         else:
             hi = mid

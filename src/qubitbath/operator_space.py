@@ -74,17 +74,6 @@ def from_coherence4(coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(np.asarray(coeffs), PAULIS, axes=(0, 0))
 
 
-def bloch_to_coherence4(bloch) -> np.ndarray:
-    """Coherence 4-vector of the state with the given Bloch vector."""
-    x, y, z = (float(c) for c in bloch)
-    return np.array([0.5, 0.5 * x, 0.5 * y, 0.5 * z])
-
-
-def coherence4_to_bloch(coeffs: np.ndarray) -> np.ndarray:
-    """Bloch vector of a normalized state's coherence 4-vector (w = 1/2)."""
-    return 2.0 * np.asarray(coeffs, dtype=float)[1:]
-
-
 def vectorize2q(rho: np.ndarray) -> np.ndarray:
     """Coherence 16-vector of a Hermitian 4x4 operator.
 
@@ -105,14 +94,6 @@ def vectorize2q(rho: np.ndarray) -> np.ndarray:
             f"exceeds tolerance {HERMITICITY_TOL:.0e}"
         )
     return v.real.copy()
-
-
-def devectorize2q(v: np.ndarray) -> np.ndarray:
-    """Reassemble the 4x4 operator from its coherence 16-vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (16,):
-        raise ValidationError(f"expected a length-16 vector, got shape {v.shape}")
-    return np.tensordot(v, PAULIS_2Q, axes=(0, 0))
 
 
 def initial_joint_vector(bloch) -> np.ndarray:
@@ -138,13 +119,3 @@ def sandwich_superop_rep(a: PauliLabel, b: PauliLabel) -> np.ndarray:
     sb = PAULIS[PauliLabel(b).value]
     cols = [coherence4(sa @ PAULIS[k] @ sb) for k in range(4)]
     return np.stack(cols, axis=1)
-
-
-def partial_trace_bath(v: np.ndarray) -> np.ndarray:
-    """Coherence 4-vector of the system qubit, tracing out the bath.
-
-    Tr_B(kron(sigma_i, sigma_j)) = 2 * sigma_i * delta_{j0}, so the system
-    coefficients are twice the j = 0 column of the 16-vector.
-    """
-    v = np.asarray(v, dtype=float)
-    return 2.0 * v[[0, 4, 8, 12]]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitbath.analytic import (
+    MAX_TIME,
     IncreaseInterval,
     Regime,
     abs_coherence_derivative,
@@ -14,10 +15,8 @@ from qubitbath.analytic import (
     blp_tail_bound,
     classify_regime,
     coherence_factor,
-    coherence_factor_derivative,
-    coherence_log_derivative,
+    coherence_factor_with_derivative,
     default_blp_horizon,
-    dephasing_rate,
     has_information_backflow,
     increase_intervals,
 )
@@ -27,8 +26,14 @@ from qubitbath.errors import (
     RegimeError,
     ValidationError,
 )
-from qubitbath.lindblad import ModelParams, bath_propagator
+from qubitbath.lindblad import ModelParams
 from qubitbath.operator_space import PAULIS, coherence4
+from qubitbath.oracles import (
+    bath_propagator,
+    coherence_factor_derivative,
+    coherence_log_derivative,
+    dephasing_rate,
+)
 
 xi_values = st.floats(-3.0, 3.0, allow_nan=False)
 kappa_values = st.floats(0.0, 20.0, allow_nan=False)
@@ -111,6 +116,16 @@ class TestCoherenceFactor:
         c = np.abs(coherence_factor(params, t))
         assert np.any(c > envelope + 1e-6)
         assert np.all(c <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("params", [ModelParams(1, 4), ModelParams(1, 8), ModelParams(1, 0), ModelParams(1, 20)])
+    def test_finite_up_to_max_time_and_rejected_above(self, params):
+        times = np.array([0.0, 1.0, 1e100, MAX_TIME])
+        c, dc = coherence_factor_with_derivative(params, times)
+        assert np.isfinite(c).all() and np.isfinite(dc).all()
+        assert np.all(np.abs(c) <= 1.0)
+        for t in (1e160, np.array([1.0, 1e160]), np.nextafter(MAX_TIME, math.inf)):
+            with pytest.raises(ValidationError, match="MAX_TIME"):
+                coherence_factor(params, t)
 
     def test_rejects_negative_or_non_finite_time(self):
         with pytest.raises(ValidationError):

@@ -169,6 +169,13 @@ class TestBlp:
         assert "blp_tail_bound" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_max,points", [("1e160", "1e+162"), ("1e308", "inf")])
+    def test_scan_refusal_states_a_short_point_count(self, t_max, points, capsys):
+        assert cli.main(["blp", "--kappa-range", "4:6:2", "--t-max", t_max]) == 1
+        err = capsys.readouterr().err
+        assert f" takes {points} grid points, over the limit of " in err
+        assert len(err) < 250
+
     def test_seeded_determinism(self, tmp_path):
         args = ["blp", "--kappa-range", "2:6:3", "--pairs", "8", "--seed", "9"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -295,6 +302,22 @@ class TestRowBudget:
         assert cli.main(["contour", "--kappa-range", "0:1:6", "--t-max", "0.01", "--dt", "0.01", "--out", out]) == 0
         assert len(read_csv(pathlib.Path(out))[1]) == 12
         assert cli.main(["contour", "--kappa-range", "0:1:7", "--t-max", "0.01", "--dt", "0.01", "--out", out]) == 1
+
+
+class TestTimeLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--kappa", "4", "--t-max", "1e160", "--dt", "1e158"],
+            ["contour", "--kappa-range", "0:14:3", "--t-max", "1e160", "--dt", "1e158"],
+        ],
+    )
+    def test_times_above_max_time_are_rejected(self, argv, capsys, tmp_path):
+        # (t/4)**2 overflows above t ~ 5e154; such times are refused, not written as nan
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert "MAX_TIME" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParsing:

@@ -12,24 +12,25 @@ from qubitbath.lindblad import (
     COOLING_PART,
     ModelParams,
     TimeGrid,
-    bath_dissipator_matrix,
-    bath_propagator,
     build_generator,
-    evolve_expm,
-    evolve_ode,
     expm_trajectory,
 )
 from qubitbath.operator_space import (
     BATH_EXCITED,
     BATH_GROUND,
     PAULIS,
-    bloch_to_coherence4,
     coherence4,
+    initial_joint_vector,
+    vectorize2q,
+)
+from qubitbath.oracles import (
+    bath_dissipator_matrix,
+    bath_propagator,
     coherence4_to_bloch,
     devectorize2q,
-    initial_joint_vector,
+    evolve_expm,
+    evolve_ode,
     partial_trace_bath,
-    vectorize2q,
 )
 
 xi_values = st.floats(-3.0, 3.0, allow_nan=False)
@@ -179,7 +180,7 @@ class TestEvolveOde:
     def test_zero_generator_constant_trajectory(self):
         gen = build_generator(ModelParams(0.0, 0.0))
         v0 = initial_joint_vector((0.5, 0.1, -0.2))
-        traj = evolve_ode(gen, v0, TimeGrid(0.0, 5.0, 11), method="rk4")
+        traj = evolve_ode(gen, v0, TimeGrid(0.0, 5.0, 11))
         assert np.abs(traj - v0).max() == 0.0
 
     def test_underdamped_matches_branch_formula(self):
@@ -190,21 +191,12 @@ class TestEvolveOde:
         expected = [underdamped_factor(1.0, 4.0, t) for t in grid.times()]
         assert np.abs(z - expected).max() <= 1e-8
 
-    def test_fixed_step_agrees_with_adaptive(self):
-        params = ModelParams(0.7, 3.0)
-        gen = build_generator(params)
-        v0 = initial_joint_vector((0.2, 0.4, -0.6))
-        grid = TimeGrid(0.0, 8.0, 33)
-        fixed = evolve_ode(gen, v0, grid, method="rk4")
-        adaptive = evolve_ode(gen, v0, grid, method="adaptive", atol=1e-12)
-        assert np.abs(fixed - adaptive).max() <= 1e-7
-
     @pytest.mark.parametrize("params", [ModelParams(1, 16), ModelParams(1, 8), ModelParams(1, 4)])
     def test_adaptive_agrees_with_expm_all_regimes(self, params):
         gen = build_generator(params)
         v0 = initial_joint_vector((0.3, 0.5, -0.4))
         grid = TimeGrid(0.0, 20.0, 41)
-        ode = evolve_ode(gen, v0, grid, method="adaptive", atol=1e-10)
+        ode = evolve_ode(gen, v0, grid, atol=1e-10)
         exact = expm_trajectory(gen, v0, grid)
         assert np.abs(ode - exact).max() <= 1e-8
 
@@ -215,14 +207,8 @@ class TestEvolveOde:
                 gen,
                 initial_joint_vector((0, 0, 1)),
                 TimeGrid(0.0, 1.0, 3),
-                method="adaptive",
                 atol=1e-300,
             )
-
-    def test_unknown_method_rejected(self):
-        gen = build_generator(ModelParams(1.0, 4.0))
-        with pytest.raises(ValidationError):
-            evolve_ode(gen, initial_joint_vector((0, 0, 1)), TimeGrid(0, 1, 3), method="euler")
 
 
 class TestConservationLaws:

@@ -9,34 +9,35 @@ from qubitbath import markovianity
 from qubitbath.analytic import (
     blp_analytic,
     coherence_factor,
-    dephasing_rate,
     increase_intervals,
 )
 from qubitbath.errors import SingularMapError, ValidationError
-from qubitbath.lindblad import ModelParams, TimeGrid, build_generator, evolve_expm
+from qubitbath.lindblad import ModelParams, TimeGrid, build_generator
 from qubitbath.markovianity import (
     DivisibilityVerdict,
     OPTIMAL_PAIR,
     QubitState,
     StatePair,
-    _diag_choi_min_eigenvalues,
+    _choi_min_eigenvalue,
     _refine_crossings,
     blp_numeric,
-    choi_matrix,
-    choi_min_eigenvalue,
     cp_divisibility_witness,
-    density_trace_distance,
     detect_increase_segments,
     evolved_trace_distance,
-    intermediate_map,
-    system_map,
     threshold_scan,
-    trace_distance,
 )
-from qubitbath.operator_space import (
+from qubitbath.operator_space import initial_joint_vector
+from qubitbath.oracles import (
+    choi_matrix,
+    choi_min_eigenvalue,
     coherence4_to_bloch,
-    initial_joint_vector,
+    density_trace_distance,
+    dephasing_rate,
+    evolve_expm,
+    intermediate_map,
     partial_trace_bath,
+    system_map,
+    trace_distance,
 )
 
 ball_coords = st.floats(-0.577, 0.577, allow_nan=False)
@@ -159,9 +160,10 @@ class TestChoi:
     @given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=8))
     @settings(max_examples=25)
     def test_batched_route_matches_scalar(self, ratios):
-        batch = _diag_choi_min_eigenvalues(np.array(ratios))
-        scalar = [choi_min_eigenvalue(np.diag([1.0, 1.0, r, r])) for r in ratios]
-        assert batch == pytest.approx(scalar, abs=1e-12)
+        # the closed form cp_divisibility_witness uses, against the generic Choi operator
+        closed = _choi_min_eigenvalue(np.array(ratios))
+        generic = [choi_min_eigenvalue(np.diag([1.0, 1.0, r, r])) for r in ratios]
+        assert closed == pytest.approx(generic, abs=1e-12)
 
 
 class TestDivisibilityWitness:
@@ -521,5 +523,13 @@ class TestThresholdScan:
     )
     def test_terminates_below_ulp_resolution(self, xi, tol):
         star = threshold_scan(xi, 4.0 * xi, 20.0 * xi, tol=tol)
-        # the critical band of classify_regime counts as backflow-free
         assert star == pytest.approx(8.0 * xi, rel=1e-8)
+
+    @pytest.mark.usefixtures("alarm")
+    @pytest.mark.parametrize("xi", [25.0, 100.0, 1e10])
+    def test_lands_on_threshold_not_band_edge(self, xi):
+        # not the lower edge of the REGIME_TOL band, 4e-8*|xi| below 8|xi|,
+        # which has_information_backflow counts as backflow-free
+        tol = 1e-6
+        star = threshold_scan(xi, 4.0 * xi, 20.0 * xi, tol=tol)
+        assert abs(star - 8.0 * xi) <= max(tol, 2 * math.ulp(8.0 * xi))

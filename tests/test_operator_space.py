@@ -11,15 +11,17 @@ from qubitbath.operator_space import (
     PAULIS,
     PauliLabel,
     SIGMA_MINUS,
-    bloch_to_coherence4,
     coherence4,
-    coherence4_to_bloch,
-    devectorize2q,
     from_coherence4,
     initial_joint_vector,
-    partial_trace_bath,
     sandwich_superop_rep,
     vectorize2q,
+)
+from qubitbath.oracles import (
+    bloch_to_coherence4,
+    coherence4_to_bloch,
+    devectorize2q,
+    partial_trace_bath,
 )
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

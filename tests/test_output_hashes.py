@@ -24,14 +24,13 @@ import qubitbath.cli as cli
 from qubitbath.analytic import (
     abs_coherence_derivative,
     coherence_factor,
-    coherence_factor_derivative,
-    coherence_log_derivative,
     has_information_backflow,
     increase_intervals,
 )
 from qubitbath.errors import PoleError
 from qubitbath.lindblad import ModelParams
 from qubitbath.markovianity import blp_numeric
+from qubitbath.oracles import coherence_factor_derivative, coherence_log_derivative
 
 EVOLVE = ["evolve", "--xi", "1", "--kappa", "8", "--bloch", "0,0,1", "--t-max", "10", "--dt", "0.01"]
 CONTOUR = ["contour", "--xi", "1", "--kappa-range", "0:14:141", "--t-max", "10", "--dt", "0.01"]
