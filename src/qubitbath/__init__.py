@@ -34,7 +34,6 @@ from .errors import (
     ValidationError,
 )
 from .lindblad import (
-    GeneratorMatrix,
     ModelParams,
     TimeGrid,
     build_generator,

@@ -151,7 +151,7 @@ def _check_generator_fidelity(generator_builder, seed: int) -> tuple[bool, str]:
     for _ in range(5):
         xi = float(rng.uniform(-3.0, 3.0))
         kappa = float(rng.uniform(0.0, 20.0))
-        built = generator_builder(ModelParams(xi, kappa)).matrix
+        built = generator_builder(ModelParams(xi, kappa))
         expected = reference_generator_matrix(xi, kappa)
         if not np.array_equal(built, expected):
             worst = max(worst, float(np.abs(built - expected).max()))
@@ -243,10 +243,10 @@ def _check_criteria_agreement() -> tuple[bool, str]:
     xis = np.linspace(0.25, 2.0, 20)
     fractions = np.linspace(0.0, 1.9, 20)
     disagreements = []
-    for xi in xis:
-        for f in fractions:
-            kappa = float(f * 8.0 * xi)
-            params = ModelParams(float(xi), kappa)
+    for xi in xis.tolist():
+        for f in fractions.tolist():
+            kappa = f * 8.0 * xi
+            params = ModelParams(xi, kappa)
             markov_rate = not has_information_backflow(params)
             witness = cp_divisibility_witness(params)
             if witness.verdict is DivisibilityVerdict.INCONCLUSIVE:
@@ -345,7 +345,7 @@ ALL_CHECK_NAMES = (
 
 def run_acceptance(
     tol: float | None = None,
-    generator_builder: Callable[[ModelParams], object] = build_generator,
+    generator_builder: Callable[[ModelParams], np.ndarray] = build_generator,
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run every acceptance check and return the results in spec order.

@@ -45,13 +45,15 @@ __all__ = [
     "has_information_backflow",
 ]
 
-#: Default relative width of the band classified as critical.
+#: Relative width of the band classified as critical.
 REGIME_TOL = 1e-8
 
-#: Largest time the closed forms accept.  (t/4)**2 overflows above about
-#: 5.4e154, and below 1e150 s = disc*(t/4)**2 stays finite for |disc| up to
-#: about 2.9e9 (kappa and 8|xi| up to about 5e4).
+#: Largest time the closed forms accept; (t/4)**2 overflows above about
+#: 5.4e154.  Where |disc| exceeds about 1.6e10 the bound is the lower
+#: 4*sqrt(_S_MAX/|disc|), which keeps |s| = |disc|*(t/4)**2 below _S_MAX,
+#: under the float maximum by more than the rounding of either.
 MAX_TIME = 1e150
+_S_MAX = 1e308
 
 # Above this value of s = disc*(t/4)**2 the sinh/cosh forms overflow and the
 # evaluation switches to explicitly negative exponentials.
@@ -64,13 +66,11 @@ class Regime(Enum):
     OVERDAMPED = "overdamped"
 
 
-def classify_regime(params: ModelParams, tol: float = REGIME_TOL) -> Regime:
-    """Compare kappa**2 against 64*xi**2 with a relative tolerance band."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+def classify_regime(params: ModelParams) -> Regime:
+    """Compare kappa**2 against 64*xi**2 with the relative band REGIME_TOL."""
     k2 = params.kappa**2
     x2 = 64.0 * params.xi**2
-    if abs(k2 - x2) <= tol * max(k2, x2, 1.0):
+    if abs(k2 - x2) <= REGIME_TOL * max(k2, x2, 1.0):
         return Regime.CRITICAL
     return Regime.OVERDAMPED if k2 > x2 else Regime.UNDERDAMPED
 
@@ -96,14 +96,15 @@ def _sinhc_cosh_ext(s: np.ndarray, disc: float) -> tuple[np.ndarray, np.ndarray]
     return sinhc, cosh
 
 
-def _check_times(t) -> tuple[np.ndarray, bool]:
+def _check_times(t, disc: float) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     if not np.isfinite(arr).all():
         raise ValidationError("time must be finite")
     if (arr < 0).any():
         raise ValidationError("time must be >= 0")
-    if (arr > MAX_TIME).any():
-        raise ValidationError(f"time must be <= MAX_TIME = {MAX_TIME:g}")
+    limit = min(MAX_TIME, 4.0 * math.sqrt(_S_MAX / max(abs(disc), 1.0)))
+    if (arr > limit).any():
+        raise ValidationError(f"time must be <= {limit:.6g}: MAX_TIME = {MAX_TIME:g}, less where disc*(t/4)**2 overflows")
     return arr, arr.ndim == 0
 
 
@@ -117,9 +118,9 @@ def coherence_factor_with_derivative(params: ModelParams, t):
     clipped to _BIG_S there, and both values are replaced by their forms
     with the decaying exponentials written out, r = sqrt(disc).
     """
-    arr, scalar = _check_times(t)
-    arr = np.atleast_1d(arr)
     k, x2, disc = params.kappa, params.xi**2, params.discriminant
+    arr, scalar = _check_times(t, disc)
+    arr = np.atleast_1d(arr)
     s = disc * (arr / 4.0) ** 2
     big = s > _BIG_S
     long_time = big.any()
@@ -207,10 +208,11 @@ def blp_tail_bound(params: ModelParams, n_intervals: int) -> float:
     """Upper bound on the measure omitted by truncating after ``n_intervals``.
 
     The per-window increases form a geometric series; the bound equals
-    exp(-kappa*t_n/4) / (exp(kappa*pi/r) - 1) and is exact.
+    exp(-kappa*t_n/4) / (exp(kappa*pi/r) - 1) and is exact.  With no
+    window counted it is the whole measure.
     """
-    if n_intervals < 1:
-        raise ValidationError("n_intervals must be >= 1")
+    if n_intervals < 0:
+        raise ValidationError("n_intervals must be >= 0")
     if classify_regime(params) is not Regime.UNDERDAMPED:
         return 0.0
     if params.kappa == 0.0:

@@ -21,7 +21,7 @@ frozen after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,15 @@ from .operator_space import PAULIS_2Q, SIGMA_MINUS, SIGMA_X, vectorize2q
 
 __all__ = [
     "ModelParams",
-    "GeneratorMatrix",
     "TimeGrid",
     "build_generator",
     "expm_trajectory",
 ]
+
+
+#: Largest kappa and 8|xi| accepted.  The discriminant stays finite, and so
+#: does xi**2 * t in the closed forms for every t up to ``analytic.MAX_TIME``.
+MAX_RATE = 1e75
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,8 @@ class ModelParams:
     """Coupling strength ``xi`` and cooling rate ``kappa`` (inverse time).
 
     ``xi`` may be negative; the dynamics depends on it only through xi**2
-    and |xi|.  ``kappa`` must be non-negative.
+    and |xi|.  ``kappa`` must be non-negative, and neither kappa nor 8|xi|
+    (the rates compared at the threshold) may exceed :data:`MAX_RATE`.
     """
 
     xi: float
@@ -53,6 +58,8 @@ class ModelParams:
             raise ValidationError("xi and kappa must be finite")
         if self.kappa < 0:
             raise ValidationError(f"cooling rate must be >= 0, got {self.kappa}")
+        if max(8.0 * abs(self.xi), self.kappa) > MAX_RATE:
+            raise ValidationError(f"kappa and 8|xi| must be <= MAX_RATE = {MAX_RATE:g}")
 
     @property
     def discriminant(self) -> float:
@@ -86,26 +93,16 @@ COOLING_PART = _superop_matrix_2q(_cooling_action)
 COOLING_PART.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """The 16x16 generator together with the parameters it was built from."""
+def build_generator(params: ModelParams) -> np.ndarray:
+    """Read-only 16x16 generator of the vectorized joint master equation.
 
-    matrix: np.ndarray = field(repr=False)
-    params: ModelParams
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def build_generator(params: ModelParams) -> GeneratorMatrix:
-    """Generator of the vectorized joint master equation.
-
-    The returned matrix reproduces, entry for entry, the coefficients of
-    the coupled linear system for the 16 Pauli coefficients: zeros, +-2*xi,
+    The matrix reproduces, entry for entry, the coefficients of the
+    coupled linear system for the 16 Pauli coefficients: zeros, +-2*xi,
     -kappa/2 and -kappa.
     """
     m = params.xi * COUPLING_PART + params.kappa * COOLING_PART
-    return GeneratorMatrix(matrix=m, params=params)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -166,14 +163,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_trajectory(gen: GeneratorMatrix, v0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States at every grid time, shape (num, 16).
 
     One exponential of the (uniform) grid step, applied cumulatively; exact
     because the generator commutes with itself.  v0 is the state at
     ``grid.start``.
     """
-    step_prop = _expm(gen.matrix * grid.step)
+    step_prop = _expm(gen * grid.step)
     out = np.empty((grid.num, 16))
     v = np.array(v0, dtype=float)
     out[0] = v

@@ -29,7 +29,6 @@ import numpy as np
 
 from .analytic import (
     Regime,
-    blp_analytic,
     blp_tail_bound,
     classify_regime,
     coherence_factor,
@@ -39,8 +38,7 @@ from .analytic import (
     _cot_form_negative,
 )
 from .errors import DegenerateModelError, ValidationError
-from .lindblad import ModelParams, TimeGrid
-from .operator_space import PAULIS
+from .lindblad import ModelParams
 
 __all__ = [
     "QubitState",
@@ -57,7 +55,7 @@ __all__ = [
 #: Sub-interval maps are skipped (not failed) when |c| at an endpoint is below this.
 MAP_SINGULARITY_TOL = 1e-12
 
-#: Default threshold on negative Choi eigenvalues for the CP witness.
+#: Threshold on negative Choi eigenvalues for the CP witness.
 CP_EIGENVALUE_TOL = 1e-10
 
 #: Most grid points :func:`detect_increase_segments` scans (80 MB per float array).
@@ -78,16 +76,6 @@ class QubitState:
             raise ValidationError("Bloch components must be finite")
         if n2 > 1.0 + 1e-12:
             raise ValidationError(f"Bloch vector norm {math.sqrt(n2):.6f} exceeds 1")
-
-    @property
-    def bloch(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def density(self) -> np.ndarray:
-        """The 2x2 density matrix (I + r . sigma)/2."""
-        return 0.5 * (
-            PAULIS[0] + self.x * PAULIS[1] + self.y * PAULIS[2] + self.z * PAULIS[3]
-        )
 
 
 @dataclass(frozen=True)
@@ -137,12 +125,6 @@ class DivisibilityWitness:
     n_skipped: int
     horizon: float
 
-    @property
-    def divisible(self) -> bool | None:
-        if self.verdict is DivisibilityVerdict.INCONCLUSIVE:
-            return None
-        return self.verdict is DivisibilityVerdict.DIVISIBLE
-
 
 def _default_witness_horizon(params: ModelParams) -> float:
     if classify_regime(params) is Regime.UNDERDAMPED:
@@ -151,36 +133,25 @@ def _default_witness_horizon(params: ModelParams) -> float:
     return 80.0 / max(params.kappa, 8.0 * abs(params.xi), 1.0)
 
 
-def cp_divisibility_witness(
-    params: ModelParams,
-    horizon: float | None = None,
-    grid: TimeGrid | None = None,
-    tol: float = CP_EIGENVALUE_TOL,
-) -> DivisibilityWitness:
+def cp_divisibility_witness(params: ModelParams) -> DivisibilityWitness:
     """Scan consecutive sub-interval maps for complete positivity.
 
-    The division of [0, horizon] comes from ``grid`` when given, otherwise
-    400 uniform sub-intervals.  Each map is diag(1, 1, r, r), and the
-    reported Choi minimum is the closed form min(0, (1 - |r|)/2) of the
-    sub-interval with the largest |r|, ``worst_interval``.  Sub-intervals
-    with an endpoint at a zero of the coherence factor are skipped and
-    counted; divisibility across an isolated zero is decided by the
-    adjacent sub-intervals.
+    [0, horizon] is divided into 400 uniform sub-intervals; underdamped,
+    the horizon ends half a window spacing past the first predicted
+    increase window.  Each map is diag(1, 1, r, r), and the reported Choi
+    minimum is the closed form min(0, (1 - |r|)/2) of the sub-interval
+    with the largest |r|, ``worst_interval``.  Sub-intervals with an
+    endpoint where |c| < MAP_SINGULARITY_TOL are skipped and counted.
 
-    In the underdamped regime a horizon shorter than the first predicted
-    increase window cannot decide, and the verdict is INCONCLUSIVE rather
-    than divisible.
+    The verdict is NON_DIVISIBLE when that minimum is below
+    -CP_EIGENVALUE_TOL.  Otherwise it is INCONCLUSIVE in the underdamped
+    regime, where a violation exists but the scan did not resolve it (near
+    the threshold |c| underflows before the first window), and DIVISIBLE
+    elsewhere.
     """
-    if grid is not None:
-        times = grid.times()
-        horizon = times[-1]
-    else:
-        if horizon is None:
-            horizon = _default_witness_horizon(params)
-        if horizon <= 0:
-            raise ValidationError("horizon must be positive")
-        times = np.linspace(0.0, horizon, 401)
-    c = np.atleast_1d(coherence_factor(params, times))
+    horizon = _default_witness_horizon(params)
+    times = np.linspace(0.0, horizon, 401)
+    c = coherence_factor(params, times)
     valid = (np.abs(c[:-1]) >= MAP_SINGULARITY_TOL) & (
         np.abs(c[1:]) >= MAP_SINGULARITY_TOL
     )
@@ -193,12 +164,9 @@ def cp_divisibility_witness(
         min_eig = float(_choi_min_eigenvalue(ratios[k]))
         idx = np.flatnonzero(valid)[k]
         worst = (float(times[idx]), float(times[idx + 1]))
-    if min_eig < -tol:
+    if min_eig < -CP_EIGENVALUE_TOL:
         verdict = DivisibilityVerdict.NON_DIVISIBLE
-    elif (
-        classify_regime(params) is Regime.UNDERDAMPED
-        and horizon < increase_intervals(params, 1)[0].t_hi
-    ):
+    elif classify_regime(params) is Regime.UNDERDAMPED:
         verdict = DivisibilityVerdict.INCONCLUSIVE
     else:
         verdict = DivisibilityVerdict.DIVISIBLE
@@ -232,14 +200,14 @@ def _signal(params: ModelParams, t):
     return c * dc
 
 
-def _refine_crossings(params: ModelParams, lo, hi, rising) -> np.ndarray:
-    """Bisect every bracketed sign change of the increase signal at once.
+def _bisect(lo, hi, width: float, upper) -> np.ndarray:
+    """Halve every bracket [lo[k], hi[k]] together; return their midpoints.
 
-    ``rising[k]`` says whether the signal is positive at ``hi[k]``.  Each
-    halving evaluates the signal once, as a vector, on the midpoints of the
-    brackets still open.  A bracket stops at width 1e-10 or, beyond
-    t ~ 5e5 where one ulp of t exceeds 1e-10, when its midpoint rounds onto
-    an endpoint; the others keep halving.
+    ``upper(active, mid)`` gets the indices of the brackets still open and
+    their midpoints, and says for each whether the midpoint becomes the
+    bracket's upper end (else its lower end).  A bracket stops when its
+    width is at most ``width`` or its midpoint rounds onto an endpoint
+    (where one ulp exceeds ``width``); the others keep halving.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -247,13 +215,23 @@ def _refine_crossings(params: ModelParams, lo, hi, rising) -> np.ndarray:
     while True:
         a, b = lo[active], hi[active]
         mid = 0.5 * (a + b)
-        keep = (b - a > 1e-10) & (mid != a) & (mid != b)
+        keep = (b - a > width) & (mid != a) & (mid != b)
         if not keep.any():
             return 0.5 * (lo + hi)
         active, mid = active[keep], mid[keep]
-        upper = (_signal(params, mid) > 0) == rising[active]
-        hi[active[upper]] = mid[upper]
-        lo[active[~upper]] = mid[~upper]
+        up = upper(active, mid)
+        hi[active[up]] = mid[up]
+        lo[active[~up]] = mid[~up]
+
+
+def _refine_crossings(params: ModelParams, lo, hi, rising) -> np.ndarray:
+    """Bisect every bracketed sign change of the increase signal to 1e-10.
+
+    ``rising[k]`` says whether the signal is positive at ``hi[k]``.  Each
+    halving evaluates the signal once, as a vector, on the midpoints of the
+    brackets still open.
+    """
+    return _bisect(lo, hi, 1e-10, lambda k, mid: (_signal(params, mid) > 0) == rising[k])
 
 
 def detect_increase_segments(
@@ -281,7 +259,7 @@ def detect_increase_segments(
             "blp_tail_bound for the tail beyond a shorter horizon"
         )
     times = np.linspace(0.0, horizon, math.ceil(span) + 1)
-    positive = np.atleast_1d(_signal(params, times)) > 0
+    positive = _signal(params, times) > 0
     idx = np.flatnonzero(positive[1:] != positive[:-1])
     rising = positive[idx + 1]
     edges = _refine_crossings(params, times[idx], times[idx + 1], rising).tolist()
@@ -358,8 +336,6 @@ def blp_numeric(
             horizon, _ = default_blp_horizon(params)
         else:
             horizon = _default_witness_horizon(params)
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
     segments = tuple(detect_increase_segments(params, horizon))
     optimal_value = _pair_increase(params, OPTIMAL_PAIR, segments)
     random_values = []
@@ -371,12 +347,7 @@ def blp_numeric(
         random_values.append(val)
         if val > best_value:
             best_pair, best_value = pair, val
-    if divergent:
-        tail = math.inf
-    elif classify_regime(params) is Regime.UNDERDAMPED:
-        tail = blp_tail_bound(params, len(segments)) if segments else blp_analytic(params)
-    else:
-        tail = 0.0
+    tail = math.inf if divergent else blp_tail_bound(params, len(segments))
     return BlpResult(
         value=best_value,
         best_pair=best_pair,
@@ -417,11 +388,8 @@ def threshold_scan(
         raise ValidationError(
             f"kappa_hi={hi} still shows backflow; bracket does not straddle the threshold"
         )
-    mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
-        if _cot_form_negative(ModelParams(xi, mid)):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+
+    def markovian(_, mid):
+        return np.array([not _cot_form_negative(ModelParams(xi, m)) for m in mid.tolist()])
+
+    return float(_bisect([lo], [hi], tol, markovian)[0])

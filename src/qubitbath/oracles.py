@@ -17,8 +17,9 @@ uses two of them inside ``qubitbath verify``.  Each one cross-checks:
   transfer matrix, against the closed-form Choi spectrum
   min(0, (1 - |r|)/2) that
   :func:`~qubitbath.markovianity.cp_divisibility_witness` uses;
-* :func:`trace_distance` and :func:`density_trace_distance`: the Bloch and
-  the eigenvalue trace distance, against each other and against
+* :func:`trace_distance`, :func:`density_matrix` and
+  :func:`density_trace_distance`: the Bloch and the eigenvalue trace
+  distance, against each other and against
   :func:`~qubitbath.markovianity.evolved_trace_distance`;
 * :func:`coherence_factor_derivative`, :func:`coherence_log_derivative` and
   :func:`dephasing_rate`: dc/dt alone, and c'/c with the decay envelope
@@ -45,7 +46,7 @@ from .analytic import (
     coherence_factor_with_derivative,
 )
 from .errors import NumericsError, PoleError, SingularMapError, ValidationError
-from .lindblad import GeneratorMatrix, ModelParams, TimeGrid, _expm
+from .lindblad import ModelParams, TimeGrid, _expm
 from .markovianity import MAP_SINGULARITY_TOL, QubitState
 from .operator_space import (
     PAULIS,
@@ -60,11 +61,11 @@ from .operator_space import (
 POLE_TOL = 1e-12
 
 
-def evolve_expm(gen: GeneratorMatrix, v0: np.ndarray, t: float) -> np.ndarray:
+def evolve_expm(gen: np.ndarray, v0: np.ndarray, t: float) -> np.ndarray:
     """Propagate ``v0`` to time ``t`` via the matrix exponential."""
     if t < 0:
         raise ValidationError(f"propagation time must be >= 0, got {t}")
-    v = _expm(gen.matrix * t) @ np.asarray(v0, dtype=float)
+    v = _expm(gen * t) @ np.asarray(v0, dtype=float)
     if not np.all(np.isfinite(v)):
         raise NumericsError(f"non-finite state after expm propagation to t={t}")
     return v
@@ -120,7 +121,7 @@ def _integrate_adaptive(m, v, t0, t1, atol, h):
 
 
 def evolve_ode(
-    gen: GeneratorMatrix, v0: np.ndarray, grid: TimeGrid, atol: float = 1e-10
+    gen: np.ndarray, v0: np.ndarray, grid: TimeGrid, atol: float = 1e-10
 ) -> np.ndarray:
     """Integrate ``dv/dt = M v`` across the grid, returning shape (num, 16).
 
@@ -129,14 +130,13 @@ def evolve_ode(
     """
     if atol <= 0:
         raise ValidationError("atol must be positive")
-    m = gen.matrix
     times = grid.times()
     out = np.empty((grid.num, 16))
     v = np.array(v0, dtype=float)
     out[0] = v
     h = grid.step
     for k in range(1, grid.num):
-        v, h = _integrate_adaptive(m, v, times[k - 1], times[k], atol, h)
+        v, h = _integrate_adaptive(gen, v, times[k - 1], times[k], atol, h)
         out[k] = v
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite state along ODE trajectory")
@@ -233,7 +233,12 @@ def choi_min_eigenvalue(ptm: np.ndarray) -> float:
 
 def trace_distance(a: QubitState, b: QubitState) -> float:
     """Half the Euclidean norm of the Bloch difference (qubit closed form)."""
-    return 0.5 * float(np.linalg.norm(a.bloch - b.bloch))
+    return 0.5 * math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+
+
+def density_matrix(state: QubitState) -> np.ndarray:
+    """The 2x2 density matrix (I + r . sigma)/2 of a Bloch-vector state."""
+    return 0.5 * (PAULIS[0] + state.x * PAULIS[1] + state.y * PAULIS[2] + state.z * PAULIS[3])
 
 
 def density_trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -269,7 +274,7 @@ def coherence_log_derivative(params: ModelParams, t: float) -> float:
     at zeros of c in the underdamped regime.  The ratio itself is formed
     with the decay envelope cancelled analytically.
     """
-    arr, _ = _check_times(t)
+    arr, _ = _check_times(t, params.discriminant)
     tv = float(arr)
     c = coherence_factor(params, tv)
     if abs(c) < POLE_TOL:

@@ -9,8 +9,9 @@ prints the per-criterion summary table.
 import numpy as np
 import pytest
 
+from qubitbath import acceptance
 from qubitbath.acceptance import ALL_CHECK_NAMES, run_acceptance
-from qubitbath.lindblad import GeneratorMatrix, ModelParams, build_generator
+from qubitbath.lindblad import ModelParams, build_generator
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +68,10 @@ def test_criterion_9_superoperator_table(results):
 
 def test_negative_control_wrong_sign_in_generator():
     # a sign flip in one coupling entry must be caught and named
-    def broken_builder(params: ModelParams) -> GeneratorMatrix:
-        matrix = build_generator(params).matrix.copy()
+    def broken_builder(params: ModelParams) -> np.ndarray:
+        matrix = build_generator(params).copy()
         matrix[3, 6] = -matrix[3, 6]
-        return GeneratorMatrix(matrix=matrix, params=params)
+        return matrix
 
     broken = {r.name: r for r in run_acceptance(generator_builder=broken_builder)}
     assert not broken["generator_fidelity"].passed
@@ -85,3 +86,14 @@ def test_loose_tolerance_runs_faster_and_passes():
     assert all(r.passed for r in results)
     oracle = next(r for r in results if r.name == "analytic_numeric_oracle")
     assert "0.01" in oracle.detail or "tol 0.01" in oracle.detail
+
+
+def test_disagreement_names_its_point_in_plain_floats(monkeypatch):
+    # flip the rate-sign verdict at one grid point: exactly one disagreement
+    backflow = acceptance.has_information_backflow
+    flipped = ModelParams(0.25, 0.0)
+    monkeypatch.setattr(acceptance, "has_information_backflow", lambda p: backflow(p) != (p == flipped))
+    result = acceptance._check_criteria_agreement()
+    assert not result.passed
+    assert result.detail == "1 disagreements, first: (0.25, 0.0, 'rate=True cp=False blp=False')"
+    assert "np.float64" not in result.detail

@@ -53,10 +53,6 @@ class TestClassifyRegime:
     def test_negative_xi(self):
         assert classify_regime(ModelParams(-1.0, 8.0)) is Regime.CRITICAL
 
-    def test_bad_tol(self):
-        with pytest.raises(ValidationError):
-            classify_regime(ModelParams(1, 1), tol=0.0)
-
 
 class TestCoherenceFactor:
     @given(xi_values, kappa_values)
@@ -126,6 +122,19 @@ class TestCoherenceFactor:
         for t in (1e160, np.array([1.0, 1e160]), np.nextafter(MAX_TIME, math.inf)):
             with pytest.raises(ValidationError, match="MAX_TIME"):
                 coherence_factor(params, t)
+
+    @pytest.mark.parametrize("params", [ModelParams(1e5, 1.0), ModelParams(1.0, 1e6), ModelParams(1.25e74, 0.0)])
+    def test_time_bound_keeps_s_finite_at_large_rates(self, params):
+        # above |disc| ~ 1.6e10 the bound is 4*sqrt(1e308/|disc|), below MAX_TIME
+        limit = 4.0 * math.sqrt(1e308 / abs(params.discriminant))
+        assert limit < MAX_TIME
+        c, dc = coherence_factor_with_derivative(params, np.array([0.0, 1.0, limit]))
+        assert np.isfinite(c).all() and np.isfinite(dc).all()
+        assert np.all(np.abs(c) <= 1.0)
+        with pytest.raises(ValidationError, match="overflow"):
+            coherence_factor(params, np.nextafter(limit, math.inf))
+        with pytest.raises(ValidationError):
+            coherence_factor(params, MAX_TIME)
 
     def test_rejects_negative_or_non_finite_time(self):
         with pytest.raises(ValidationError):

@@ -320,6 +320,22 @@ class TestTimeLimit:
         assert not out.exists()
 
 
+class TestRateLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--xi", "1e155", "--kappa", "1"],
+            ["threshold", "--xi", "5e306"],
+            ["blp", "--xi", "1e200", "--kappa-range", "1:2:2"],
+        ],
+    )
+    def test_rates_above_max_rate_are_rejected(self, argv, capsys):
+        # the discriminant kappa**2 - 64*xi**2 overflowed here (OverflowError)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MAX_RATE" in err
+
+
 class TestParsing:
     def test_unknown_subcommand(self):
         assert cli.main(["frobnicate"]) == 1

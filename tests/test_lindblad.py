@@ -10,6 +10,7 @@ from qubitbath.acceptance import reference_generator_matrix
 from qubitbath.errors import NumericsError, ValidationError
 from qubitbath.lindblad import (
     COOLING_PART,
+    MAX_RATE,
     ModelParams,
     TimeGrid,
     build_generator,
@@ -60,6 +61,13 @@ class TestModelParams:
         with pytest.raises(ValidationError):
             ModelParams(1.0, math.inf)
 
+    def test_rates_bounded_by_max_rate(self):
+        # the threshold line kappa = 8|xi| stays admitted up to the bound
+        ModelParams(MAX_RATE / 8.0, MAX_RATE)
+        for xi, kappa in ((np.nextafter(MAX_RATE / 8.0, math.inf), 0.0), (0.0, 2.0 * MAX_RATE), (1e155, 1.0)):
+            with pytest.raises(ValidationError, match="MAX_RATE"):
+                ModelParams(xi, kappa)
+
     def test_negative_xi_allowed(self):
         assert ModelParams(-2.0, 1.0).discriminant == pytest.approx(1 - 256)
 
@@ -68,23 +76,23 @@ class TestGenerator:
     @given(xi_values, kappa_values)
     @settings(max_examples=40)
     def test_matches_published_table_exactly(self, xi, kappa):
-        built = build_generator(ModelParams(xi, kappa)).matrix
+        built = build_generator(ModelParams(xi, kappa))
         assert np.array_equal(built, reference_generator_matrix(xi, kappa))
 
     def test_zero_params_give_zero_generator(self):
-        assert np.array_equal(build_generator(ModelParams(0.0, 0.0)).matrix, np.zeros((16, 16)))
+        assert np.array_equal(build_generator(ModelParams(0.0, 0.0)), np.zeros((16, 16)))
 
     @given(xi_values, kappa_values)
     @settings(max_examples=20)
     def test_linear_split(self, xi, kappa):
-        full = build_generator(ModelParams(xi, kappa)).matrix
-        coupling_only = build_generator(ModelParams(xi, 0.0)).matrix
+        full = build_generator(ModelParams(xi, kappa))
+        coupling_only = build_generator(ModelParams(xi, 0.0))
         assert np.array_equal(full, coupling_only + kappa * COOLING_PART)
 
     @given(xi_values, kappa_values)
     @settings(max_examples=20)
     def test_entries_from_allowed_set(self, xi, kappa):
-        m = build_generator(ModelParams(xi, kappa)).matrix
+        m = build_generator(ModelParams(xi, kappa))
         allowed = {0.0, 2 * xi, -2 * xi, -kappa / 2, -kappa}
         assert set(np.unique(m)) <= allowed
         assert np.array_equal(m[0], np.zeros(16))
@@ -92,7 +100,7 @@ class TestGenerator:
     def test_generator_is_read_only(self):
         gen = build_generator(ModelParams(1.0, 2.0))
         with pytest.raises(ValueError):
-            gen.matrix[0, 0] = 1.0
+            gen[0, 0] = 1.0
 
 
 class TestDissipatorAction:
@@ -117,8 +125,8 @@ class TestDissipatorAction:
     @settings(max_examples=20)
     def test_kappa_times_action_is_pure_cooling_generator(self, xi, kappa):
         v = initial_joint_vector((0.1, -0.2, 0.3)) + 0.01 * np.arange(16)
-        m = build_generator(ModelParams(xi, kappa)).matrix
-        m0 = build_generator(ModelParams(xi, 0.0)).matrix
+        m = build_generator(ModelParams(xi, kappa))
+        m0 = build_generator(ModelParams(xi, 0.0))
         assert (m - m0) @ v == pytest.approx(kappa * COOLING_PART @ v, abs=1e-13)
 
 
@@ -139,7 +147,7 @@ class TestEvolveExpm:
         gen = build_generator(ModelParams(xi, kappa))
         v0 = initial_joint_vector((0.3, -0.3, 0.5))
         ours = evolve_expm(gen, v0, t)
-        reference = scipy.linalg.expm(gen.matrix * t) @ v0
+        reference = scipy.linalg.expm(gen * t) @ v0
         assert ours == pytest.approx(reference, abs=1e-12)
 
     def test_undamped_oscillation(self):

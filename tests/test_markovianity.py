@@ -9,10 +9,11 @@ from qubitbath import markovianity
 from qubitbath.analytic import (
     blp_analytic,
     coherence_factor,
+    has_information_backflow,
     increase_intervals,
 )
 from qubitbath.errors import SingularMapError, ValidationError
-from qubitbath.lindblad import ModelParams, TimeGrid, build_generator
+from qubitbath.lindblad import ModelParams, build_generator
 from qubitbath.markovianity import (
     DivisibilityVerdict,
     OPTIMAL_PAIR,
@@ -31,6 +32,7 @@ from qubitbath.oracles import (
     choi_matrix,
     choi_min_eigenvalue,
     coherence4_to_bloch,
+    density_matrix,
     density_trace_distance,
     dephasing_rate,
     evolve_expm,
@@ -53,7 +55,7 @@ class TestQubitState:
             QubitState(1.0, 1.0, 0.0)
 
     def test_density_matrix(self):
-        rho = QubitState(0.0, 0.0, 1.0).density()
+        rho = density_matrix(QubitState(0.0, 0.0, 1.0))
         assert np.allclose(rho, np.diag([1.0, 0.0]))
 
     def test_pair_deltas(self):
@@ -171,7 +173,6 @@ class TestDivisibilityWitness:
         witness = cp_divisibility_witness(ModelParams(1.0, 10.0))
         assert witness.verdict is DivisibilityVerdict.DIVISIBLE
         assert witness.min_choi_eigenvalue >= -1e-10
-        assert witness.divisible is True
 
     def test_boundary_point(self):
         witness = cp_divisibility_witness(ModelParams(1.0, 8.0))
@@ -181,54 +182,65 @@ class TestDivisibilityWitness:
     def test_default_horizon_catches_backflow(self, kappa):
         witness = cp_divisibility_witness(ModelParams(1.0, kappa))
         assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
-        assert witness.divisible is False
         assert witness.min_choi_eigenvalue < -1e-10
 
     def test_non_markovian_point_and_offending_window(self):
         params = ModelParams(1.0, 4.0)
         first = increase_intervals(params, 1)[0]
-        witness = cp_divisibility_witness(params, horizon=2 * first.t_hi)
+        witness = cp_divisibility_witness(params)
         assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
-        assert witness.divisible is False
         lo, hi = witness.worst_interval
         step = witness.horizon / witness.n_subintervals
         assert first.t_lo - step <= lo and hi <= first.t_hi + step
 
-    def test_short_horizon_is_inconclusive(self):
+    def test_default_horizon_covers_first_window(self):
         params = ModelParams(1.0, 4.0)
         first = increase_intervals(params, 1)[0]
-        witness = cp_divisibility_witness(params, horizon=0.5 * first.t_lo)
-        assert witness.verdict is DivisibilityVerdict.INCONCLUSIVE
-        assert witness.divisible is None
-
-    def test_skips_subintervals_at_zeros(self):
-        params = ModelParams(1.0, 0.0)  # zeros of cos(2t) inside the horizon
-        zero = increase_intervals(params, 1)[0].t_lo
-        times = np.concatenate([[0.0], [zero - 1e-3, zero, zero + 1e-3], [2.0]])
-        # hand-built grid hitting the zero exactly: c(zero) < 1e-12 there
-        grid_times = np.sort(times)
-        c_at_zero = coherence_factor(params, float(zero))
-        assert abs(c_at_zero) < 1e-12
-        witness = cp_divisibility_witness(
-            params, grid=TimeGrid(0.0, float(grid_times[-1]), 5)
-        )
+        witness = cp_divisibility_witness(params)
+        assert witness.horizon == 1.5 * first.t_hi
+        assert witness.n_subintervals == 400
         assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
 
-    def test_explicit_grid_zero_skip_count(self):
-        params = ModelParams(1.0, 0.0)
-        zero = increase_intervals(params, 1)[0].t_lo  # pi/4 for these params
+    def test_skips_subintervals_at_zeros(self):
+        params = ModelParams(1.0, 0.0)  # c = cos(2t); the horizon 3*pi/4 is a zero
+        witness = cp_divisibility_witness(params)
+        assert witness.horizon == pytest.approx(0.75 * math.pi, abs=1e-15)
+        assert abs(coherence_factor(params, witness.horizon)) < 1e-12
+        assert (witness.n_skipped, witness.n_subintervals) == (1, 400)
+        assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
 
-        class FixedGrid:
-            def times(self):
-                return np.array([0.0, zero, math.pi / 2, 2.0])
-
-        witness = cp_divisibility_witness(params, grid=FixedGrid())
-        # both windows touching the zero are skipped, the last one is valid
+    def test_default_grid_skip_count(self):
+        # kappa = r = 4*sqrt(2): the first zero 3*pi/r is grid point 200 of
+        # the horizon 6*pi/r, so both sub-intervals touching it are skipped
+        params = ModelParams(1.0, 4.0 * math.sqrt(2.0))
+        witness = cp_divisibility_witness(params)
+        zero = increase_intervals(params, 1)[0].t_lo
+        assert zero == pytest.approx(witness.horizon / 2, abs=1e-15)
         assert witness.n_skipped == 2
-        assert witness.n_subintervals == 3
-        # with the violating windows skipped, the remaining evidence reads
-        # divisible: the skip policy leaves the decision to adjacent windows
-        assert witness.verdict is DivisibilityVerdict.DIVISIBLE
+        # the adjacent sub-intervals decide
+        assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
+
+    @pytest.mark.parametrize("fraction", [0.995, 0.999])
+    def test_near_threshold_is_inconclusive(self, fraction):
+        # |c| drops below MAP_SINGULARITY_TOL before the first window opens;
+        # the skipped evidence must not read as divisible
+        params = ModelParams(1.0, fraction * 8.0)
+        assert has_information_backflow(params) and blp_analytic(params) > 0
+        witness = cp_divisibility_witness(params)
+        assert witness.n_skipped > 100
+        assert witness.verdict is DivisibilityVerdict.INCONCLUSIVE
+
+    @pytest.mark.usefixtures("alarm")
+    @given(st.floats(-3.0, 3.0), st.booleans(), st.floats(0.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_divisible_exactly_without_backflow(self, exponent, negative, fraction):
+        xi = (-1.0 if negative else 1.0) * 10.0**exponent
+        params = ModelParams(xi, fraction * 8.0 * abs(xi))
+        verdict = cp_divisibility_witness(params).verdict
+        if has_information_backflow(params):
+            assert verdict is not DivisibilityVerdict.DIVISIBLE
+        else:
+            assert verdict is DivisibilityVerdict.DIVISIBLE
 
     def test_rate_sign_matches_short_map_choi_sign(self):
         params = ModelParams(1.0, 4.0)
@@ -264,7 +276,7 @@ class TestTraceDistance:
     def test_bloch_and_eigenvalue_routes_agree(self, b1, b2):
         s1, s2 = QubitState(*b1), QubitState(*b2)
         closed = trace_distance(s1, s2)
-        generic = density_trace_distance(s1.density(), s2.density())
+        generic = density_trace_distance(density_matrix(s1), density_matrix(s2))
         assert closed == pytest.approx(generic, abs=1e-12)
 
 
@@ -489,7 +501,7 @@ class TestAssess:
     def test_markovian_report(self):
         # every Markovianity verdict agrees at a point above the threshold
         params = ModelParams(1.0, 10.0)
-        assert cp_divisibility_witness(params).divisible is True
+        assert cp_divisibility_witness(params).verdict is DivisibilityVerdict.DIVISIBLE
         result = blp_numeric(params, n_pairs=2)
         assert result.value == 0.0
         assert blp_analytic(params) == 0.0
@@ -524,6 +536,15 @@ class TestThresholdScan:
     def test_terminates_below_ulp_resolution(self, xi, tol):
         star = threshold_scan(xi, 4.0 * xi, 20.0 * xi, tol=tol)
         assert star == pytest.approx(8.0 * xi, rel=1e-8)
+
+    @pytest.mark.usefixtures("alarm")
+    @given(st.floats(-6.0, 10.0), st.booleans(), st.floats(-15.0, -3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_lands_within_tol_or_two_ulp_at_any_coupling(self, exponent, negative, tol_exponent):
+        xi = (-1.0 if negative else 1.0) * 10.0**exponent
+        tol = 10.0**tol_exponent
+        star = threshold_scan(xi, 4.0 * abs(xi), 20.0 * abs(xi), tol=tol)
+        assert abs(star - 8.0 * abs(xi)) <= max(tol, 2 * math.ulp(8.0 * xi))
 
     @pytest.mark.usefixtures("alarm")
     @pytest.mark.parametrize("xi", [25.0, 100.0, 1e10])
