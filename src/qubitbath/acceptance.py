@@ -19,11 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .analytic import (
+    BLP_REL_TAIL,
     abs_coherence_derivative,
     bath_correlation,
     blp_analytic,
     coherence_factor,
-    default_blp_horizon,
     has_information_backflow,
     increase_intervals,
 )
@@ -169,8 +169,8 @@ _ORACLE_PARAMS = (
 )
 
 
-def _oracle_trajectories(generator_builder, n_points: int):
-    grid = TimeGrid(0.0, 20.0, n_points)
+def _oracle_trajectories(generator_builder):
+    grid = TimeGrid(0.0, 20.0, 2000)
     times = grid.times()
     out = []
     for params in _ORACLE_PARAMS:
@@ -219,15 +219,14 @@ def _check_threshold_reproduction(tol: float) -> tuple[bool, str]:
 
 
 @_timed(budget=30.0)
-def _check_blp_closed_form(gap_tol: float, rel_tail: float, seed: int) -> tuple[bool, str]:
+def _check_blp_closed_form(gap_tol: float, seed: int) -> tuple[bool, str]:
     worst_gap = 0.0
     for kappa in (2.0, 4.0, 6.0, 7.5):
         params = ModelParams(1.0, kappa)
         analytic = blp_analytic(params)
-        horizon, _ = default_blp_horizon(params, rel_tail=rel_tail)
-        result = blp_numeric(params, horizon=horizon, n_pairs=8, seed=seed)
+        result = blp_numeric(params, n_pairs=8, seed=seed)
         gap = abs(result.value - analytic)
-        if result.tail_bound > rel_tail * analytic * 1.001:
+        if result.tail_bound > BLP_REL_TAIL * analytic * 1.001:
             return False, f"tail bound {result.tail_bound:.3e} not satisfied at kappa={kappa}"
         worst_gap = max(worst_gap, gap)
     boundary = blp_numeric(ModelParams(1.0, 8.0), n_pairs=4, seed=seed).value
@@ -263,7 +262,7 @@ def _check_criteria_agreement() -> tuple[bool, str]:
                 markov_blp = False  # divergent measure
             else:
                 horizon = None
-                if has_information_backflow(params):
+                if not markov_rate:
                     # the first window already decides; no need for the tail
                     horizon = 1.25 * increase_intervals(params, 1)[0].t_hi
                 value = blp_numeric(params, horizon=horizon, n_pairs=0).value
@@ -303,12 +302,13 @@ def _check_contour_sign_structure() -> tuple[bool, str]:
     times = np.linspace(0.0, 10.0, 1001)
     problems = []
     for kappa in kappas:
-        values = abs_coherence_derivative(ModelParams(xi, float(kappa)), times)
-        if kappa >= 8.0:
+        params = ModelParams(xi, float(kappa))
+        values = abs_coherence_derivative(params, times)
+        if not has_information_backflow(params):
             if values.max() > 1e-12:
                 problems.append(f"kappa={kappa:g}: positive value {values.max():.2e}")
             continue
-        for window in increase_intervals(ModelParams(xi, float(kappa)), 50):
+        for window in increase_intervals(params, 50):
             if window.t_hi > times[-1]:
                 break
             inside = (times > window.t_lo) & (times < window.t_hi)
@@ -350,22 +350,18 @@ def run_acceptance(
 ) -> list[CheckResult]:
     """Run every acceptance check and return the results in spec order.
 
-    ``tol`` loosens the comparison tolerances (never below their defaults)
-    and coarsens the slow samplings so a quick smoke run stays honest:
-    the same checks run, just at the looser advertised tolerance.
+    ``tol`` loosens the closed-form-vs-propagation and measure-gap
+    tolerances, never below their defaults; the samplings stay the same.
     """
-    loose = tol is not None and tol > 1e-8
     oracle_tol = max(1e-8, tol or 0.0)
     gap_tol = max(1e-3, tol or 0.0)
-    rel_tail = 1e-4 if loose else 1e-6
-    n_points = 500 if loose else 2000
 
-    trajectories = _oracle_trajectories(generator_builder, n_points)
+    trajectories = _oracle_trajectories(generator_builder)
     results = [
         _check_generator_fidelity(generator_builder, seed),
         _check_analytic_numeric_oracle(trajectories, oracle_tol),
         _check_threshold_reproduction(1e-6),
-        _check_blp_closed_form(gap_tol, rel_tail, seed),
+        _check_blp_closed_form(gap_tol, seed),
         _check_criteria_agreement(),
         _check_bath_correlation(),
         _check_contour_sign_structure(),

@@ -15,6 +15,11 @@ near the critical boundary and makes c continuous in the parameters.
 One evaluator, :func:`coherence_factor_with_derivative`, gives c and dc/dt
 in a single pass; c, dc/dt, d|c|/dt and the signal c*dc/dt all read from it.
 
+:func:`classify_regime` is the one place the regime is decided, with a
+band relative to kappa**2 and 64*xi**2 alone, so every verdict depends on
+kappa/|xi| only; the backflow predicate, the measure, its tail bound and
+the horizons all read it.
+
 Everything in this module is a pure function; scalar time arguments give
 scalars, arrays give arrays.
 """
@@ -48,6 +53,10 @@ __all__ = [
 #: Relative width of the band classified as critical.
 REGIME_TOL = 1e-8
 
+#: Part of the closed-form measure the default blp horizon may leave to
+#: the geometric tail.
+BLP_REL_TAIL = 1e-6
+
 #: Largest time the closed forms accept; (t/4)**2 overflows above about
 #: 5.4e154.  Where |disc| exceeds about 1.6e10 the bound is the lower
 #: 4*sqrt(_S_MAX/|disc|), which keeps |s| = |disc|*(t/4)**2 below _S_MAX,
@@ -67,10 +76,14 @@ class Regime(Enum):
 
 
 def classify_regime(params: ModelParams) -> Regime:
-    """Compare kappa**2 against 64*xi**2 with the relative band REGIME_TOL."""
+    """Compare kappa**2 against 64*xi**2 with the band REGIME_TOL*max of the two.
+
+    The band has no absolute floor, so the regime of (xi, kappa) is that of
+    (a*xi, a*kappa) for every a > 0.
+    """
     k2 = params.kappa**2
     x2 = 64.0 * params.xi**2
-    if abs(k2 - x2) <= REGIME_TOL * max(k2, x2, 1.0):
+    if abs(k2 - x2) <= REGIME_TOL * max(k2, x2):
         return Regime.CRITICAL
     return Regime.OVERDAMPED if k2 > x2 else Regime.UNDERDAMPED
 
@@ -189,16 +202,16 @@ def increase_intervals(params: ModelParams, n_max: int) -> list[IncreaseInterval
 def blp_analytic(params: ModelParams) -> float:
     """Closed-form trace-distance non-Markovianity measure.
 
-    Zero for kappa >= 8|xi|, +infinity at kappa = 0 (undamped backflow),
-    otherwise 1/(exp(kappa*pi/sqrt(64*xi**2 - kappa**2)) - 1), evaluated in
-    a form that underflows gracefully near the threshold.
+    +infinity at kappa = 0 (undamped backflow), zero outside the
+    underdamped regime, otherwise 1/(exp(kappa*pi/sqrt(64*xi**2 - kappa**2)) - 1),
+    evaluated in a form that underflows gracefully near the threshold.
     """
-    if params.xi == 0.0 and params.kappa == 0.0:
-        raise DegenerateModelError("xi = kappa = 0 has no dynamics to measure")
-    if params.kappa >= 8.0 * abs(params.xi):
-        return 0.0
     if params.kappa == 0.0:
+        if params.xi == 0.0:
+            raise DegenerateModelError("xi = kappa = 0 has no dynamics to measure")
         return math.inf
+    if classify_regime(params) is not Regime.UNDERDAMPED:
+        return 0.0
     r = math.sqrt(-params.discriminant)
     q = math.exp(-params.kappa * math.pi / r)
     return q / (-math.expm1(-params.kappa * math.pi / r))
@@ -209,22 +222,20 @@ def blp_tail_bound(params: ModelParams, n_intervals: int) -> float:
 
     The per-window increases form a geometric series; the bound equals
     exp(-kappa*t_n/4) / (exp(kappa*pi/r) - 1) and is exact.  With no
-    window counted it is the whole measure.
+    window counted it is the whole measure; at kappa = 0 it is infinite.
     """
     if n_intervals < 0:
         raise ValidationError("n_intervals must be >= 0")
     if classify_regime(params) is not Regime.UNDERDAMPED:
         return 0.0
-    if params.kappa == 0.0:
-        return math.inf
     r = math.sqrt(-params.discriminant)
     q = math.exp(-params.kappa * math.pi / r)
     return q**n_intervals * blp_analytic(params)
 
 
-def default_blp_horizon(params: ModelParams, rel_tail: float = 1e-6) -> tuple[float, int]:
+def default_blp_horizon(params: ModelParams) -> tuple[float, int]:
     """Horizon covering enough increase windows that the geometric tail is
-    below ``rel_tail`` of the analytic measure.  Returns (horizon, n_windows).
+    below BLP_REL_TAIL of the analytic measure.  Returns (horizon, n_windows).
 
     Requires a convergent measure: underdamped with kappa > 0.
     """
@@ -234,10 +245,8 @@ def default_blp_horizon(params: ModelParams, rel_tail: float = 1e-6) -> tuple[fl
         raise DegenerateModelError(
             "the measure diverges at kappa = 0; choose a horizon explicitly"
         )
-    if not 0 < rel_tail < 1:
-        raise ValidationError("rel_tail must lie in (0, 1)")
     r = math.sqrt(-params.discriminant)
-    n = max(1, math.ceil(math.log(1.0 / rel_tail) * r / (params.kappa * math.pi)))
+    n = max(1, math.ceil(math.log(1.0 / BLP_REL_TAIL) * r / (params.kappa * math.pi)))
     spacing = 4.0 * math.pi / r
     return n * spacing + 0.25 * spacing, n
 
@@ -256,27 +265,15 @@ def bath_correlation(kappa: float, tau):
     return float(out) if arr.ndim == 0 else out
 
 
-def _cot_form_negative(params: ModelParams) -> bool:
-    """Whether the rate's denominator kappa + r*cot(r*t/4) is negative at a
-    probe inside the first predicted backflow window (False unless disc < 0).
-
-    The form stays finite arbitrarily close to the threshold, where the
-    coherence factor itself underflows.
-    """
-    if params.discriminant >= 0:
-        return False
-    r = math.sqrt(-params.discriminant)
-    theta_probe = math.pi - 0.5 * math.atan2(r, params.kappa)
-    denominator = params.kappa + r / math.tan(theta_probe)
-    return denominator < 0
-
-
 def has_information_backflow(params: ModelParams) -> bool:
     """Whether any time has a negative dephasing rate (trace-distance backflow).
 
-    Evaluated through the sign of the rate's denominator at a probe inside
-    the first predicted backflow window.  Points inside the critical
-    tolerance band count as backflow-free, consistently with
-    :func:`classify_regime`.
+    Exactly when the regime is underdamped.  There the rate's denominator
+    kappa + r*cot(r*t/4), r = sqrt(64*xi**2 - kappa**2), equals -8|xi| at
+    the probe r*t/4 = pi - atan2(r, kappa)/2 inside the first increase
+    window, so the rate 8*xi**2/denominator is -|xi| there at any distance
+    from the threshold; points inside the critical band count as
+    backflow-free.  :func:`qubitbath.oracles.dephasing_rate`
+    evaluates the rate itself as the independent cross-check.
     """
-    return classify_regime(params) is Regime.UNDERDAMPED and _cot_form_negative(params)
+    return classify_regime(params) is Regime.UNDERDAMPED

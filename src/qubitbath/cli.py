@@ -46,7 +46,7 @@ import numpy as np
 from .acceptance import run_acceptance
 from .analytic import abs_coherence_derivative, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
-from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory
+from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import blp_numeric, threshold_scan
 from .operator_space import initial_joint_vector
 
@@ -267,11 +267,11 @@ def cmd_blp(args: argparse.Namespace) -> int:
     rows = []
     for kappa in np.linspace(lo, hi, steps):
         params = ModelParams(args.xi, float(kappa))
-        if kappa == 0.0 and args.xi != 0.0:
+        analytic = blp_analytic(params)
+        if analytic == math.inf:
             # the measure diverges: report the sentinel, not a horizon artifact
             rows.append([float(kappa), math.inf, math.inf, math.inf, 0])
             continue
-        analytic = blp_analytic(params)
         # --t-max 0 (the default) leaves the horizon to blp_numeric
         result = blp_numeric(params, horizon=args.t_max or None, n_pairs=args.pairs, seed=args.seed)
         rows.append(
@@ -305,7 +305,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if args.kappa_range is not None:
         lo, hi, _ = args.kappa_range
     else:
-        lo, hi = 4.0 * abs(args.xi), 20.0 * abs(args.xi)
+        lo, hi = 4.0 * abs(args.xi), min(20.0 * abs(args.xi), MAX_RATE)
     witness = "rate-sign (information backflow)"
     star = threshold_scan(args.xi, lo, hi, tol=args.tol)
     deviation = abs(star - 8.0 * abs(args.xi))

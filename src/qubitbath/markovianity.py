@@ -15,8 +15,10 @@ Two independent witnesses are implemented against the same dynamics:
   uniform grid, all refined together by bisection with one vector kernel
   call per halving.
 
-Both flip at the same cooling rate, kappa = 8|xi|; :func:`threshold_scan`
-locates the flip by bisection on the sign of the rate's cot form.
+Both flip at the same cooling rate, kappa = 8|xi|, where
+:func:`~qubitbath.analytic.classify_regime` leaves the underdamped regime;
+:func:`threshold_scan` locates the flip by bisection on the sign of the
+discriminant kappa**2 - 64*xi**2.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .analytic import (
     coherence_factor_with_derivative,
     default_blp_horizon,
     increase_intervals,
-    _cot_form_negative,
 )
-from .errors import DegenerateModelError, ValidationError
+from .errors import ValidationError
 from .lindblad import ModelParams
 
 __all__ = [
@@ -321,17 +322,12 @@ def blp_numeric(
     (each pair gets its own child seed, so results do not depend on
     evaluation order).
 
-    With kappa = 0 the measure diverges; an explicit horizon is then
-    required and the result is flagged ``divergent``.
+    Where the measure diverges (kappa = 0) an explicit horizon is required,
+    the tail bound is infinite and the result is flagged ``divergent``.
     """
     if n_pairs < 0:
         raise ValidationError("n_pairs must be >= 0")
-    divergent = params.kappa == 0.0 and params.xi != 0.0
     if horizon is None:
-        if divergent:
-            raise DegenerateModelError(
-                "the measure diverges at kappa = 0; pass a horizon explicitly"
-            )
         if classify_regime(params) is Regime.UNDERDAMPED:
             horizon, _ = default_blp_horizon(params)
         else:
@@ -347,7 +343,7 @@ def blp_numeric(
         random_values.append(val)
         if val > best_value:
             best_pair, best_value = pair, val
-    tail = math.inf if divergent else blp_tail_bound(params, len(segments))
+    tail = blp_tail_bound(params, len(segments))
     return BlpResult(
         value=best_value,
         best_pair=best_pair,
@@ -355,7 +351,7 @@ def blp_numeric(
         random_values=tuple(random_values),
         segments=segments,
         n_intervals=len(segments),
-        divergent=divergent,
+        divergent=math.isinf(tail),
         tail_bound=tail,
         horizon=float(horizon),
         seed=seed,
@@ -367,29 +363,32 @@ def threshold_scan(
 ) -> float:
     """Bisect the cooling rate at which information backflow disappears.
 
-    The predicate is the sign of the dephasing rate's cot-form denominator
+    The predicate is the sign of the discriminant kappa**2 - 64*xi**2,
+    which is the sign of the dephasing rate in the first increase window
     (see :func:`~qubitbath.analytic.has_information_backflow`), taken
-    without the critical tolerance band, so the bisection converges on
-    kappa = 8|xi| itself rather than on the band's lower edge.
-    ``kappa_lo`` must show backflow (non-Markovian) and ``kappa_hi`` must
-    not; the returned rate is within ``tol`` of the transition, or one ulp
-    where ``tol`` is finer: bisection stops when the midpoint rounds onto an endpoint.
+    without the critical band, so the bisection converges on kappa = 8|xi|
+    itself rather than on the band's lower edge.  ``kappa_lo`` must show
+    backflow (negative discriminant) and ``kappa_hi`` must not; the
+    returned rate is within ``tol`` of the transition, or one ulp where
+    ``tol`` is finer: bisection stops when the midpoint rounds onto an endpoint.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    if not 0 <= kappa_lo < kappa_hi:
-        raise ValidationError("need 0 <= kappa_lo < kappa_hi")
     lo, hi = float(kappa_lo), float(kappa_hi)
-    if not _cot_form_negative(ModelParams(xi, lo)):
+    # ModelParams first: a coupling above MAX_RATE is named as such
+    disc_lo, disc_hi = ModelParams(xi, lo).discriminant, ModelParams(xi, hi).discriminant
+    if not lo < hi:
+        raise ValidationError("need 0 <= kappa_lo < kappa_hi")
+    if disc_lo >= 0:
         raise ValidationError(
             f"kappa_lo={lo} shows no backflow; bracket does not straddle the threshold"
         )
-    if _cot_form_negative(ModelParams(xi, hi)):
+    if disc_hi < 0:
         raise ValidationError(
             f"kappa_hi={hi} still shows backflow; bracket does not straddle the threshold"
         )
 
     def markovian(_, mid):
-        return np.array([not _cot_form_negative(ModelParams(xi, m)) for m in mid.tolist()])
+        return np.array([ModelParams(xi, m).discriminant >= 0 for m in mid.tolist()])
 
     return float(_bisect([lo], [hi], tol, markovian)[0])

@@ -23,8 +23,8 @@ uses two of them inside ``qubitbath verify``.  Each one cross-checks:
   :func:`~qubitbath.markovianity.evolved_trace_distance`;
 * :func:`coherence_factor_derivative`, :func:`coherence_log_derivative` and
   :func:`dephasing_rate`: dc/dt alone, and c'/c with the decay envelope
-  cancelled, against the fused closed-form kernel and against the cot-form
-  backflow sign of :func:`~qubitbath.analytic.has_information_backflow`;
+  cancelled, against the fused closed-form kernel and against the regime
+  verdict of :func:`~qubitbath.analytic.has_information_backflow`;
 * :func:`devectorize2q`, :func:`bloch_to_coherence4`,
   :func:`coherence4_to_bloch` and :func:`partial_trace_bath`: the inverse
   maps of the coherence representation, against

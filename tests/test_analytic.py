@@ -342,7 +342,7 @@ class TestBlpAnalytic:
 class TestDefaultHorizon:
     def test_tail_is_small_enough(self):
         params = ModelParams(1.0, 4.0)
-        horizon, n = default_blp_horizon(params, rel_tail=1e-6)
+        horizon, n = default_blp_horizon(params)
         assert blp_tail_bound(params, n) <= 1e-6 * blp_analytic(params)
         assert horizon > increase_intervals(params, n)[-1].t_hi
 
@@ -385,3 +385,25 @@ class TestBackflowPredicate:
     def test_stable_arbitrarily_close_to_threshold(self):
         assert has_information_backflow(ModelParams(1.0, 8.0 - 1e-7))
         assert not has_information_backflow(ModelParams(1.0, 8.0 + 1e-7))
+
+    @pytest.mark.usefixtures("alarm")
+    @given(
+        st.floats(-8.0, 3.0),
+        st.booleans(),
+        st.one_of(st.floats(0.0, 0.95), st.floats(1.05, 2.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rate_sign_agrees_with_predicate(self, exponent, negative, fraction):
+        # the predicate reads the regime alone; the rate c'/c is the independent route
+        xi = (-1.0 if negative else 1.0) * 10.0**exponent
+        kappa = fraction * 8.0 * abs(xi)
+        params = ModelParams(xi, kappa)
+        backflow = has_information_backflow(params)
+        assert backflow == (fraction < 1.0)
+        if backflow:
+            r = math.sqrt(-params.discriminant)
+            probe = 4.0 * (math.pi - 0.5 * math.atan2(r, kappa)) / r
+            assert dephasing_rate(params, probe) < 0.0
+        else:
+            for t in (0.5, 1.0, 2.0):
+                assert dephasing_rate(params, t / abs(xi)) > 0.0

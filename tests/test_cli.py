@@ -12,6 +12,7 @@ import pytest
 import qubitbath.cli as cli
 from qubitbath.acceptance import CheckResult
 from qubitbath.errors import NumericsError
+from qubitbath.markovianity import MAX_SCAN_POINTS
 
 
 def read_csv(path):
@@ -191,6 +192,16 @@ class TestBlp:
         # horizon 3 covers only the first window at kappa = 4
         assert column(header, rows, "intervals_used", int)[0] == 1
 
+    def test_small_coupling_scan_is_refused_not_zero(self, capsys, tmp_path):
+        # kappa/(8|xi|) = 1/8 and 1/2 are underdamped at any scale; the scan
+        # for the tail is too long and must say so rather than write 0
+        out = tmp_path / "blp.csv"
+        argv = ["blp", "--xi", "1e-5", "--kappa-range", "1e-5:4e-5:2", "--pairs", "0"]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"over the limit of {MAX_SCAN_POINTS}" in err
+        assert not out.exists()
+
 
 class TestThreshold:
     def test_scaling_with_coupling(self, tmp_path, capsys):
@@ -227,6 +238,16 @@ class TestThreshold:
     def test_tol_below_one_ulp_terminates(self, argv, capsys):
         assert cli.main(["threshold"] + argv) == 0
         assert capsys.readouterr().out.startswith("kappa* = ")
+
+    @pytest.mark.usefixtures("alarm")
+    @pytest.mark.parametrize("xi", ["1e74", "1.25e74"])
+    def test_default_bracket_stays_inside_max_rate(self, xi, tmp_path):
+        # 20|xi| exceeds MAX_RATE here, but the threshold 8|xi| does not
+        out = tmp_path / "threshold.csv"
+        assert cli.main(["threshold", "--xi", xi, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        star = column(header, rows, "kappa_star")[0]
+        assert abs(star - 8.0 * float(xi)) <= max(1e-6, 2 * math.ulp(8.0 * float(xi)))
 
 
 class TestVerify:

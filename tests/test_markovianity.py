@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qubitbath import markovianity
 from qubitbath.analytic import (
     blp_analytic,
+    blp_tail_bound,
+    classify_regime,
     coherence_factor,
     has_information_backflow,
     increase_intervals,
@@ -254,6 +256,20 @@ class TestDivisibilityWitness:
                 assert eig < -1e-8
             elif rate > 1e-3:
                 assert eig >= -1e-8
+
+
+class TestScaleInvariance:
+    # the dynamics depends on kappa and xi only through kappa/|xi| and |xi|*t,
+    # so every verdict at (a*xi, a*kappa) must be the one at (xi, kappa)
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.parametrize("xi", [1e-8, 1e-5, 1e-3, 1.0, 1e3])
+    def test_verdicts_depend_on_kappa_over_xi_only(self, xi, fraction):
+        params = ModelParams(xi, fraction * 8.0 * xi)
+        unit = ModelParams(1.0, fraction * 8.0)
+        assert classify_regime(params) is classify_regime(unit)
+        assert has_information_backflow(params) == has_information_backflow(unit)
+        assert cp_divisibility_witness(params).verdict is cp_divisibility_witness(unit).verdict
+        assert blp_tail_bound(params, 0) == blp_analytic(params)
 
 
 class TestTraceDistance:
