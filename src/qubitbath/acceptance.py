@@ -20,9 +20,11 @@ import numpy as np
 
 from .analytic import (
     BLP_REL_TAIL,
+    Regime,
     abs_coherence_derivative,
     bath_correlation,
     blp_analytic,
+    classify_regime,
     coherence_factor,
     has_information_backflow,
     increase_intervals,
@@ -50,6 +52,11 @@ __all__ = [
     "run_acceptance",
     "ALL_CHECK_NAMES",
 ]
+
+
+#: Largest |closed-form c - propagated c| accepted: the analytic-numeric
+#: check's default tolerance, and the bound ``qubitbath evolve`` holds to.
+ORACLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -258,15 +265,11 @@ def _check_criteria_agreement() -> tuple[bool, str]:
                     (xi, kappa, f"Choi minimum {witness.min_choi_eigenvalue:.3e}, generic {generic:.3e}")
                 )
             markov_cp = witness.verdict is DivisibilityVerdict.DIVISIBLE
-            if kappa == 0.0:
-                markov_blp = False  # divergent measure
-            else:
-                horizon = None
-                if not markov_rate:
-                    # the first window already decides; no need for the tail
-                    horizon = 1.25 * increase_intervals(params, 1)[0].t_hi
-                value = blp_numeric(params, horizon=horizon, n_pairs=0).value
-                markov_blp = value < 1e-6
+            horizon = None
+            if classify_regime(params) is Regime.UNDERDAMPED:
+                # the first window decides; the regime, not the rate verdict under test, says so
+                horizon = 1.25 * increase_intervals(params, 1)[0].t_hi
+            markov_blp = blp_numeric(params, horizon=horizon, n_pairs=0).value < 1e-6
             if not markov_rate == markov_cp == markov_blp:
                 disagreements.append(
                     (xi, kappa, f"rate={markov_rate} cp={markov_cp} blp={markov_blp}")
@@ -353,7 +356,7 @@ def run_acceptance(
     ``tol`` loosens the closed-form-vs-propagation and measure-gap
     tolerances, never below their defaults; the samplings stay the same.
     """
-    oracle_tol = max(1e-8, tol or 0.0)
+    oracle_tol = max(ORACLE_TOL, tol or 0.0)
     gap_tol = max(1e-3, tol or 0.0)
 
     trajectories = _oracle_trajectories(generator_builder)

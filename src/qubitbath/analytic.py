@@ -205,6 +205,7 @@ def blp_analytic(params: ModelParams) -> float:
     +infinity at kappa = 0 (undamped backflow), zero outside the
     underdamped regime, otherwise 1/(exp(kappa*pi/sqrt(64*xi**2 - kappa**2)) - 1),
     evaluated in a form that underflows gracefully near the threshold.
+    Also +infinity where that exponent underflows to 0, as at kappa = 0.
     """
     if params.kappa == 0.0:
         if params.xi == 0.0:
@@ -212,9 +213,8 @@ def blp_analytic(params: ModelParams) -> float:
         return math.inf
     if classify_regime(params) is not Regime.UNDERDAMPED:
         return 0.0
-    r = math.sqrt(-params.discriminant)
-    q = math.exp(-params.kappa * math.pi / r)
-    return q / (-math.expm1(-params.kappa * math.pi / r))
+    x = params.kappa * math.pi / math.sqrt(-params.discriminant)
+    return math.exp(-x) / -math.expm1(-x) if x else math.inf
 
 
 def blp_tail_bound(params: ModelParams, n_intervals: int) -> float:
@@ -222,7 +222,8 @@ def blp_tail_bound(params: ModelParams, n_intervals: int) -> float:
 
     The per-window increases form a geometric series; the bound equals
     exp(-kappa*t_n/4) / (exp(kappa*pi/r) - 1) and is exact.  With no
-    window counted it is the whole measure; at kappa = 0 it is infinite.
+    window counted it is the whole measure; at kappa = 0, or where
+    kappa*pi/r underflows to 0, it is infinite.
     """
     if n_intervals < 0:
         raise ValidationError("n_intervals must be >= 0")

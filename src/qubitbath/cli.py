@@ -2,7 +2,8 @@
 
 Subcommands and the flags each one reads
 ----------------------------------------
-evolve     reduced Bloch trajectory plus analytic/numeric coherence factors
+evolve     reduced Bloch trajectory plus analytic/numeric coherence factors,
+           exit 2 (no file) where they differ by more than acceptance.ORACLE_TOL
            --xi --kappa --t-max --dt --bloch --format --out
 contour    d|c|/dt on a (t, kappa) grid at fixed coupling
            --xi --kappa-range --t-max --dt --format --out
@@ -43,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import run_acceptance
+from .acceptance import ORACLE_TOL, run_acceptance
 from .analytic import abs_coherence_derivative, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
@@ -236,9 +237,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     probe = expm_trajectory(gen, initial_joint_vector((0.0, 0.0, 1.0)), grid)
     c_analytic = np.atleast_1d(coherence_factor(params, times))
     c_numeric = 4.0 * probe[:, 12]
-    table = np.column_stack(
-        (times, 4.0 * traj[:, [4, 8, 12]], c_analytic, c_numeric, np.abs(c_analytic - c_numeric))
-    )
+    gap = np.abs(c_analytic - c_numeric)
+    if gap.max() > ORACLE_TOL:
+        raise NumericsError(f"propagated c departs from the closed form by {gap.max():.3e}, over the bound {ORACLE_TOL:g}")
+    table = np.column_stack((times, 4.0 * traj[:, [4, 8, 12]], c_analytic, c_numeric, gap))
     write_records(args.out, args.format, EVOLVE_COLUMNS, table)
     return EXIT_OK
 

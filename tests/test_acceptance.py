@@ -97,3 +97,12 @@ def test_disagreement_names_its_point_in_plain_floats(monkeypatch):
     assert not result.passed
     assert result.detail == "1 disagreements, first: (0.25, 0.0, 'rate=True cp=False blp=False')"
     assert "np.float64" not in result.detail
+
+
+def test_wrong_rate_verdict_at_an_overdamped_point_is_reported(monkeypatch):
+    # the measure's horizon follows the regime, not the rate verdict under test
+    backflow = acceptance.has_information_backflow
+    flipped = ModelParams(0.25, 1.9 * 8.0 * 0.25)
+    monkeypatch.setattr(acceptance, "has_information_backflow", lambda p: backflow(p) != (p == flipped))
+    result = acceptance._check_criteria_agreement()
+    assert result.detail == "1 disagreements, first: (0.25, 3.8, 'rate=False cp=True blp=True')"

@@ -307,6 +307,12 @@ class TestBlpAnalytic:
     def test_infinite_without_cooling(self):
         assert blp_analytic(ModelParams(1.0, 0.0)) == math.inf
 
+    def test_infinite_where_decay_per_window_underflows(self):
+        # kappa*pi/r rounds to 0 at the smallest subnormal kappa, as at kappa = 0
+        params = ModelParams(1.0, 5e-324)
+        assert blp_analytic(params) == math.inf
+        assert blp_tail_bound(params, 3) == math.inf
+
     def test_degenerate_model(self):
         with pytest.raises(DegenerateModelError):
             blp_analytic(ModelParams(0.0, 0.0))

@@ -101,6 +101,17 @@ class TestEvolve:
         monkeypatch.setattr(cli, "expm_trajectory", boom)
         assert cli.main(["evolve", "--kappa", "1", "--t-max", "1"]) == 2
 
+    @pytest.mark.parametrize("xi, gap", [("1e15", "1.161e-01"), ("1e10", "4.440e-06")])
+    def test_propagation_off_the_closed_form_is_refused(self, tmp_path, capsys, xi, gap):
+        # the matrix exponential loses accuracy at these couplings; no trajectory is written
+        out = tmp_path / "evolve.csv"
+        argv = ["evolve", "--xi", xi, "--kappa", "1", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert f"by {gap}, over the bound 1e-08" in err
+        assert not out.exists()
+
 
 class TestContour:
     def test_sign_structure_rows(self, tmp_path):
@@ -155,6 +166,14 @@ class TestBlp:
         payload = json.loads(out.read_text())
         assert payload["records"][0]["blp_analytic"] == "infinite"
         assert isinstance(payload["records"][1]["blp_analytic"], float)
+
+    def test_subnormal_kappa_writes_the_sentinel(self, tmp_path):
+        out = tmp_path / "blp.csv"
+        assert cli.main(["blp", "--kappa-range", "0:5e-324:2", "--pairs", "0", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert column(header, rows, "kappa") == [0.0, 5e-324]
+        for row in rows:
+            assert row[1:] == ["inf", "inf", "inf", "0"]
 
     def test_scan_over_point_budget_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
         linspace = np.linspace

@@ -457,12 +457,26 @@ class TestBlpNumeric:
         with pytest.raises(DegenerateModelError):
             blp_numeric(ModelParams(1.0, 0.0))
 
-    def test_random_pairs_never_beat_optimal(self):
-        params = ModelParams(1.0, 3.0)
-        result = blp_numeric(params, n_pairs=64, seed=11)
+    @pytest.mark.parametrize(
+        "xi, kappa, horizon", [(1.0, 3.0, None), (1.0, 7.9, None), (2.0, 1.0, None), (1.0, 0.0, 10.0)]
+    )
+    def test_random_pairs_never_beat_optimal(self, xi, kappa, horizon):
+        result = blp_numeric(ModelParams(xi, kappa), horizon=horizon, n_pairs=64, seed=11)
         assert max(result.random_values) <= result.optimal_value + 1e-9
         assert result.value == result.optimal_value
         assert result.best_pair == OPTIMAL_PAIR
+
+    def test_reads_the_kernel_once_for_all_pairs(self, monkeypatch):
+        shapes = []
+        kernel = markovianity.coherence_factor
+
+        def counted(params, t):
+            shapes.append(np.shape(t))
+            return kernel(params, t)
+
+        monkeypatch.setattr(markovianity, "coherence_factor", counted)
+        result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
+        assert shapes == [(result.n_intervals, 2)]  # c at both edges of every window
 
     def test_deterministic_for_seed(self):
         params = ModelParams(1.0, 5.0)
