@@ -15,7 +15,6 @@ the eigenvalue trace distance, c'/c, the bath propagator) live in
 """
 
 from .analytic import (
-    IncreaseInterval,
     Regime,
     abs_coherence_derivative,
     bath_correlation,

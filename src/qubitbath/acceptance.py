@@ -268,7 +268,7 @@ def _check_criteria_agreement() -> tuple[bool, str]:
             horizon = None
             if classify_regime(params) is Regime.UNDERDAMPED:
                 # the first window decides; the regime, not the rate verdict under test, says so
-                horizon = 1.25 * increase_intervals(params, 1)[0].t_hi
+                horizon = 1.25 * increase_intervals(params, 1)[0, 1]
             markov_blp = blp_numeric(params, horizon=horizon, n_pairs=0).value < 1e-6
             if not markov_rate == markov_cp == markov_blp:
                 disagreements.append(
@@ -311,14 +311,12 @@ def _check_contour_sign_structure() -> tuple[bool, str]:
             if values.max() > 1e-12:
                 problems.append(f"kappa={kappa:g}: positive value {values.max():.2e}")
             continue
-        for window in increase_intervals(params, 50):
-            if window.t_hi > times[-1]:
+        for n, (t_lo, t_hi) in enumerate(increase_intervals(params, 50).tolist(), start=1):
+            if t_hi > times[-1]:
                 break
-            inside = (times > window.t_lo) & (times < window.t_hi)
+            inside = (times > t_lo) & (times < t_hi)
             if not np.any(values[inside] > 0.0):
-                problems.append(
-                    f"kappa={kappa:g}: no positive value in window {window.n}"
-                )
+                problems.append(f"kappa={kappa:g}: no positive value in window {n}")
     ok = not problems
     detail = "sign structure matches on all 57 rows" if ok else problems[0]
     return ok, detail

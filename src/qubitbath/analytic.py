@@ -13,7 +13,8 @@ s = disc * (t/4)**2 (a sinh-cardinal extended through negative argument),
 which removes the catastrophic cancellation the printed branches suffer
 near the critical boundary and makes c continuous in the parameters.
 One evaluator, :func:`coherence_factor_with_derivative`, gives c and dc/dt
-in a single pass; c, dc/dt, d|c|/dt and the signal c*dc/dt all read from it.
+in a single pass; c, dc/dt and d|c|/dt all read from it.  d|c|/dt is the
+one increase signal: the trace distance grows exactly where it is positive.
 
 :func:`classify_regime` is the one place the regime is decided, with a
 band relative to kappa**2 and 64*xi**2 alone, so every verdict depends on
@@ -27,7 +28,6 @@ scalars, arrays give arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,7 +37,6 @@ from .lindblad import ModelParams
 
 __all__ = [
     "Regime",
-    "IncreaseInterval",
     "classify_regime",
     "coherence_factor",
     "coherence_factor_with_derivative",
@@ -167,22 +166,14 @@ def abs_coherence_derivative(params: ModelParams, t):
     return np.sign(c) * dc
 
 
-@dataclass(frozen=True)
-class IncreaseInterval:
-    """n-th window (t_lo, t_hi) on which the trace distance can increase.
+def increase_intervals(params: ModelParams, n_max: int) -> np.ndarray:
+    """The first ``n_max`` trace-distance increase windows (underdamped only).
 
-    t_hi = 4*n*pi/r and t_lo = t_hi - delta with
+    A float array of shape (n_max, 2), one (t_lo, t_hi) row per window:
+    the n-th window has t_hi = 4*n*pi/r and t_lo = t_hi - delta with
     delta = 4*arctan(r/kappa)/r, r = sqrt(64*xi**2 - kappa**2).
     c vanishes at t_lo and |c| touches its envelope exp(-kappa*t_hi/4) at t_hi.
     """
-
-    n: int
-    t_lo: float
-    t_hi: float
-
-
-def increase_intervals(params: ModelParams, n_max: int) -> list[IncreaseInterval]:
-    """The first ``n_max`` trace-distance increase windows (underdamped only)."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     if classify_regime(params) is not Regime.UNDERDAMPED:
@@ -192,11 +183,8 @@ def increase_intervals(params: ModelParams, n_max: int) -> list[IncreaseInterval
         )
     r = math.sqrt(-params.discriminant)
     delta = 4.0 * math.atan2(r, params.kappa) / r
-    spacing = 4.0 * math.pi / r
-    return [
-        IncreaseInterval(n=n, t_lo=n * spacing - delta, t_hi=n * spacing)
-        for n in range(1, n_max + 1)
-    ]
+    t_hi = np.arange(1, n_max + 1) * (4.0 * math.pi / r)
+    return np.column_stack((t_hi - delta, t_hi))
 
 
 def blp_analytic(params: ModelParams) -> float:

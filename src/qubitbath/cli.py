@@ -29,7 +29,8 @@ holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
 value is written as the token ``inf`` in CSV and the string ``"infinite"``
 in JSON.  ``evolve`` and ``contour`` write at most :data:`MAX_ROWS` rows
 (time points x kappa steps); a larger or non-finite ``--t-max/--dt`` is a
-validation error.
+validation error, as are more than :data:`MAX_ROWS` ``blp`` kappa steps
+and any step count in the ``lo:hi`` of ``threshold --kappa-range``.
 
 Exit codes: 0 success, 1 validation or I/O error, 2 numeric failure,
 3 acceptance failure.
@@ -100,15 +101,16 @@ def _bloch(text: str) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def _kappa_range(text: str) -> tuple[float, float, int]:
+def _kappa_range(text: str) -> tuple[float, float, int | None]:
+    """'lo:hi' or 'lo:hi:steps'; ``steps`` is None where it is omitted."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(f"expects 'lo:hi:steps', got {text!r}")
     lo, hi = _finite(parts[0]), _finite(parts[1])
-    steps = int(parts[2]) if len(parts) == 3 else 2
+    steps = int(parts[2]) if len(parts) == 3 else None
     if hi <= lo:
         raise argparse.ArgumentTypeError("needs lo < hi")
-    if steps < 1:
+    if steps is not None and steps < 1:
         raise argparse.ArgumentTypeError("needs at least one step")
     return (lo, hi, steps)
 
@@ -214,6 +216,17 @@ def _time_axis(t_max: float, dt: float, rows_per_time: int = 1) -> np.ndarray:
     return dt * np.arange(n_times)
 
 
+def _kappa_sweep(args: argparse.Namespace) -> tuple[float, float, int]:
+    """--kappa-range of contour and blp: 2 steps unless given, each at least one output row."""
+    lo, hi, steps = args.kappa_range
+    if lo < 0:
+        raise ValidationError("cooling rates must be >= 0")
+    steps = 2 if steps is None else steps
+    if steps > MAX_ROWS:
+        raise ValidationError(f"{steps} kappa steps exceed the limit of {MAX_ROWS} output rows")
+    return lo, hi, steps
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -248,9 +261,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_contour(args: argparse.Namespace) -> int:
     if args.t_max == 0:
         raise ValidationError("contour requires --t-max > 0")
-    lo, hi, steps = args.kappa_range
-    if lo < 0:
-        raise ValidationError("cooling rates must be >= 0")
+    lo, hi, steps = _kappa_sweep(args)
     times = _time_axis(args.t_max, args.dt, steps)
     kappas = np.linspace(lo, hi, steps)
     table = np.empty((steps, len(times), 3))
@@ -263,9 +274,7 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 
 def cmd_blp(args: argparse.Namespace) -> int:
-    lo, hi, steps = args.kappa_range
-    if lo < 0:
-        raise ValidationError("cooling rates must be >= 0")
+    lo, hi, steps = _kappa_sweep(args)
     rows = []
     for kappa in np.linspace(lo, hi, steps):
         params = ModelParams(args.xi, float(kappa))
@@ -305,7 +314,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if args.xi == 0:
         raise ValidationError("threshold requires a nonzero coupling")
     if args.kappa_range is not None:
-        lo, hi, _ = args.kappa_range
+        lo, hi, steps = args.kappa_range
+        if steps is not None:
+            raise ValidationError("threshold --kappa-range takes 'lo:hi'; the bisection has no step count")
     else:
         lo, hi = 4.0 * abs(args.xi), min(20.0 * abs(args.xi), MAX_RATE)
     witness = "rate-sign (information backflow)"

@@ -11,7 +11,7 @@ Two independent witnesses are implemented against the same dynamics:
 * Trace-distance contractivity: distinguishability of state pairs never
   increases.  Quantified by the closed-form trace distance telescoped over
   the numerically detected windows where it grows, maximized over
-  initial pairs.  The window edges are the sign changes of c*dc/dt on a
+  initial pairs.  The window edges are the sign changes of d|c|/dt on a
   uniform grid, all refined together by bisection with one vector kernel
   call per halving; c is then read once at the edges, for every pair.
 
@@ -31,10 +31,10 @@ import numpy as np
 
 from .analytic import (
     Regime,
+    abs_coherence_derivative,
     blp_tail_bound,
     classify_regime,
     coherence_factor,
-    coherence_factor_with_derivative,
     default_blp_horizon,
     increase_intervals,
 )
@@ -61,6 +61,9 @@ CP_EIGENVALUE_TOL = 1e-10
 
 #: Most grid points :func:`detect_increase_segments` scans (80 MB per float array).
 MAX_SCAN_POINTS = 10_000_000
+
+#: Most random pairs :func:`blp_numeric` draws and holds (10,000: about 0.5 s per measure).
+MAX_PAIRS = 10_000
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,7 @@ class DivisibilityWitness:
 
 def _default_witness_horizon(params: ModelParams) -> float:
     if classify_regime(params) is Regime.UNDERDAMPED:
-        first = increase_intervals(params, 1)[0]
-        return 1.5 * first.t_hi
+        return 1.5 * increase_intervals(params, 1)[0, 1]
     return 80.0 / max(params.kappa, 8.0 * abs(params.xi), 1.0)
 
 
@@ -200,12 +202,6 @@ def evolved_trace_distance(params: ModelParams, pair: StatePair, t):
 # ---------------------------------------------------------------------------
 
 
-def _signal(params: ModelParams, t):
-    """c * dc/dt; positive exactly where the trace distance increases."""
-    c, dc = coherence_factor_with_derivative(params, t)
-    return c * dc
-
-
 def _bisect(lo, hi, width: float, upper) -> np.ndarray:
     """Halve every bracket [lo[k], hi[k]] together; return their midpoints.
 
@@ -237,18 +233,18 @@ def _refine_crossings(params: ModelParams, lo, hi, rising) -> np.ndarray:
     halving evaluates the signal once, as a vector, on the midpoints of the
     brackets still open.
     """
-    return _bisect(lo, hi, 1e-10, lambda k, mid: (_signal(params, mid) > 0) == rising[k])
+    return _bisect(lo, hi, 1e-10, lambda k, mid: (abs_coherence_derivative(params, mid) > 0) == rising[k])
 
 
-def detect_increase_segments(
-    params: ModelParams, horizon: float
-) -> list[tuple[float, float]]:
+def detect_increase_segments(params: ModelParams, horizon: float) -> np.ndarray:
     """Time windows in [0, horizon] where the trace distance increases.
 
-    Sign changes of c*dc/dt are located on a uniform grid and all refined
-    together by bisection, one vector kernel call per halving; the default
-    grid step resolves the oscillation period with 200 points.  A grid of
-    more than :data:`MAX_SCAN_POINTS` points is refused before it is built.
+    An (n, 2) array of (t_lo, t_hi) rows, as :func:`increase_intervals`
+    gives them in closed form.  Sign changes of d|c|/dt are located on a
+    uniform grid (200 points per oscillation period) and all refined
+    together by bisection, one vector kernel call per halving; windows are
+    found until c underflows to 0.  A grid of more than
+    :data:`MAX_SCAN_POINTS` points is refused before it is built.
     """
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
@@ -265,16 +261,16 @@ def detect_increase_segments(
             "blp_tail_bound for the tail beyond a shorter horizon"
         )
     times = np.linspace(0.0, horizon, math.ceil(span) + 1)
-    positive = _signal(params, times) > 0
+    positive = abs_coherence_derivative(params, times) > 0
     idx = np.flatnonzero(positive[1:] != positive[:-1])
     rising = positive[idx + 1]
-    edges = _refine_crossings(params, times[idx], times[idx + 1], rising).tolist()
+    edges = _refine_crossings(params, times[idx], times[idx + 1], rising)
     # sign changes alternate: drop a leading fall, close a trailing rise
-    if edges and not rising[0]:
+    if edges.size and not rising[0]:
         edges = edges[1:]
-    if len(edges) % 2:
-        edges.append(float(horizon))
-    return list(zip(edges[::2], edges[1::2]))
+    if edges.size % 2:
+        edges = np.append(edges, horizon)
+    return edges.reshape(-1, 2)
 
 
 def _sample_state(rng: np.random.Generator) -> QubitState:
@@ -285,15 +281,17 @@ def _sample_state(rng: np.random.Generator) -> QubitState:
             return QubitState(*v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlpResult:
-    """Numeric trace-distance measure and the pair that achieved it."""
+    """Numeric trace-distance measure and the pair that achieved it.
+
+    ``segments`` is the read-only array of detected (t_lo, t_hi) windows."""
 
     value: float
     best_pair: StatePair
     optimal_value: float
     random_values: tuple[float, ...]
-    segments: tuple[tuple[float, float], ...]
+    segments: np.ndarray
     n_intervals: int
     divergent: bool
     tail_bound: float
@@ -317,20 +315,22 @@ def blp_numeric(
     pair gets its own child seed, so results do not depend on evaluation
     order).  No pair beats the optimal one, whose distance is |c|: each
     window's increase is 1-Lipschitz in |c|.  The optimal pair wins ties.
+    More than :data:`MAX_PAIRS` pairs are refused.
 
     Where the measure diverges (kappa = 0) an explicit horizon is required,
     the tail bound is infinite and the result is flagged ``divergent``.
     """
-    if n_pairs < 0:
-        raise ValidationError("n_pairs must be >= 0")
+    if not 0 <= n_pairs <= MAX_PAIRS:
+        raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
     if horizon is None:
         if classify_regime(params) is Regime.UNDERDAMPED:
             horizon, _ = default_blp_horizon(params)
         else:
             horizon = _default_witness_horizon(params)
-    segments = tuple(detect_increase_segments(params, horizon))
+    segments = detect_increase_segments(params, horizon)
+    segments.flags.writeable = False
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
-    c_edges = coherence_factor(params, np.array(segments, dtype=float).reshape(-1, 2))
+    c_edges = coherence_factor(params, segments)
     rngs = (np.random.default_rng([seed, k]) for k in range(n_pairs))
     pairs = [OPTIMAL_PAIR, *(StatePair(_sample_state(rng), _sample_state(rng)) for rng in rngs)]
     values = [float(np.diff(_trace_distance(pair, c_edges)).sum()) for pair in pairs]

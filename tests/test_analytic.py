@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qubitbath.analytic import (
     MAX_TIME,
-    IncreaseInterval,
     Regime,
     abs_coherence_derivative,
     bath_correlation,
@@ -37,6 +36,9 @@ from qubitbath.oracles import (
 
 xi_values = st.floats(-3.0, 3.0, allow_nan=False)
 kappa_values = st.floats(0.0, 20.0, allow_nan=False)
+# the extremes: |xi| log-uniform in [1e-6, 1e3] of either sign, kappa in [0, 1e4]
+wide_xi = st.builds(lambda e, negative: (-1.0 if negative else 1.0) * 10.0**e, st.floats(-6.0, 3.0), st.booleans())
+wide_kappa = st.floats(0.0, 1e4)
 
 
 class TestClassifyRegime:
@@ -80,6 +82,29 @@ class TestCoherenceFactor:
     @settings(max_examples=60)
     def test_bounded_by_one(self, xi, kappa, t):
         assert abs(coherence_factor(ModelParams(xi, kappa), t)) <= 1.0 + 1e-12
+
+    @pytest.mark.usefixtures("alarm")
+    @given(wide_xi, wide_kappa, st.floats(0.0, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_by_one_at_the_extremes(self, xi, kappa, t_max):
+        # rounding lets |c| overshoot 1 by a few ulp where s is just under _BIG_S;
+        # the second grid resolves the decay, wherever t_max puts the first
+        decay = min(1e6, 40.0 / max(kappa, 8.0 * abs(xi)))
+        times = np.append(np.linspace(0.0, t_max, 1001), np.linspace(0.0, decay, 1001))
+        assert np.abs(coherence_factor(ModelParams(xi, kappa), times)).max() <= 1.0 + 1e-14
+
+    @pytest.mark.usefixtures("alarm")
+    @given(wide_xi, st.floats(-3e-8, 1.5e-8), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_continuous_across_the_critical_band(self, xi, offset, taus):
+        # a kappa step of 1.5e-8*8|xi| that starts at most 3e-8 below 8|xi|
+        # crosses the REGIME_TOL band; c must move by less than the step
+        # times |dc/dkappa| <= t/4, with no jump at the band's edges
+        step = 1.5e-8 * 8.0 * abs(xi)
+        kappa = 8.0 * abs(xi) * (1.0 + offset)
+        t = np.array(taus) / abs(xi)
+        jump = coherence_factor(ModelParams(xi, kappa + step), t) - coherence_factor(ModelParams(xi, kappa), t)
+        assert np.all(np.abs(jump) <= step * t / 4.0 + 1e-15)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 5.0])
     def test_continuity_across_critical_boundary(self, t):
@@ -190,15 +215,15 @@ class TestLogDerivative:
 
     def test_underdamped_negative_inside_window(self):
         params = ModelParams(1.0, 4.0)
-        window = increase_intervals(params, 1)[0]
-        t = 0.5 * (window.t_lo + window.t_hi)
+        t_lo, t_hi = increase_intervals(params, 1)[0]
+        t = 0.5 * (t_lo + t_hi)
         r = math.sqrt(-params.discriminant)
         assert 1 / math.tan(t * r / 4) < -params.kappa / r  # the sign condition
         assert dephasing_rate(params, t) < 0
 
     def test_pole_error_carries_nearest_zero(self):
         params = ModelParams(1.0, 4.0)
-        zero = increase_intervals(params, 1)[0].t_lo
+        zero = increase_intervals(params, 1)[0, 0]
         with pytest.raises(PoleError) as excinfo:
             coherence_log_derivative(params, zero)
         assert excinfo.value.nearest_zero == pytest.approx(zero, abs=1e-9)
@@ -219,8 +244,8 @@ class TestAbsCoherenceDerivative:
 
     def test_positive_inside_each_window(self):
         params = ModelParams(1.0, 4.0)
-        for window in increase_intervals(params, 3):
-            t = 0.5 * (window.t_lo + window.t_hi)
+        for t_lo, t_hi in increase_intervals(params, 3):
+            t = 0.5 * (t_lo + t_hi)
             assert abs_coherence_derivative(params, t) > 0
 
     def test_zero_at_cosine_extremum(self):
@@ -259,33 +284,42 @@ class TestAbsCoherenceDerivative:
 class TestIncreaseIntervals:
     def test_undamped_values(self):
         windows = increase_intervals(ModelParams(1.0, 0.0), 3)
-        for n, w in enumerate(windows, start=1):
-            assert w.t_hi == pytest.approx(n * math.pi / 2, rel=1e-12)
-            assert w.t_hi - w.t_lo == pytest.approx(math.pi / 4, rel=1e-12)
+        for n, (t_lo, t_hi) in enumerate(windows, start=1):
+            assert t_hi == pytest.approx(n * math.pi / 2, rel=1e-12)
+            assert t_hi - t_lo == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_frozen_values(self):
-        w = increase_intervals(ModelParams(1.0, 4.0), 1)[0]
-        assert w.t_hi == pytest.approx(1.8137993642342178, abs=1e-14)
-        assert w.t_hi - w.t_lo == pytest.approx(0.6045997880780726, abs=1e-14)
+        t_lo, t_hi = increase_intervals(ModelParams(1.0, 4.0), 1)[0]
+        assert t_hi == pytest.approx(1.8137993642342178, abs=1e-14)
+        assert t_hi - t_lo == pytest.approx(0.6045997880780726, abs=1e-14)
 
     def test_endpoint_identities(self):
         params = ModelParams(1.0, 4.0)
-        for w in increase_intervals(params, 4):
-            assert abs(coherence_factor(params, w.t_lo)) <= 1e-12
-            assert abs(coherence_factor(params, w.t_hi)) == pytest.approx(
-                math.exp(-params.kappa * w.t_hi / 4), rel=1e-10
+        for n, (t_lo, t_hi) in enumerate(increase_intervals(params, 4), start=1):
+            assert abs(coherence_factor(params, t_lo)) <= 1e-12
+            assert abs(coherence_factor(params, t_hi)) == pytest.approx(
+                math.exp(-params.kappa * t_hi / 4), rel=1e-10
             )
-            sign = (-1) ** w.n
-            assert coherence_factor(params, w.t_hi) == pytest.approx(
-                sign * math.exp(-params.kappa * w.t_hi / 4), rel=1e-10
+            sign = (-1) ** n
+            assert coherence_factor(params, t_hi) == pytest.approx(
+                sign * math.exp(-params.kappa * t_hi / 4), rel=1e-10
             )
 
     def test_rate_negative_inside(self):
         params = ModelParams(0.7, 2.0)
-        for w in increase_intervals(params, 2):
+        for t_lo, t_hi in increase_intervals(params, 2):
             for frac in (0.25, 0.5, 0.75):
-                t = w.t_lo + frac * (w.t_hi - w.t_lo)
+                t = t_lo + frac * (t_hi - t_lo)
                 assert dephasing_rate(params, t) < 0
+
+    def test_rows_of_an_n_by_2_array(self):
+        params = ModelParams(1.0, 4.0)
+        windows = increase_intervals(params, 5)
+        assert windows.shape == (5, 2) and windows.dtype == np.float64
+        r = math.sqrt(-params.discriminant)
+        spacing, delta = 4.0 * math.pi / r, 4.0 * math.atan2(r, params.kappa) / r
+        for n, (t_lo, t_hi) in enumerate(windows.tolist(), start=1):
+            assert (t_lo, t_hi) == (n * spacing - delta, n * spacing)
 
     def test_regime_error_outside_underdamped(self):
         with pytest.raises(RegimeError):
@@ -338,7 +372,7 @@ class TestBlpAnalytic:
         # partial sums of the per-window increases approach the closed form
         # with the remainder given exactly by the geometric tail bound
         for n in (1, 3, 5, 8):
-            partial = sum(math.exp(-params.kappa * w.t_hi / 4) for w in windows[:n])
+            partial = sum(math.exp(-params.kappa * t_hi / 4) for t_hi in windows[:n, 1])
             assert partial < analytic
             assert analytic - partial == pytest.approx(
                 blp_tail_bound(params, n), rel=1e-9, abs=1e-15
@@ -350,7 +384,7 @@ class TestDefaultHorizon:
         params = ModelParams(1.0, 4.0)
         horizon, n = default_blp_horizon(params)
         assert blp_tail_bound(params, n) <= 1e-6 * blp_analytic(params)
-        assert horizon > increase_intervals(params, n)[-1].t_hi
+        assert horizon > increase_intervals(params, n)[-1, 1]
 
     def test_requires_convergent_regime(self):
         with pytest.raises(RegimeError):
@@ -387,6 +421,13 @@ class TestBackflowPredicate:
     def test_matches_threshold_inequality(self, xi, kappa):
         expected = kappa < 8 * abs(xi) and classify_regime(ModelParams(xi, kappa)) is Regime.UNDERDAMPED
         assert has_information_backflow(ModelParams(xi, kappa)) == expected
+
+    @pytest.mark.usefixtures("alarm")
+    @given(wide_xi, wide_kappa, wide_kappa)
+    @settings(max_examples=300, deadline=None)
+    def test_monotone_in_kappa(self, xi, kappa_a, kappa_b):
+        lo, hi = sorted((kappa_a, kappa_b))
+        assert has_information_backflow(ModelParams(xi, lo)) >= has_information_backflow(ModelParams(xi, hi))
 
     def test_stable_arbitrarily_close_to_threshold(self):
         assert has_information_backflow(ModelParams(1.0, 8.0 - 1e-7))

@@ -12,7 +12,7 @@ import pytest
 import qubitbath.cli as cli
 from qubitbath.acceptance import CheckResult
 from qubitbath.errors import NumericsError
-from qubitbath.markovianity import MAX_SCAN_POINTS
+from qubitbath.markovianity import MAX_PAIRS, MAX_SCAN_POINTS
 
 
 def read_csv(path):
@@ -211,6 +211,34 @@ class TestBlp:
         # horizon 3 covers only the first window at kappa = 4
         assert column(header, rows, "intervals_used", int)[0] == 1
 
+    def test_sweep_over_the_row_limit_is_refused_before_allocating(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep allocated")
+
+        out = tmp_path / "blp.csv"
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert cli.main(["blp", "--kappa-range", "0:8:10000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"limit of {cli.MAX_ROWS}" in err
+        assert not out.exists()
+
+    def test_pairs_over_the_limit_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "blp.csv"
+        assert cli.main(["blp", "--pairs", str(MAX_PAIRS + 1), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_PAIRS) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["blp", "contour"])
+    def test_omitted_step_count_is_two(self, name, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = [name, "--kappa-range", "4:6", "--t-max", "1", "--out", str(out)]
+        if name == "contour":
+            argv += ["--dt", "1"]
+        assert cli.main(argv) == 0
+        header, rows = read_csv(out)
+        assert sorted(set(column(header, rows, "kappa"))) == [4.0, 6.0]
+
     def test_small_coupling_scan_is_refused_not_zero(self, capsys, tmp_path):
         # kappa/(8|xi|) = 1/8 and 1/2 are underdamped at any scale; the scan
         # for the tail is too long and must say so rather than write 0
@@ -248,6 +276,12 @@ class TestThreshold:
 
     def test_invalid_bracket(self, capsys):
         assert cli.main(["threshold", "--xi", "1", "--kappa-range", "9:20"]) == 1
+
+    def test_step_count_is_rejected(self, capsys):
+        # the bisection reads no step count, so one given is an error, not ignored
+        assert cli.main(["threshold", "--xi", "2", "--kappa-range", "8:40:999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_zero_coupling_rejected(self):
         assert cli.main(["threshold", "--xi", "0"]) == 1

@@ -110,7 +110,7 @@ class TestIntermediateMap:
 
     def test_singular_at_coherence_zero(self):
         params = ModelParams(1.0, 4.0)
-        zero = increase_intervals(params, 1)[0].t_lo
+        zero = increase_intervals(params, 1)[0, 0]
         with pytest.raises(SingularMapError):
             intermediate_map(params, zero, zero + 0.1)
 
@@ -188,18 +188,18 @@ class TestDivisibilityWitness:
 
     def test_non_markovian_point_and_offending_window(self):
         params = ModelParams(1.0, 4.0)
-        first = increase_intervals(params, 1)[0]
+        t_lo, t_hi = increase_intervals(params, 1)[0]
         witness = cp_divisibility_witness(params)
         assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
         lo, hi = witness.worst_interval
         step = witness.horizon / witness.n_subintervals
-        assert first.t_lo - step <= lo and hi <= first.t_hi + step
+        assert t_lo - step <= lo and hi <= t_hi + step
 
     def test_default_horizon_covers_first_window(self):
         params = ModelParams(1.0, 4.0)
-        first = increase_intervals(params, 1)[0]
+        t_hi = increase_intervals(params, 1)[0, 1]
         witness = cp_divisibility_witness(params)
-        assert witness.horizon == 1.5 * first.t_hi
+        assert witness.horizon == 1.5 * t_hi
         assert witness.n_subintervals == 400
         assert witness.verdict is DivisibilityVerdict.NON_DIVISIBLE
 
@@ -216,7 +216,7 @@ class TestDivisibilityWitness:
         # the horizon 6*pi/r, so both sub-intervals touching it are skipped
         params = ModelParams(1.0, 4.0 * math.sqrt(2.0))
         witness = cp_divisibility_witness(params)
-        zero = increase_intervals(params, 1)[0].t_lo
+        zero = increase_intervals(params, 1)[0, 0]
         assert zero == pytest.approx(witness.horizon / 2, abs=1e-15)
         assert witness.n_skipped == 2
         # the adjacent sub-intervals decide
@@ -336,25 +336,31 @@ class TestIncreaseDetection:
     def test_matches_predicted_windows(self):
         params = ModelParams(1.0, 4.0)
         predicted = increase_intervals(params, 3)
-        horizon = predicted[-1].t_hi + 0.3
+        horizon = predicted[-1, 1] + 0.3
         detected = detect_increase_segments(params, horizon)
         assert len(detected) == 3
-        for (lo, hi), window in zip(detected, predicted):
-            assert lo == pytest.approx(window.t_lo, abs=1e-8)
-            assert hi == pytest.approx(window.t_hi, abs=1e-8)
+        for (lo, hi), (t_lo, t_hi) in zip(detected, predicted):
+            assert lo == pytest.approx(t_lo, abs=1e-8)
+            assert hi == pytest.approx(t_hi, abs=1e-8)
 
     def test_no_windows_when_markovian(self):
-        assert detect_increase_segments(ModelParams(1.0, 9.0), 20.0) == []
-        assert detect_increase_segments(ModelParams(1.0, 8.0), 20.0) == []
+        assert detect_increase_segments(ModelParams(1.0, 9.0), 20.0).shape == (0, 2)
+        assert detect_increase_segments(ModelParams(1.0, 8.0), 20.0).shape == (0, 2)
 
     def test_hundreds_of_windows_match_closed_form(self):
         params = ModelParams(1.0, 0.1)
         result = blp_numeric(params, n_pairs=0)
         assert len(result.segments) == result.n_intervals == 352
         predicted = increase_intervals(params, result.n_intervals)
-        detected = np.array(result.segments)
-        expected = np.array([(w.t_lo, w.t_hi) for w in predicted])
-        assert np.abs(detected - expected).max() <= 1e-8
+        assert np.abs(result.segments - predicted).max() <= 1e-8
+
+    def test_windows_found_until_c_underflows(self):
+        # c*dc/dt underflows to 0 from t ~ 1500 (|c| ~ 1e-163), and a detector
+        # reading it stopped at 941 windows; d|c|/dt keeps its sign there
+        params = ModelParams(1.0, 1.0)
+        detected = detect_increase_segments(params, 2000.0)
+        assert detected.shape == (1263, 2)
+        assert np.abs(detected - increase_intervals(params, 1263)).max() <= 1e-8
 
     @given(st.floats(0.25, 4.0), st.floats(0.05, 0.95))
     @settings(max_examples=50)
@@ -362,12 +368,12 @@ class TestIncreaseDetection:
         params = ModelParams(xi, fraction * 8.0 * xi)
         predicted = increase_intervals(params, 3)
         # a quarter period past the third window, well before the fourth opens
-        horizon = predicted[-1].t_hi + math.pi / math.sqrt(-params.discriminant)
+        horizon = predicted[-1, 1] + math.pi / math.sqrt(-params.discriminant)
         detected = detect_increase_segments(params, horizon)
         assert len(detected) == 3
-        for (lo, hi), window in zip(detected, predicted):
-            assert lo == pytest.approx(window.t_lo, abs=1e-8)
-            assert hi == pytest.approx(window.t_hi, abs=1e-8)
+        for (lo, hi), (t_lo, t_hi) in zip(detected, predicted):
+            assert lo == pytest.approx(t_lo, abs=1e-8)
+            assert hi == pytest.approx(t_hi, abs=1e-8)
 
 
 def _far_zero(params, t):
@@ -399,11 +405,11 @@ class TestRefineCrossing:
         # the narrow bracket near t = 9e5 stops at one ulp (~1.2e-10) after
         # ~14 halvings; the one near t = 1 halves on down to 1e-10
         params = ModelParams(1.0, 1e-5)
-        near = increase_intervals(params, 1)[0].t_lo
+        near = increase_intervals(params, 1)[0, 0]
         far = _far_zero(params, 9e5)
         sizes = []
-        kernel = markovianity._signal
-        monkeypatch.setattr(markovianity, "_signal", lambda p, t: sizes.append(t.size) or kernel(p, t))
+        kernel = markovianity.abs_coherence_derivative
+        monkeypatch.setattr(markovianity, "abs_coherence_derivative", lambda p, t: sizes.append(t.size) or kernel(p, t))
 
         def refine_counted(lo, hi):
             sizes.clear()
@@ -426,7 +432,7 @@ class TestBlpNumeric:
         for kappa in (8.0, 12.0):
             result = blp_numeric(ModelParams(1.0, kappa), n_pairs=2)
             assert result.value == 0.0
-            assert result.segments == ()
+            assert result.segments.shape == (0, 2)
 
     def test_default_horizon_windows_match_predicted(self):
         params = ModelParams(1.0, 4.0)
@@ -434,8 +440,8 @@ class TestBlpNumeric:
         assert not result.divergent
         assert result.value == pytest.approx(blp_analytic(params), abs=1e-3)
         predicted = increase_intervals(params, result.n_intervals)
-        for (lo, hi), window in zip(result.segments, predicted):
-            assert hi == pytest.approx(window.t_hi, abs=1e-6)
+        for (lo, hi), (t_lo, t_hi) in zip(result.segments, predicted):
+            assert hi == pytest.approx(t_hi, abs=1e-6)
 
     def test_matches_analytic(self):
         params = ModelParams(1.0, 4.0)
@@ -478,6 +484,20 @@ class TestBlpNumeric:
         result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
         assert shapes == [(result.n_intervals, 2)]  # c at both edges of every window
 
+    def test_segments_are_the_read_only_detector_array(self):
+        params = ModelParams(1.0, 4.0)
+        result = blp_numeric(params, n_pairs=0)
+        assert result.segments.shape == (result.n_intervals, 2)
+        assert not result.segments.flags.writeable
+        assert np.array_equal(result.segments, detect_increase_segments(params, result.horizon))
+
+    def test_pair_count_limit(self, monkeypatch):
+        monkeypatch.setattr(markovianity, "MAX_PAIRS", 2)
+        assert len(blp_numeric(ModelParams(1.0, 4.0), n_pairs=2).random_values) == 2
+        for n_pairs in (-1, 3):
+            with pytest.raises(ValidationError, match="n_pairs"):
+                blp_numeric(ModelParams(1.0, 4.0), n_pairs=n_pairs)
+
     def test_deterministic_for_seed(self):
         params = ModelParams(1.0, 5.0)
         a = blp_numeric(params, n_pairs=16, seed=42)
@@ -509,7 +529,7 @@ class TestBlpNumeric:
     def test_scan_budget_edge(self, monkeypatch):
         params = ModelParams(1.0, 9.0)  # step 0.01: horizon 1 is 101 points
         monkeypatch.setattr(markovianity, "MAX_SCAN_POINTS", 101)
-        assert detect_increase_segments(params, 1.0) == []
+        assert detect_increase_segments(params, 1.0).shape == (0, 2)
         with pytest.raises(ValidationError):
             detect_increase_segments(params, 1.001)
         with pytest.raises(ValidationError):
@@ -518,7 +538,7 @@ class TestBlpNumeric:
     def test_telescoped_increase_equals_quadrature(self):
         # independent oracle: integrate max(d', 0) by fine trapezoidal quadrature
         params = ModelParams(1.0, 4.0)
-        horizon = increase_intervals(params, 2)[-1].t_hi + 0.2
+        horizon = increase_intervals(params, 2)[-1, 1] + 0.2
         t = np.linspace(0, horizon, 200001)
         d = evolved_trace_distance(params, OPTIMAL_PAIR, t)
         rates = np.diff(d) / np.diff(t)
@@ -535,7 +555,7 @@ class TestAssess:
         result = blp_numeric(params, n_pairs=2)
         assert result.value == 0.0
         assert blp_analytic(params) == 0.0
-        assert result.segments == ()
+        assert result.segments.shape == (0, 2)
 
 
 class TestThresholdScan:

@@ -107,7 +107,7 @@ def test_criteria_agreement_edges_digest():
             params = ModelParams(float(xi), kappa)
             horizon = None
             if has_information_backflow(params):
-                horizon = 1.25 * increase_intervals(params, 1)[0].t_hi
+                horizon = 1.25 * increase_intervals(params, 1)[0, 1]
             segments = blp_numeric(params, horizon=horizon, n_pairs=0).segments
             digest.update(np.array(segments, dtype=float).tobytes() + b";")
     assert digest.hexdigest() == "74c63d9935b3885a1269444fd0676514ee69a84e934e59e1aa9a406d6cca6a33"
