@@ -177,7 +177,7 @@ _ORACLE_PARAMS = (
 
 
 def _oracle_trajectories(generator_builder):
-    grid = TimeGrid(0.0, 20.0, 2000)
+    grid = TimeGrid(20.0 / 1999, 2000)  # linspace(0, 20, 2000), bit for bit
     times = grid.times()
     out = []
     for params in _ORACLE_PARAMS:

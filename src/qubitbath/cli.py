@@ -27,7 +27,9 @@ Both are printed by row templates built once per column layout; the JSON
 is byte-identical to ``json.dumps(..., indent=1)``.  A CSV text cell that
 holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
 value is written as the token ``inf`` in CSV and the string ``"infinite"``
-in JSON.  ``evolve`` and ``contour`` write at most :data:`MAX_ROWS` rows
+in JSON.  ``evolve`` and ``contour`` write the times k*dt up to --t-max
+(the single time 0 where --t-max < --dt), and ``evolve`` propagates in steps
+of --dt itself.  They write at most :data:`MAX_ROWS` rows
 (time points x kappa steps); a larger or non-finite ``--t-max/--dt`` is a
 validation error, as are more than :data:`MAX_ROWS` ``blp`` kappa steps
 and any step count in the ``lo:hi`` of ``threshold --kappa-range``.
@@ -199,11 +201,11 @@ def write_records(path: str | None, fmt: str, columns: list[str], rows: np.ndarr
         handle.write(text)
 
 
-def _time_axis(t_max: float, dt: float, rows_per_time: int = 1) -> np.ndarray:
+def _time_axis(t_max: float, dt: float, rows_per_time: int = 1) -> TimeGrid:
     """The times 0, dt, ... up to t_max, each written as ``rows_per_time`` rows.
 
     The row count is checked against :data:`MAX_ROWS` before anything is
-    allocated.
+    allocated.  A --t-max below --dt leaves the single time 0.
     """
     steps = t_max / dt
     if not math.isfinite(steps):
@@ -213,7 +215,7 @@ def _time_axis(t_max: float, dt: float, rows_per_time: int = 1) -> np.ndarray:
         raise ValidationError(
             f"{n_times * rows_per_time} output rows exceed the limit of {MAX_ROWS}; use a larger --dt or a smaller grid"
         )
-    return dt * np.arange(n_times)
+    return TimeGrid(dt, n_times)
 
 
 def _kappa_sweep(args: argparse.Namespace) -> tuple[float, float, int]:
@@ -244,8 +246,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ValidationError("evolve requires --t-max > 0")
     params = ModelParams(args.xi, args.kappa)
     gen = build_generator(params)
-    times = _time_axis(args.t_max, args.dt)
-    grid = TimeGrid(0.0, float(times[-1]), len(times))
+    grid = _time_axis(args.t_max, args.dt)
+    times = grid.times()
     traj = expm_trajectory(gen, initial_joint_vector(args.bloch), grid)
     probe = expm_trajectory(gen, initial_joint_vector((0.0, 0.0, 1.0)), grid)
     c_analytic = np.atleast_1d(coherence_factor(params, times))
@@ -262,7 +264,7 @@ def cmd_contour(args: argparse.Namespace) -> int:
     if args.t_max == 0:
         raise ValidationError("contour requires --t-max > 0")
     lo, hi, steps = _kappa_sweep(args)
-    times = _time_axis(args.t_max, args.dt, steps)
+    times = _time_axis(args.t_max, args.dt, steps).times()
     kappas = np.linspace(lo, hi, steps)
     table = np.empty((steps, len(times), 3))
     table[:, :, 0] = times

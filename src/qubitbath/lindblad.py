@@ -11,8 +11,9 @@ generator ``M`` that depends linearly on both parameters:
 Both constant parts are built once, generically, by applying the defining
 maps to every two-qubit Pauli basis element and re-decomposing.
 
-Propagation is one matrix exponential of the grid step (scaling and
-squaring with a truncated series kernel), applied step by step; the
+Propagation runs on a :class:`TimeGrid`, the times k*step for k below
+``num``: one matrix exponential of the step (scaling and squaring with a
+truncated series kernel), applied step by step from the state at t = 0; the
 adaptive Dormand-Prince 5(4) integrator that cross-checks it lives in
 :mod:`qubitbath.oracles`.  All functions here are pure; generators are
 frozen after construction and safe to share between workers.
@@ -107,28 +108,24 @@ def build_generator(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling of [start, stop] with ``num`` points."""
+    """The ``num`` times 0, step, 2*step, ... at which a trajectory is sampled.
 
-    start: float
-    stop: float
+    ``times()`` is ``step * np.arange(num)``: the k-th time is k*step, the
+    time of the state :func:`expm_trajectory` reaches after k steps.  A
+    one-point grid is the single time 0.
+    """
+
+    step: float
     num: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValidationError("grid endpoints must be finite")
-        if self.start < 0:
-            raise ValidationError("grid start must be >= 0")
-        if self.stop <= self.start:
-            raise ValidationError("grid must be strictly increasing")
-        if self.num < 2:
-            raise ValidationError("grid needs at least two samples")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError(f"grid step must be finite and positive, got {self.step}")
+        if self.num < 1:
+            raise ValidationError(f"grid needs at least one sample, got {self.num}")
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.num)
-
-    @property
-    def step(self) -> float:
-        return (self.stop - self.start) / (self.num - 1)
+        return self.step * np.arange(self.num)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +163,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States at every grid time, shape (num, 16).
 
-    One exponential of the (uniform) grid step, applied cumulatively; exact
-    because the generator commutes with itself.  v0 is the state at
-    ``grid.start``.
+    One exponential of the grid step, applied cumulatively; exact because
+    the generator commutes with itself.  v0 is the state at t = 0.
     """
     step_prop = _expm(gen * grid.step)
     out = np.empty((grid.num, 16))

@@ -283,20 +283,20 @@ def _sample_state(rng: np.random.Generator) -> QubitState:
 
 @dataclass(frozen=True, eq=False)
 class BlpResult:
-    """Numeric trace-distance measure and the pair that achieved it.
+    """Numeric trace-distance measure, the largest over the pairs scored.
 
-    ``segments`` is the read-only array of detected (t_lo, t_hi) windows."""
+    ``value`` is the optimal pair's measure, since no random pair beats it;
+    ``random_values`` holds the random pairs' measures, the evidence of
+    that.  ``segments`` is the read-only array of detected (t_lo, t_hi)
+    windows."""
 
     value: float
-    best_pair: StatePair
-    optimal_value: float
     random_values: tuple[float, ...]
     segments: np.ndarray
     n_intervals: int
     divergent: bool
     tail_bound: float
     horizon: float
-    seed: int
 
 
 def blp_numeric(
@@ -311,11 +311,10 @@ def blp_numeric(
     window contributes d(t_hi) - d(t_lo) of the closed-form distance; no
     quadrature error enters.  c is evaluated once, at every window edge,
     and each pair reads those values: the analytically optimal pair and
-    ``n_pairs`` random pairs drawn uniformly from the Bloch ball (each
-    pair gets its own child seed, so results do not depend on evaluation
-    order).  No pair beats the optimal one, whose distance is |c|: each
-    window's increase is 1-Lipschitz in |c|.  The optimal pair wins ties.
-    More than :data:`MAX_PAIRS` pairs are refused.
+    ``n_pairs`` random pairs drawn uniformly from the Bloch ball by one
+    generator seeded with ``seed``.  No pair beats the optimal one, whose
+    distance is |c|: each window's increase is 1-Lipschitz in |c|.  More
+    than :data:`MAX_PAIRS` pairs are refused.
 
     Where the measure diverges (kappa = 0) an explicit horizon is required,
     the tail bound is infinite and the result is flagged ``divergent``.
@@ -331,22 +330,18 @@ def blp_numeric(
     segments.flags.writeable = False
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
     c_edges = coherence_factor(params, segments)
-    rngs = (np.random.default_rng([seed, k]) for k in range(n_pairs))
-    pairs = [OPTIMAL_PAIR, *(StatePair(_sample_state(rng), _sample_state(rng)) for rng in rngs)]
+    rng = np.random.default_rng(seed)
+    pairs = [OPTIMAL_PAIR, *(StatePair(_sample_state(rng), _sample_state(rng)) for _ in range(n_pairs))]
     values = [float(np.diff(_trace_distance(pair, c_edges)).sum()) for pair in pairs]
-    best = int(np.argmax(values))  # the first maximum: the optimal pair wins ties
     tail = blp_tail_bound(params, len(segments))
     return BlpResult(
-        value=values[best],
-        best_pair=pairs[best],
-        optimal_value=values[0],
+        value=max(values),
         random_values=tuple(values[1:]),
         segments=segments,
         n_intervals=len(segments),
         divergent=math.isinf(tail),
         tail_bound=tail,
         horizon=float(horizon),
-        seed=seed,
     )
 
 

@@ -21,10 +21,9 @@ uses two of them inside ``qubitbath verify``.  Each one cross-checks:
   :func:`density_trace_distance`: the Bloch and the eigenvalue trace
   distance, against each other and against
   :func:`~qubitbath.markovianity.evolved_trace_distance`;
-* :func:`coherence_factor_derivative`, :func:`coherence_log_derivative` and
-  :func:`dephasing_rate`: dc/dt alone, and c'/c with the decay envelope
-  cancelled, against the fused closed-form kernel and against the regime
-  verdict of :func:`~qubitbath.analytic.has_information_backflow`;
+* :func:`coherence_log_derivative` and :func:`dephasing_rate`: c'/c with
+  the decay envelope cancelled, against the fused closed-form kernel and
+  against the regime verdict of :func:`~qubitbath.analytic.has_information_backflow`;
 * :func:`devectorize2q`, :func:`bloch_to_coherence4`,
   :func:`coherence4_to_bloch` and :func:`partial_trace_bath`: the inverse
   maps of the coherence representation, against
@@ -43,7 +42,6 @@ from .analytic import (
     _check_times,
     _sinhc_cosh_ext,
     coherence_factor,
-    coherence_factor_with_derivative,
 )
 from .errors import NumericsError, PoleError, SingularMapError, ValidationError
 from .lindblad import ModelParams, TimeGrid, _expm
@@ -126,7 +124,7 @@ def evolve_ode(
     """Integrate ``dv/dt = M v`` across the grid, returning shape (num, 16).
 
     Dormand-Prince 5(4) with absolute tolerance ``atol``; v0 is the state
-    at ``grid.start``.
+    at t = 0.
     """
     if atol <= 0:
         raise ValidationError("atol must be positive")
@@ -245,11 +243,6 @@ def density_trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Trace distance from the eigenvalues of the (Hermitian) difference."""
     diff = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def coherence_factor_derivative(params: ModelParams, t):
-    """Time derivative of the coherence factor."""
-    return coherence_factor_with_derivative(params, t)[1]
 
 
 def _nearest_zero(params: ModelParams, t: float) -> float | None:

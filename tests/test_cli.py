@@ -140,6 +140,31 @@ class TestContour:
         assert column(header, rows, "t") == [0, 0.5, 1.0] * 3
 
 
+class TestTimeAxis:
+    def test_evolve_propagates_with_the_dt_it_writes(self, monkeypatch, tmp_path):
+        steps = []
+        propagate = cli.expm_trajectory
+
+        def recorded(gen, v0, grid):
+            steps.append(grid.step)
+            return propagate(gen, v0, grid)
+
+        monkeypatch.setattr(cli, "expm_trajectory", recorded)
+        out = tmp_path / "evolve.csv"
+        assert cli.main(["evolve", "--kappa", "4", "--dt", "0.1", "--t-max", "0.3", "--out", str(out)]) == 0
+        assert steps == [0.1, 0.1]  # the trajectory and the probe
+        assert column(*read_csv(out), "t") == [0.0, 0.1, 0.2, 0.1 * 3]
+
+    @pytest.mark.parametrize("argv", [["evolve", "--kappa", "4"], ["contour", "--kappa-range", "4:8:2"]])
+    def test_t_max_below_dt_writes_the_single_time_zero(self, argv, tmp_path):
+        out = tmp_path / "one.csv"
+        assert cli.main([*argv, "--t-max", "0.001", "--dt", "0.01", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        times = column(header, rows, "t")
+        assert times == [0.0] * len(times)
+        assert len(rows) == (2 if argv[0] == "contour" else 1)
+
+
 class TestBlp:
     def test_sweep_with_sentinel_and_monotonicity(self, tmp_path):
         out = tmp_path / "blp.csv"
@@ -348,6 +373,17 @@ class TestVerify:
         assert [len(row) for row in rows] == [4] * len(printed)
         assert [row[3] for row in rows] == [line.split("]  ", 1)[1] for line in printed]
         assert any("," in row[3] for row in rows)
+
+
+class TestEntry:
+    @pytest.mark.parametrize(
+        "argv, code", [(["threshold", "--xi", "0"], 1), (["threshold", "--xi", "2", "--kappa-range", "8:40", "--tol", "1e-6"], 0)]
+    )
+    def test_exits_with_the_code_of_main(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["qubitbath", *argv])
+        with pytest.raises(SystemExit) as raised:
+            cli.entry()
+        assert raised.value.code == code
 
 
 class TestRowBudget:

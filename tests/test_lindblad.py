@@ -167,18 +167,19 @@ class TestEvolveExpm:
 
 class TestTimeGrid:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            TimeGrid(1.0, 1.0, 10)
-        with pytest.raises(ValidationError):
-            TimeGrid(-1.0, 1.0, 10)
-        with pytest.raises(ValidationError):
-            TimeGrid(0.0, 1.0, 1)
+        for step, num in [(0.0, 10), (-0.1, 10), (math.inf, 10), (0.1, 0)]:
+            with pytest.raises(ValidationError):
+                TimeGrid(step, num)
+        for step, num in [(0.1, 4), (0.3, 1), (20.0 / 1999, 2000)]:
+            assert np.array_equal(TimeGrid(step, num).times(), step * np.arange(num))
+        # the acceptance oracle's grid is linspace(0, 20, 2000), bit for bit
+        assert np.array_equal(TimeGrid(20.0 / 1999, 2000).times(), np.linspace(0.0, 20.0, 2000))
 
 
 class TestEvolveOde:
     def test_critical_matches_closed_form(self):
         params = ModelParams(1.0, 8.0)
-        grid = TimeGrid(0.0, 10.0, 101)
+        grid = TimeGrid(0.1, 101)
         traj = evolve_ode(build_generator(params), initial_joint_vector((0, 0, 1)), grid)
         times = grid.times()
         expected = np.exp(-2 * times) * (1 + 2 * times)
@@ -188,12 +189,12 @@ class TestEvolveOde:
     def test_zero_generator_constant_trajectory(self):
         gen = build_generator(ModelParams(0.0, 0.0))
         v0 = initial_joint_vector((0.5, 0.1, -0.2))
-        traj = evolve_ode(gen, v0, TimeGrid(0.0, 5.0, 11))
+        traj = evolve_ode(gen, v0, TimeGrid(0.5, 11))
         assert np.abs(traj - v0).max() == 0.0
 
     def test_underdamped_matches_branch_formula(self):
         params = ModelParams(1.0, 4.0)
-        grid = TimeGrid(0.0, 10.0, 101)
+        grid = TimeGrid(0.1, 101)
         traj = evolve_ode(build_generator(params), initial_joint_vector((0, 0, 1)), grid)
         z = 4.0 * traj[:, 12]
         expected = [underdamped_factor(1.0, 4.0, t) for t in grid.times()]
@@ -203,7 +204,7 @@ class TestEvolveOde:
     def test_adaptive_agrees_with_expm_all_regimes(self, params):
         gen = build_generator(params)
         v0 = initial_joint_vector((0.3, 0.5, -0.4))
-        grid = TimeGrid(0.0, 20.0, 41)
+        grid = TimeGrid(0.5, 41)
         ode = evolve_ode(gen, v0, grid, atol=1e-10)
         exact = expm_trajectory(gen, v0, grid)
         assert np.abs(ode - exact).max() <= 1e-8
@@ -214,7 +215,7 @@ class TestEvolveOde:
             evolve_ode(
                 gen,
                 initial_joint_vector((0, 0, 1)),
-                TimeGrid(0.0, 1.0, 3),
+                TimeGrid(0.5, 3),
                 atol=1e-300,
             )
 
@@ -292,7 +293,7 @@ class TestExpmTrajectory:
     def test_matches_pointwise_expm(self):
         gen = build_generator(ModelParams(0.8, 5.0))
         v0 = initial_joint_vector((0.1, 0.6, -0.3))
-        grid = TimeGrid(0.0, 4.0, 9)
+        grid = TimeGrid(0.5, 9)
         traj = expm_trajectory(gen, v0, grid)
         for k, t in enumerate(grid.times()):
             assert traj[k] == pytest.approx(evolve_expm(gen, v0, t), abs=1e-11)

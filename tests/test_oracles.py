@@ -20,7 +20,7 @@ MOVED = {
         "system_map", "intermediate_map", "choi_matrix", "choi_min_eigenvalue",
         "trace_distance", "density_trace_distance",
     ],
-    analytic: ["coherence_factor_derivative", "coherence_log_derivative", "_nearest_zero", "dephasing_rate"],
+    analytic: ["coherence_log_derivative", "_nearest_zero", "dephasing_rate"],
     operator_space: ["devectorize2q", "bloch_to_coherence4", "coherence4_to_bloch", "partial_trace_bath"],
 }
 

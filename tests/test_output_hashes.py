@@ -24,13 +24,14 @@ import qubitbath.cli as cli
 from qubitbath.analytic import (
     abs_coherence_derivative,
     coherence_factor,
+    coherence_factor_with_derivative,
     has_information_backflow,
     increase_intervals,
 )
 from qubitbath.errors import PoleError
 from qubitbath.lindblad import ModelParams
 from qubitbath.markovianity import blp_numeric
-from qubitbath.oracles import coherence_factor_derivative, coherence_log_derivative
+from qubitbath.oracles import coherence_log_derivative
 
 EVOLVE = ["evolve", "--xi", "1", "--kappa", "8", "--bloch", "0,0,1", "--t-max", "10", "--dt", "0.01"]
 CONTOUR = ["contour", "--xi", "1", "--kappa-range", "0:14:141", "--t-max", "10", "--dt", "0.01"]
@@ -85,7 +86,7 @@ def test_closed_form_kernel_digest():
     times = np.array(KERNEL_TIMES)
     for xi, kappa in KERNEL_PARAMS:
         params = ModelParams(xi, kappa)
-        for fn in (coherence_factor, coherence_factor_derivative, abs_coherence_derivative):
+        for fn in (coherence_factor, lambda p, t: coherence_factor_with_derivative(p, t)[1], abs_coherence_derivative):
             digest.update(np.asarray(fn(params, times)).tobytes())
             digest.update(np.array([fn(params, t) for t in KERNEL_TIMES]).tobytes())
         for t in KERNEL_TIMES:
