@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,14 +104,30 @@ class TestEvolve:
 
     @pytest.mark.parametrize("xi, gap", [("1e15", "1.161e-01"), ("1e10", "4.440e-06")])
     def test_propagation_off_the_closed_form_is_refused(self, tmp_path, capsys, xi, gap):
-        # the matrix exponential loses accuracy at these couplings; no trajectory is written
+        # the matrix exponential loses accuracy at these couplings; no trajectory is written or printed
         out = tmp_path / "evolve.csv"
-        argv = ["evolve", "--xi", xi, "--kappa", "1", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure:")
-        assert f"by {gap}, over the bound 1e-08" in err
-        assert not out.exists()
+        argv = ["evolve", "--xi", xi, "--kappa", "1", "--t-max", "1", "--dt", "0.5"]
+        for target in (["--out", str(out)], []):
+            assert cli.main(argv + target) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numeric failure:")
+            assert f"by {gap}, over the bound 1e-08" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
+    def test_memory_per_row_is_bounded_by_the_table(self, tmp_path):
+        # the text is formatted in fixed chunks and the trajectory propagated in them, so
+        # the peak grows with the (rows, 7) table alone; formatting it whole cost about 1,200 B per row
+        def peak_bytes(t_max):
+            tracemalloc.start()
+            try:
+                argv = ["evolve", "--kappa", "4", "--t-max", t_max, "--dt", "0.001", "--format", "json"]
+                assert cli.main(argv + ["--out", str(tmp_path / "evolve.json")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak_bytes("20") - peak_bytes("10")) / 10_000 <= 200  # 20,001 and 10,001 rows
 
 
 class TestContour:
@@ -155,10 +172,15 @@ class TestTimeAxis:
         assert steps == [0.1, 0.1]  # the trajectory and the probe
         assert column(*read_csv(out), "t") == [0.0, 0.1, 0.2, 0.1 * 3]
 
-    @pytest.mark.parametrize("argv", [["evolve", "--kappa", "4"], ["contour", "--kappa-range", "4:8:2"]])
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--kappa", "4", "--t-max", "0.001"],
+        ["contour", "--kappa-range", "4:8:2", "--t-max", "0.001"],
+        ["evolve", "--kappa", "4", "--t-max", "0"],
+        ["contour", "--kappa-range", "4:8:2", "--t-max", "0"],
+    ])
     def test_t_max_below_dt_writes_the_single_time_zero(self, argv, tmp_path):
         out = tmp_path / "one.csv"
-        assert cli.main([*argv, "--t-max", "0.001", "--dt", "0.01", "--out", str(out)]) == 0
+        assert cli.main([*argv, "--dt", "0.01", "--out", str(out)]) == 0
         header, rows = read_csv(out)
         times = column(header, rows, "t")
         assert times == [0.0] * len(times)

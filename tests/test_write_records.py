@@ -3,9 +3,12 @@
 The oracle is the serializer the row templates replaced: every value
 formatted on its own, floats by ``format(v + 0.0, ".17g")`` with the token
 ``inf`` in CSV, records by ``json.dumps(..., indent=1)`` over values with
-``"infinite"`` for +-inf in JSON.  It differs from the old serializer only
-in quoting CSV text cells that hold a comma, a quote, CR or LF (RFC 4180);
-``csv.reader`` is the independent check that those cells read back.
+``"infinite"`` for +-inf in JSON.  That float treatment applies in a column
+that holds floats only, over all its rows; a float in any other column is
+printed as its other cells are, by str() in CSV and json.dumps() in JSON.
+The oracle differs from the old serializer only in quoting CSV text cells
+that hold a comma, a quote, CR or LF (RFC 4180); ``csv.reader`` is the
+independent check that those cells read back.
 """
 
 import csv
@@ -29,24 +32,30 @@ def _quoted(text):
     return text
 
 
+def float_columns(columns, rows):
+    return [all(isinstance(row[k], float) for row in rows) for k in range(len(columns))]
+
+
 def oracle_csv(columns, rows):
-    def cell(v):
-        if isinstance(v, float):
+    def cell(v, float_column):
+        if float_column:
             return "inf" if math.isinf(v) else format(v + 0.0, ".17g")  # + 0.0 folds -0.0
         return _quoted(str(v))
 
+    floats = float_columns(columns, rows)
     lines = [",".join(map(_quoted, columns))]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(cell, row, floats)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def oracle_json(columns, rows):
-    def safe(v):
-        if isinstance(v, float):
+    def safe(v, float_column):
+        if float_column:
             return "infinite" if math.isinf(v) else v + 0.0
         return v
 
-    records = [{col: safe(v) for col, v in zip(columns, row)} for row in rows]
+    floats = float_columns(columns, rows)
+    records = [{col: safe(v, f) for col, v, f in zip(columns, row, floats)} for row in rows]
     return json.dumps({"columns": columns, "records": records}, indent=1) + "\n"
 
 
@@ -107,6 +116,28 @@ def test_zero_rows(fmt):
     expected = ORACLES[fmt](columns, []).encode("utf-8")
     assert written(fmt, columns, []) == expected
     assert written(fmt, columns, np.empty((0, 2))) == expected
+
+
+C = cli._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+def test_chunk_boundaries_match_oracle(n_rows, fmt):
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-20, 20, (n_rows, 2))
+    table.reshape(-1)[::7] = np.resize(SPECIAL_FLOATS, table.reshape(-1)[::7].size)
+    columns = ["t", "x"]
+    assert written(fmt, columns, table) == ORACLES[fmt](columns, table.tolist()).encode("utf-8")
+    # list rows whose last column is all floats in the first chunk and holds an int and a
+    # str in later ones: floats there print as text cells, where a per-chunk decision
+    # would print 0.1 as 0.10000000000000001 (CSV) or -0.0 as 0.0 (JSON)
+    mixed = np.resize(SPECIAL_FLOATS, n_rows).tolist()
+    if n_rows > C:
+        mixed[C] = 7
+        mixed[2 * C:] = ["late, text"] * len(mixed[2 * C:])
+    rows = [[*row, m] for row, m in zip(table.tolist(), mixed)]
+    assert written(fmt, columns + ["m"], rows) == ORACLES[fmt](columns + ["m"], rows).encode("utf-8")
 
 
 @settings(max_examples=100, deadline=None)
