@@ -43,7 +43,6 @@ from .markovianity import (
     DivisibilityVerdict,
     DivisibilityWitness,
     QubitState,
-    StatePair,
     blp_numeric,
     cp_divisibility_witness,
     evolved_trace_distance,

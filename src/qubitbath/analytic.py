@@ -244,14 +244,14 @@ def bath_correlation(kappa: float, tau):
     """Two-time correlation of the bath coupling operator: exp(-kappa*tau/2).
 
     Time homogeneous; its decay rate kappa/2 sets the bath memory time.
+    ``kappa`` is checked as :class:`ModelParams` checks it (finite, >= 0,
+    at most MAX_RATE) and ``tau`` as every closed-form time (finite, >= 0,
+    at most MAX_TIME), so kappa*tau stays finite.
     """
-    if kappa < 0:
-        raise ValidationError("kappa must be >= 0")
-    arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValidationError("tau must be finite and >= 0")
+    ModelParams(0.0, kappa)
+    arr, scalar = _check_times(tau, 0.0)
     out = np.exp(-0.5 * kappa * arr)
-    return float(out) if arr.ndim == 0 else out
+    return float(out) if scalar else out
 
 
 def has_information_backflow(params: ModelParams) -> bool:

@@ -330,7 +330,7 @@ def cmd_blp(args: argparse.Namespace) -> int:
                 analytic,
                 result.value,
                 abs(result.value - analytic),
-                result.n_intervals,
+                len(result.segments),
             ]
         )
     write_records(args.out, args.format, BLP_COLUMNS, rows)

@@ -19,8 +19,9 @@ uses two of them inside ``qubitbath verify``.  Each one cross-checks:
   :func:`~qubitbath.markovianity.cp_divisibility_witness` uses;
 * :func:`trace_distance`, :func:`density_matrix` and
   :func:`density_trace_distance`: the Bloch and the eigenvalue trace
-  distance, against each other and against
-  :func:`~qubitbath.markovianity.evolved_trace_distance`;
+  distance of two states, against each other and against
+  :func:`~qubitbath.markovianity.evolved_trace_distance`, which reads only
+  their Bloch difference;
 * :func:`coherence_log_derivative` and :func:`dephasing_rate`: c'/c with
   the decay envelope cancelled, against the fused closed-form kernel and
   against the regime verdict of :func:`~qubitbath.analytic.has_information_backflow`;

@@ -408,11 +408,14 @@ class TestBathCorrelation:
                 evolved = bath_propagator(kappa, tau, sigma_x_coeffs)
                 assert evolved[1] == pytest.approx(bath_correlation(kappa, tau), abs=1e-14)
 
-    def test_validation(self):
+    # rates checked as ModelParams checks them, lags as every closed-form time
+    @pytest.mark.parametrize(
+        "kappa, tau",
+        [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (math.inf, 0.0), (1e76, 1.0), (1.0, math.inf), (1.0, 1e151)],
+    )
+    def test_validation(self, kappa, tau):
         with pytest.raises(ValidationError):
-            bath_correlation(-1.0, 1.0)
-        with pytest.raises(ValidationError):
-            bath_correlation(1.0, -1.0)
+            bath_correlation(kappa, tau)
 
 
 class TestBackflowPredicate:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from qubitbath.errors import SingularMapError, ValidationError
 from qubitbath.lindblad import ModelParams, build_generator
 from qubitbath.markovianity import (
     DivisibilityVerdict,
-    OPTIMAL_PAIR,
     QubitState,
-    StatePair,
     _choi_min_eigenvalue,
     _refine_crossings,
     blp_numeric,
@@ -59,10 +58,6 @@ class TestQubitState:
     def test_density_matrix(self):
         rho = density_matrix(QubitState(0.0, 0.0, 1.0))
         assert np.allclose(rho, np.diag([1.0, 0.0]))
-
-    def test_pair_deltas(self):
-        pair = StatePair(QubitState(0.1, 0.2, 0.3), QubitState(-0.1, 0.0, 0.5))
-        assert (pair.dx, pair.dy, pair.dz) == pytest.approx((0.2, 0.2, -0.2))
 
 
 class TestSystemMap:
@@ -298,21 +293,20 @@ class TestTraceDistance:
 
 class TestEvolvedTraceDistance:
     def test_initial_value(self):
-        pair = StatePair(QubitState(0.5, 0.1, 0.0), QubitState(-0.1, 0.0, 0.3))
-        d0 = evolved_trace_distance(ModelParams(1, 4), pair, 0.0)
-        assert d0 == pytest.approx(trace_distance(pair.first, pair.second), abs=1e-15)
+        first, second = QubitState(0.5, 0.1, 0.0), QubitState(-0.1, 0.0, 0.3)
+        d0 = evolved_trace_distance(ModelParams(1, 4), first, second, 0.0)
+        assert d0 == pytest.approx(trace_distance(first, second), abs=1e-15)
 
     def test_antipodal_z_pair_tracks_coherence(self):
         params = ModelParams(1.0, 4.0)
         for t in (0.0, 0.7, 1.5, 3.0):
-            d = evolved_trace_distance(params, OPTIMAL_PAIR, t)
+            d = evolved_trace_distance(params, QubitState(0.0, 0.0, 1.0), QubitState(0.0, 0.0, -1.0), t)
             assert d == pytest.approx(abs(coherence_factor(params, t)), abs=1e-14)
 
     def test_x_only_pair_is_constant(self):
-        pair = StatePair(QubitState(0.8, 0, 0), QubitState(-0.6, 0, 0))
         params = ModelParams(1.0, 4.0)
         t = np.linspace(0, 10, 50)
-        d = evolved_trace_distance(params, pair, t)
+        d = evolved_trace_distance(params, QubitState(0.8, 0, 0), QubitState(-0.6, 0, 0), t)
         assert np.abs(d - 0.7).max() <= 1e-14
 
     @given(
@@ -323,11 +317,11 @@ class TestEvolvedTraceDistance:
     @settings(max_examples=40)
     def test_matches_mapped_states(self, b1, b2, t):
         params = ModelParams(1.0, 3.0)
-        pair = StatePair(QubitState(*b1), QubitState(*b2))
+        first, second = QubitState(*b1), QubitState(*b2)
         c = coherence_factor(params, t)
-        mapped1 = QubitState(pair.first.x, c * pair.first.y, c * pair.first.z)
-        mapped2 = QubitState(pair.second.x, c * pair.second.y, c * pair.second.z)
-        assert evolved_trace_distance(params, pair, t) == pytest.approx(
+        mapped1 = QubitState(first.x, c * first.y, c * first.z)
+        mapped2 = QubitState(second.x, c * second.y, c * second.z)
+        assert evolved_trace_distance(params, first, second, t) == pytest.approx(
             trace_distance(mapped1, mapped2), abs=1e-12
         )
 
@@ -350,8 +344,8 @@ class TestIncreaseDetection:
     def test_hundreds_of_windows_match_closed_form(self):
         params = ModelParams(1.0, 0.1)
         result = blp_numeric(params, n_pairs=0)
-        assert len(result.segments) == result.n_intervals == 352
-        predicted = increase_intervals(params, result.n_intervals)
+        assert len(result.segments) == 352
+        predicted = increase_intervals(params, len(result.segments))
         assert np.abs(result.segments - predicted).max() <= 1e-8
 
     def test_windows_found_until_c_underflows(self):
@@ -437,9 +431,9 @@ class TestBlpNumeric:
     def test_default_horizon_windows_match_predicted(self):
         params = ModelParams(1.0, 4.0)
         result = blp_numeric(params, n_pairs=8, seed=5)
-        assert not result.divergent
+        assert not math.isinf(result.tail_bound)
         assert result.value == pytest.approx(blp_analytic(params), abs=1e-3)
-        predicted = increase_intervals(params, result.n_intervals)
+        predicted = increase_intervals(params, len(result.segments))
         for (lo, hi), (t_lo, t_hi) in zip(result.segments, predicted):
             assert hi == pytest.approx(t_hi, abs=1e-6)
 
@@ -451,11 +445,11 @@ class TestBlpNumeric:
 
     def test_divergent_case_counts_windows(self):
         result = blp_numeric(ModelParams(1.0, 0.0), horizon=10.0, n_pairs=0)
-        assert result.divergent
-        assert result.n_intervals == 6  # windows end at n*pi/2 <= 10
-        assert result.value == pytest.approx(result.n_intervals, abs=1e-6)
+        assert math.isinf(result.tail_bound)
+        assert len(result.segments) == 6  # windows end at n*pi/2 <= 10
+        assert result.value == pytest.approx(len(result.segments), abs=1e-6)
         # per-window increment is 1 for the optimal pair when kappa = 0
-        assert result.value / result.n_intervals == pytest.approx(1.0, abs=1e-6)
+        assert result.value / len(result.segments) == pytest.approx(1.0, abs=1e-6)
 
     def test_divergent_requires_explicit_horizon(self):
         from qubitbath.errors import DegenerateModelError
@@ -484,12 +478,12 @@ class TestBlpNumeric:
 
         monkeypatch.setattr(markovianity, "coherence_factor", counted)
         result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
-        assert shapes == [(result.n_intervals, 2)]  # c at both edges of every window
+        assert shapes == [(len(result.segments), 2)]  # c at both edges of every window
 
     def test_segments_are_the_read_only_detector_array(self):
         params = ModelParams(1.0, 4.0)
         result = blp_numeric(params, n_pairs=0)
-        assert result.segments.shape == (result.n_intervals, 2)
+        assert result.segments.shape == (len(result.segments), 2)
         assert not result.segments.flags.writeable
         assert np.array_equal(result.segments, detect_increase_segments(params, result.horizon))
 
@@ -499,6 +493,20 @@ class TestBlpNumeric:
         for n_pairs in (-1, 3):
             with pytest.raises(ValidationError, match="n_pairs"):
                 blp_numeric(ModelParams(1.0, 4.0), n_pairs=n_pairs)
+
+    @pytest.mark.usefixtures("alarm")
+    def test_max_pairs_within_time_and_memory(self):
+        # the pairs are one (MAX_PAIRS, 3) array of differences, scored one
+        # (windows, 2) temporary at a time; a (pairs x windows) array or a
+        # state object per draw exceeds this budget
+        tracemalloc.start()
+        try:
+            result = blp_numeric(ModelParams(1, 0.5), n_pairs=markovianity.MAX_PAIRS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.random_values) == markovianity.MAX_PAIRS
+        assert peak <= 2_500_000
 
     def test_deterministic_for_seed(self):
         params = ModelParams(1.0, 5.0)
@@ -542,7 +550,7 @@ class TestBlpNumeric:
         params = ModelParams(1.0, 4.0)
         horizon = increase_intervals(params, 2)[-1, 1] + 0.2
         t = np.linspace(0, horizon, 200001)
-        d = evolved_trace_distance(params, OPTIMAL_PAIR, t)
+        d = evolved_trace_distance(params, QubitState(0.0, 0.0, 1.0), QubitState(0.0, 0.0, -1.0), t)
         rates = np.diff(d) / np.diff(t)
         quadrature = float(np.sum(np.clip(rates, 0, None) * np.diff(t)))
         result = blp_numeric(params, horizon=horizon, n_pairs=0)

@@ -2,10 +2,11 @@
 
 Pins the SHA-256 of what the README commands write, plus the JSON variants
 of ``evolve``, ``contour`` and ``blp`` and an underdamped ``evolve`` whose
-negative and exponent-form values the README commands do not reach.  Two
+negative and exponent-form values the README commands do not reach.  Three
 in-process digests pin the numbers under them: the closed-form kernel
-across the three regimes, and the trace-distance windows that
-``verify``'s criteria_agreement check finds.  A refactor that is meant to leave behaviour
+across the three regimes, the trace-distance windows that
+``verify``'s criteria_agreement check finds, and the random pairs that
+``blp_numeric`` draws for a seed.  A refactor that is meant to leave behaviour
 unchanged must leave every digest unchanged; a deliberate output change
 updates the digest together with a line in CHANGES.md saying why.
 
@@ -112,3 +113,12 @@ def test_criteria_agreement_edges_digest():
             segments = blp_numeric(params, horizon=horizon, n_pairs=0).segments
             digest.update(np.array(segments, dtype=float).tobytes() + b";")
     assert digest.hexdigest() == "74c63d9935b3885a1269444fd0676514ee69a84e934e59e1aa9a406d6cca6a33"
+
+
+def test_random_pair_stream_digest():
+    # which pairs a seed draws, read through their measures as float hex
+    digest = hashlib.sha256()
+    for xi, kappa, horizon, n_pairs, seed in [(1, 4, None, 64, 11), (1, 0, 10.0, 64, 11), (2, 1, None, 16, 0)]:
+        result = blp_numeric(ModelParams(xi, kappa), horizon=horizon, n_pairs=n_pairs, seed=seed)
+        digest.update(" ".join(v.hex() for v in result.random_values).encode())
+    assert digest.hexdigest() == "bdeaca69eb5e25f5f8fb7e440543d144ba2d74a1bafb8d2306edd3da6641f556"
