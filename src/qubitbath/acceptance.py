@@ -32,8 +32,9 @@ from .analytic import (
 from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory, _expm
 from .markovianity import (
     DivisibilityVerdict,
+    _blp_many,
+    _witness_many,
     blp_numeric,
-    cp_divisibility_witness,
     threshold_scan,
 )
 from .operator_space import (
@@ -248,32 +249,28 @@ def _check_blp_closed_form(gap_tol: float, seed: int) -> tuple[bool, str]:
 def _check_criteria_agreement() -> tuple[bool, str]:
     xis = np.linspace(0.25, 2.0, 20)
     fractions = np.linspace(0.0, 1.9, 20)
+    points = [ModelParams(xi, f * 8.0 * xi) for xi in xis.tolist() for f in fractions.tolist()]
+    witnesses = _witness_many(points)
+    conclusive = [(p, w) for p, w in zip(points, witnesses) if w.verdict is not DivisibilityVerdict.INCONCLUSIVE]
+    # the first window decides; the regime, not the rate verdict under test, says so
+    horizons = [1.25 * increase_intervals(p, 1)[0, 1] if classify_regime(p) is Regime.UNDERDAMPED else None for p, _ in conclusive]
+    blp = iter(_blp_many([p for p, _ in conclusive], horizons, n_pairs=0, seed=0))
+    # the closed-form Choi minima against the generic Choi operators, as one stack
+    maps = np.array([intermediate_map(p, *w.worst_interval) for p, w in conclusive]).reshape(-1, 4, 4)
+    generic = iter(choi_min_eigenvalue(maps).tolist())
     disagreements = []
-    for xi in xis.tolist():
-        for f in fractions.tolist():
-            kappa = f * 8.0 * xi
-            params = ModelParams(xi, kappa)
-            markov_rate = not has_information_backflow(params)
-            witness = cp_divisibility_witness(params)
-            if witness.verdict is DivisibilityVerdict.INCONCLUSIVE:
-                disagreements.append((xi, kappa, "inconclusive witness"))
-                continue
-            # the closed-form Choi minimum against the generic Choi operator
-            generic = choi_min_eigenvalue(intermediate_map(params, *witness.worst_interval))
-            if abs(generic - witness.min_choi_eigenvalue) > 1e-12:
-                disagreements.append(
-                    (xi, kappa, f"Choi minimum {witness.min_choi_eigenvalue:.3e}, generic {generic:.3e}")
-                )
-            markov_cp = witness.verdict is DivisibilityVerdict.DIVISIBLE
-            horizon = None
-            if classify_regime(params) is Regime.UNDERDAMPED:
-                # the first window decides; the regime, not the rate verdict under test, says so
-                horizon = 1.25 * increase_intervals(params, 1)[0, 1]
-            markov_blp = blp_numeric(params, horizon=horizon, n_pairs=0).value < 1e-6
-            if not markov_rate == markov_cp == markov_blp:
-                disagreements.append(
-                    (xi, kappa, f"rate={markov_rate} cp={markov_cp} blp={markov_blp}")
-                )
+    for params, witness in zip(points, witnesses):
+        markov_rate = not has_information_backflow(params)
+        if witness.verdict is DivisibilityVerdict.INCONCLUSIVE:
+            disagreements.append((params.xi, params.kappa, "inconclusive witness"))
+            continue
+        minimum = next(generic)
+        if abs(minimum - witness.min_choi_eigenvalue) > 1e-12:
+            disagreements.append((params.xi, params.kappa, f"Choi minimum {witness.min_choi_eigenvalue:.3e}, generic {minimum:.3e}"))
+        markov_cp = witness.verdict is DivisibilityVerdict.DIVISIBLE
+        markov_blp = next(blp).value < 1e-6
+        if not markov_rate == markov_cp == markov_blp:
+            disagreements.append((params.xi, params.kappa, f"rate={markov_rate} cp={markov_cp} blp={markov_blp}"))
     ok = not disagreements
     detail = (
         "all three criteria agree on the 20x20 grid"

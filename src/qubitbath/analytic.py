@@ -12,8 +12,9 @@ All three branches are evaluated through one analytic function of
 s = disc * (t/4)**2 (a sinh-cardinal extended through negative argument),
 which removes the catastrophic cancellation the printed branches suffer
 near the critical boundary and makes c continuous in the parameters.
-One evaluator, :func:`coherence_factor_with_derivative`, gives c and dc/dt
-in a single pass; c, dc/dt and d|c|/dt all read from it.  d|c|/dt is the
+One private evaluator, ``_kernel``, gives c and dc/dt in one pass over
+parameter points broadcast against times; :func:`coherence_factor_with_derivative`
+is its one-point read, and c, dc/dt and d|c|/dt read from that.  d|c|/dt is the
 one increase signal: the trace distance grows exactly where it is positive.
 
 :func:`classify_regime` is the one place the regime is decided, with a
@@ -87,20 +88,22 @@ def classify_regime(params: ModelParams) -> Regime:
     return Regime.OVERDAMPED if k2 > x2 else Regime.UNDERDAMPED
 
 
-def _sinhc_cosh_ext(s: np.ndarray, disc: float) -> tuple[np.ndarray, np.ndarray]:
+def _sinhc_cosh_ext(s: np.ndarray, disc) -> tuple[np.ndarray, np.ndarray]:
     """sinh(sqrt(s))/sqrt(s) and cosh(sqrt(s)), continued through s <= 0 as
     sin(sqrt(-s))/sqrt(-s) and cos(sqrt(-s)); outside the |s| < 1e-6 series
-    band every s = disc*(t/4)**2 has the sign of ``disc``, which picks the branch."""
+    band every s = disc*(t/4)**2 has the sign of its lane's ``disc``, which picks the branch."""
     u = np.abs(s)
     small = u < 1e-6
     series = small.any()
     r = np.sqrt(u)
     if series:
         r[small] = 1.0  # keeps the division finite; the series overwrites it
-    if disc > 0:
-        sinhc, cosh = np.sinh(r) / r, np.cosh(r)
-    else:
-        sinhc, cosh = np.sin(r) / r, np.cos(r)
+    pos = np.greater(disc, 0)
+    if pos.ndim == 0:  # one point, one branch
+        sinhc, cosh = (np.sinh(r) / r, np.cosh(r)) if pos else (np.sin(r) / r, np.cos(r))
+    else:  # sin is finite on every lane, sinh only on the clipped overdamped ones
+        sinhc, cosh, pos = np.sin(r) / r, np.cos(r), np.broadcast_to(pos, s.shape)
+        sinhc[pos], cosh[pos] = np.sinh(r[pos]) / r[pos], np.cosh(r[pos])
     if series:
         u = s[small]
         sinhc[small] = 1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0))
@@ -108,31 +111,33 @@ def _sinhc_cosh_ext(s: np.ndarray, disc: float) -> tuple[np.ndarray, np.ndarray]
     return sinhc, cosh
 
 
-def _check_times(t, disc: float) -> tuple[np.ndarray, bool]:
+def _check_times(t, disc) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     if not np.isfinite(arr).all():
         raise ValidationError("time must be finite")
     if (arr < 0).any():
         raise ValidationError("time must be >= 0")
-    limit = min(MAX_TIME, 4.0 * math.sqrt(_S_MAX / max(abs(disc), 1.0)))
-    if (arr > limit).any():
+    limit = np.minimum(MAX_TIME, 4.0 * np.sqrt(_S_MAX / np.maximum(np.abs(disc), 1.0)))
+    if (arr > limit).any():  # name the limit of a lane that exceeds it
+        limit = np.broadcast_to(limit, arr.shape)[arr > limit].min()
         raise ValidationError(f"time must be <= {limit:.6g}: MAX_TIME = {MAX_TIME:g}, less where disc*(t/4)**2 overflows")
     return arr, arr.ndim == 0
 
 
-def coherence_factor_with_derivative(params: ModelParams, t):
-    """c(t) and dc/dt, from one pass over the time(s) ``t``.
+def _kernel(xi, kappa, t) -> tuple[np.ndarray, np.ndarray]:
+    """c and dc/dt, with ``xi`` and ``kappa`` broadcast against ``t`` (an array of the broadcast shape).
 
     Every regime goes through the sinhc/cosh kernel of s = disc*(t/4)**2:
     c = exp(-kt/4) * (kt/4 * sinhc(s) + cosh(s)) and, in all regimes,
     dc/dt = -4*xi**2 * t * exp(-kt/4) * sinhc(s).  Where s > _BIG_S
     (overdamped, long times) sinh and cosh overflow; the kernel sees s
     clipped to _BIG_S there, and both values are replaced by their forms
-    with the decaying exponentials written out, r = sqrt(disc).
-    """
-    k, x2, disc = params.kappa, params.xi**2, params.discriminant
-    arr, scalar = _check_times(t, disc)
-    arr = np.atleast_1d(arr)
+    with the decaying exponentials written out, r = sqrt(disc).  All of it is
+    decided lane by lane, and float_power is the pow of ModelParams' ``**``,
+    so each lane has the bits of its one-point call."""
+    k, x2 = kappa, np.float_power(xi, 2.0)
+    disc = np.float_power(k, 2.0) - 64.0 * x2
+    arr = np.atleast_1d(_check_times(t, disc)[0])
     s = disc * (arr / 4.0) ** 2
     big = s > _BIG_S
     long_time = big.any()
@@ -143,12 +148,19 @@ def coherence_factor_with_derivative(params: ModelParams, t):
     envelope = np.exp(-kt4)
     c = envelope * (kt4 * sinhc + cosh)
     dc = -4.0 * x2 * arr * envelope * sinhc
-    if long_time:
-        tb, r = arr[big], math.sqrt(disc)
-        grow, decay = np.exp((r - k) * tb / 4.0), np.exp(-(r + k) * tb / 4.0)
-        c[big] = 0.5 * ((1.0 + k / r) * grow + (1.0 - k / r) * decay)
-        dc[big] = -8.0 * x2 / r * (grow - decay)
-    return (float(c[0]), float(dc[0])) if scalar else (c, dc)
+    if long_time:  # one point's parameters stay scalars; batched ones are picked lane by lane
+        tb, kb, x2b, db = (np.broadcast_to(a, s.shape)[big] if np.ndim(a) else a for a in (arr, k, x2, disc))
+        r = np.sqrt(db)
+        grow, decay = np.exp((r - kb) * tb / 4.0), np.exp(-(r + kb) * tb / 4.0)
+        c[big] = 0.5 * ((1.0 + kb / r) * grow + (1.0 - kb / r) * decay)
+        dc[big] = -8.0 * x2b / r * (grow - decay)
+    return c, dc
+
+
+def coherence_factor_with_derivative(params: ModelParams, t):
+    """c(t) and dc/dt at the time(s) ``t``: the one-point read of the kernel."""
+    c, dc = _kernel(params.xi, params.kappa, t)
+    return (float(c[0]), float(dc[0])) if np.ndim(t) == 0 else (c, dc)
 
 
 def coherence_factor(params: ModelParams, t):

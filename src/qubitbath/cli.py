@@ -52,7 +52,7 @@ from .acceptance import ORACLE_TOL, run_acceptance
 from .analytic import abs_coherence_derivative, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
-from .markovianity import blp_numeric, threshold_scan
+from .markovianity import _blp_many, threshold_scan
 from .operator_space import initial_joint_vector
 
 __all__ = ["SUBCOMMANDS", "build_parser", "main", "entry"]
@@ -314,25 +314,19 @@ def cmd_contour(args: argparse.Namespace) -> int:
 
 def cmd_blp(args: argparse.Namespace) -> int:
     lo, hi, steps = _kappa_sweep(args)
+    points = [ModelParams(args.xi, float(kappa)) for kappa in np.linspace(lo, hi, steps)]
+    analytic = [blp_analytic(params) for params in points]
+    # the measure diverges where analytic is inf: those rows report the sentinel, not a horizon artifact;
+    # --t-max 0 (the default) leaves the horizon to blp_numeric
+    finite = [params for params, value in zip(points, analytic) if value != math.inf]
+    results = iter(_blp_many(finite, [args.t_max or None] * len(finite), args.pairs, args.seed) if finite else ())
     rows = []
-    for kappa in np.linspace(lo, hi, steps):
-        params = ModelParams(args.xi, float(kappa))
-        analytic = blp_analytic(params)
-        if analytic == math.inf:
-            # the measure diverges: report the sentinel, not a horizon artifact
-            rows.append([float(kappa), math.inf, math.inf, math.inf, 0])
+    for params, value in zip(points, analytic):
+        if value == math.inf:
+            rows.append([params.kappa, math.inf, math.inf, math.inf, 0])
             continue
-        # --t-max 0 (the default) leaves the horizon to blp_numeric
-        result = blp_numeric(params, horizon=args.t_max or None, n_pairs=args.pairs, seed=args.seed)
-        rows.append(
-            [
-                float(kappa),
-                analytic,
-                result.value,
-                abs(result.value - analytic),
-                len(result.segments),
-            ]
-        )
+        result = next(results)
+        rows.append([params.kappa, value, result.value, abs(result.value - value), len(result.segments)])
     write_records(args.out, args.format, BLP_COLUMNS, rows)
     return EXIT_OK
 

@@ -13,9 +13,9 @@ Two independent witnesses are implemented against the same dynamics:
   the numerically detected windows where it grows, maximized over
   initial pairs.  Under diag(1, 1, c, c) a pair enters only through its
   Bloch difference, and the antipodal y-z pair, with distance |c|, is
-  optimal.  The window edges are the sign changes of d|c|/dt on a
-  uniform grid, all refined together by bisection with one vector kernel
-  call per halving; c is then read once at the edges, for every pair.
+  optimal.  The window edges are the sign changes of d|c|/dt on uniform
+  grids, scanned one kernel call per slice of whole grids and refined by one
+  bisection over every bracket of every point; c is then read once at the edges.
 
 Both flip at the same cooling rate, kappa = 8|xi|, where
 :func:`~qubitbath.analytic.classify_regime` leaves the underdamped regime;
@@ -33,7 +33,7 @@ import numpy as np
 
 from .analytic import (
     Regime,
-    abs_coherence_derivative,
+    _kernel,
     blp_tail_bound,
     classify_regime,
     coherence_factor,
@@ -66,6 +66,9 @@ MAX_SCAN_POINTS = 10_000_000
 #: Most random pairs :func:`blp_numeric` draws and holds (10,000: 0.17-0.20 s and a
 #: 1 MB tracemalloc peak for the 71 windows of xi = 1, kappa = 0.5, on a 2-core x86-64 Xeon).
 MAX_PAIRS = 10_000
+
+# Most grid points one kernel call of the batched scans reads; a longer grid is scanned alone.
+_SLICE_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,33 @@ def _default_witness_horizon(params: ModelParams) -> float:
     return 80.0 / max(params.kappa, 8.0 * abs(params.xi), 1.0)
 
 
+def _witness_many(points) -> list[DivisibilityWitness]:
+    """:func:`cp_divisibility_witness` of every point, one kernel call per slice of their 401-time grids."""
+    horizons = [_default_witness_horizon(params) for params in points]
+    out = []
+    for start, stop in _slices([401] * len(points)):
+        grids = np.array([np.linspace(0.0, horizon, 401) for horizon in horizons[start:stop]])
+        xi, kappa = (np.array([[getattr(p, name)] for p in points[start:stop]]) for name in ("xi", "kappa"))
+        for params, horizon, times, c in zip(points[start:stop], horizons[start:stop], grids, _kernel(xi, kappa, grids)[0]):
+            resolved = np.abs(c) >= MAP_SINGULARITY_TOL
+            valid = resolved[:-1] & resolved[1:]
+            min_eig, worst = math.inf, None
+            if np.any(valid):
+                ratios = np.abs(c[1:][valid] / c[:-1][valid])
+                k = int(np.argmax(ratios))
+                min_eig = float(_choi_min_eigenvalue(ratios[k]))
+                idx = np.flatnonzero(valid)[k]
+                worst = (float(times[idx]), float(times[idx + 1]))
+            if min_eig < -CP_EIGENVALUE_TOL:
+                verdict = DivisibilityVerdict.NON_DIVISIBLE
+            elif classify_regime(params) is Regime.UNDERDAMPED:
+                verdict = DivisibilityVerdict.INCONCLUSIVE
+            else:
+                verdict = DivisibilityVerdict.DIVISIBLE
+            out.append(DivisibilityWitness(verdict, min_eig, worst, len(times) - 1, int((~valid).sum()), float(horizon)))
+    return out
+
+
 def cp_divisibility_witness(params: ModelParams) -> DivisibilityWitness:
     """Scan consecutive sub-interval maps for complete positivity.
 
@@ -129,35 +159,7 @@ def cp_divisibility_witness(params: ModelParams) -> DivisibilityWitness:
     the threshold |c| underflows before the first window), and DIVISIBLE
     elsewhere.
     """
-    horizon = _default_witness_horizon(params)
-    times = np.linspace(0.0, horizon, 401)
-    c = coherence_factor(params, times)
-    valid = (np.abs(c[:-1]) >= MAP_SINGULARITY_TOL) & (
-        np.abs(c[1:]) >= MAP_SINGULARITY_TOL
-    )
-    skipped = int((~valid).sum())
-    min_eig = math.inf
-    worst = None
-    if np.any(valid):
-        ratios = np.abs(c[1:][valid] / c[:-1][valid])
-        k = int(np.argmax(ratios))
-        min_eig = float(_choi_min_eigenvalue(ratios[k]))
-        idx = np.flatnonzero(valid)[k]
-        worst = (float(times[idx]), float(times[idx + 1]))
-    if min_eig < -CP_EIGENVALUE_TOL:
-        verdict = DivisibilityVerdict.NON_DIVISIBLE
-    elif classify_regime(params) is Regime.UNDERDAMPED:
-        verdict = DivisibilityVerdict.INCONCLUSIVE
-    else:
-        verdict = DivisibilityVerdict.DIVISIBLE
-    return DivisibilityWitness(
-        verdict=verdict,
-        min_choi_eigenvalue=min_eig,
-        worst_interval=worst,
-        n_subintervals=len(times) - 1,
-        n_skipped=skipped,
-        horizon=float(horizon),
-    )
+    return _witness_many([params])[0]
 
 
 def _trace_distance(difference, c):
@@ -205,14 +207,72 @@ def _bisect(lo, hi, width: float, upper) -> np.ndarray:
         lo[active[~up]] = mid[~up]
 
 
-def _refine_crossings(params: ModelParams, lo, hi, rising) -> np.ndarray:
-    """Bisect every bracketed sign change of the increase signal to 1e-10.
+def _slices(sizes):
+    """(start, stop) runs of consecutive items whose sizes sum to at most _SLICE_POINTS, or one larger item."""
+    start = total = 0
+    for k, size in enumerate(sizes):
+        if total + size > _SLICE_POINTS and k > start:
+            yield start, k
+            start, total = k, 0
+        total += size
+    if sizes:
+        yield start, len(sizes)
 
-    ``rising[k]`` says whether the signal is positive at ``hi[k]``.  Each
-    halving evaluates the signal once, as a vector, on the midpoints of the
-    brackets still open.
-    """
-    return _bisect(lo, hi, 1e-10, lambda k, mid: (abs_coherence_derivative(params, mid) > 0) == rising[k])
+
+def _increasing(xi, kappa, t) -> np.ndarray:
+    """Where d|c|/dt = sign(c) * dc/dt, the one increase signal, is positive."""
+    c, dc = _kernel(xi, kappa, t)
+    return np.sign(c) * dc > 0
+
+
+def _refine_crossings(xi, kappa, lo, hi, rising) -> np.ndarray:
+    """Bisect the sign change bracketed by [lo[k], hi[k]] of point (xi[k], kappa[k]) to 1e-10, every k
+    at once; ``rising[k]`` says whether the signal is positive at ``hi[k]``."""
+    return _bisect(lo, hi, 1e-10, lambda k, mid: _increasing(xi[k], kappa[k], mid) == rising[k])
+
+
+def _detect_many(points, horizons) -> list[np.ndarray]:
+    """:func:`detect_increase_segments` of every (point, horizon) pair; all horizons are checked
+    before any grid is built, and one bisection refines the brackets of every slice."""
+    sizes = []
+    for params, horizon in zip(points, horizons):
+        if horizon <= 0:
+            raise ValidationError("horizon must be positive")
+        disc = params.discriminant  # 200 points per oscillation period, at most 0.01 apart
+        step = min(0.01, 8.0 * math.pi / math.sqrt(-disc) / 200.0) if disc < 0 else 0.01
+        span = horizon / step  # inf for an infinite horizon, or one beyond the float range
+        if not span <= MAX_SCAN_POINTS - 1:  # ceil(span) + 1 points; also refuses nan
+            raise ValidationError(
+                f"scanning the trace distance up to t = {horizon:.6g} takes {span + 1:.3g} grid points, "
+                f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
+                "blp_tail_bound for the tail beyond a shorter horizon"
+            )
+        sizes.append(math.ceil(span) + 1)
+    xis, kappas = (np.array([getattr(p, name) for p in points]) for name in ("xi", "kappa"))
+    found = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))]
+    for start, stop in _slices(sizes):
+        counts = sizes[start:stop]
+        times = np.concatenate([np.linspace(0.0, h, n) for h, n in zip(horizons[start:stop], counts)])
+        # a grid alone is read with its point's scalars, as one point is: no grid-length copies
+        xi, kappa = (a[start] if stop - start == 1 else np.repeat(a[start:stop], counts) for a in (xis, kappas))
+        positive = _increasing(xi, kappa, times)
+        change = positive[1:] != positive[:-1]
+        ends = np.cumsum(counts)[:-1]
+        change[ends - 1] = False  # from the last point of one grid to the first of the next
+        idx = np.flatnonzero(change)
+        found.append((times[idx], times[idx + 1], positive[idx + 1], start + np.searchsorted(ends, idx, "right")))
+    lo, hi, rising, owner = (np.concatenate(column) for column in zip(*found))
+    edges = _refine_crossings(xis[owner], kappas[owner], lo, hi, rising)
+    bounds = np.searchsorted(owner, np.arange(1, len(points)))
+    out = []
+    for horizon, e, r in zip(horizons, np.split(edges, bounds), np.split(rising, bounds)):
+        # sign changes alternate: drop a leading fall, close a trailing rise
+        if e.size and not r[0]:
+            e = e[1:]
+        if e.size % 2:
+            e = np.append(e, horizon)
+        out.append(e.reshape(-1, 2))
+    return out
 
 
 def detect_increase_segments(params: ModelParams, horizon: float) -> np.ndarray:
@@ -220,36 +280,12 @@ def detect_increase_segments(params: ModelParams, horizon: float) -> np.ndarray:
 
     An (n, 2) array of (t_lo, t_hi) rows, as :func:`increase_intervals`
     gives them in closed form.  Sign changes of d|c|/dt are located on a
-    uniform grid (200 points per oscillation period) and all refined
-    together by bisection, one vector kernel call per halving; windows are
-    found until c underflows to 0.  A grid of more than
-    :data:`MAX_SCAN_POINTS` points is refused before it is built.
-    """
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    disc = params.discriminant
-    step = 0.01
-    if disc < 0:
-        period = 8.0 * math.pi / math.sqrt(-disc)
-        step = min(step, period / 200.0)
-    span = horizon / step  # inf for an infinite horizon, or one beyond the float range
-    if not span <= MAX_SCAN_POINTS - 1:  # ceil(span) + 1 points; also refuses nan
-        raise ValidationError(
-            f"scanning the trace distance up to t = {horizon:.6g} takes {span + 1:.3g} grid points, "
-            f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
-            "blp_tail_bound for the tail beyond a shorter horizon"
-        )
-    times = np.linspace(0.0, horizon, math.ceil(span) + 1)
-    positive = abs_coherence_derivative(params, times) > 0
-    idx = np.flatnonzero(positive[1:] != positive[:-1])
-    rising = positive[idx + 1]
-    edges = _refine_crossings(params, times[idx], times[idx + 1], rising)
-    # sign changes alternate: drop a leading fall, close a trailing rise
-    if edges.size and not rising[0]:
-        edges = edges[1:]
-    if edges.size % 2:
-        edges = np.append(edges, horizon)
-    return edges.reshape(-1, 2)
+    uniform grid (200 points per oscillation period) and refined by
+    bisection; windows are found until c underflows to 0.  A grid of more
+    than :data:`MAX_SCAN_POINTS` points is refused before it is built.  Its
+    batched form makes one kernel call per slice of whole grids and one per
+    halving for every bracket of every point."""
+    return _detect_many([params], [horizon])[0]
 
 
 def _random_differences(seed: int, n: int) -> np.ndarray:
@@ -287,6 +323,31 @@ class BlpResult:
     horizon: float
 
 
+def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
+    """:func:`blp_numeric` of every (point, horizon) pair: one batched detection, one kernel call
+    for the window edges of all points and one draw of the pairs; each point sums its own arrays."""
+    if not 0 <= n_pairs <= MAX_PAIRS:
+        raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
+    horizons = [h if h is not None else default_blp_horizon(p)[0] if classify_regime(p) is Regime.UNDERDAMPED
+                else _default_witness_horizon(p) for p, h in zip(points, horizons)]
+    all_segments = _detect_many(points, horizons)
+    counts = [len(segments) for segments in all_segments]
+    xi, kappa = (np.repeat([getattr(p, name) for p in points], counts)[:, None] for name in ("xi", "kappa"))
+    # c at each window's (t_lo, t_hi), one row per window, shared by every pair
+    c_all = _kernel(xi, kappa, np.concatenate([np.empty((0, 2)), *all_segments]))[0]
+    differences = _random_differences(seed, n_pairs)
+    out = []
+    for params, horizon, segments, c_edges in zip(points, horizons, all_segments, np.split(c_all, np.cumsum(counts)[:-1])):
+        segments.flags.writeable = False
+        optimal = float(np.diff(np.abs(c_edges)).sum())
+        # one (n_windows, 2) temporary per pair: a (pairs x windows) array would
+        # reach 16 GB at MAX_PAIRS with the windows of a MAX_SCAN_POINTS scan
+        random_values = tuple(float(np.diff(_trace_distance(d, c_edges)).sum()) for d in differences)
+        tail_bound = blp_tail_bound(params, len(segments))
+        out.append(BlpResult(max((optimal, *random_values)), random_values, segments, tail_bound, float(horizon)))
+    return out
+
+
 def blp_numeric(
     params: ModelParams,
     horizon: float | None = None,
@@ -309,31 +370,7 @@ def blp_numeric(
     Where the measure diverges (kappa = 0) an explicit horizon is required
     and the tail bound is infinite.
     """
-    if not 0 <= n_pairs <= MAX_PAIRS:
-        raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
-    if horizon is None:
-        if classify_regime(params) is Regime.UNDERDAMPED:
-            horizon, _ = default_blp_horizon(params)
-        else:
-            horizon = _default_witness_horizon(params)
-    segments = detect_increase_segments(params, horizon)
-    segments.flags.writeable = False
-    # c at each window's (t_lo, t_hi), one row per window, shared by every pair
-    c_edges = coherence_factor(params, segments)
-    optimal = float(np.diff(np.abs(c_edges)).sum())
-    # one (n_windows, 2) temporary per pair: a (pairs x windows) array would
-    # reach 16 GB at MAX_PAIRS with the windows of a MAX_SCAN_POINTS scan
-    random_values = tuple(
-        float(np.diff(_trace_distance(difference, c_edges)).sum())
-        for difference in _random_differences(seed, n_pairs)
-    )
-    return BlpResult(
-        value=max((optimal, *random_values)),
-        random_values=random_values,
-        segments=segments,
-        tail_bound=blp_tail_bound(params, len(segments)),
-        horizon=float(horizon),
-    )
+    return _blp_many([params], [horizon], n_pairs, seed)[0]
 
 
 def threshold_scan(

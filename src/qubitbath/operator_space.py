@@ -70,8 +70,8 @@ def coherence4(op: np.ndarray) -> np.ndarray:
 
 
 def from_coherence4(coeffs: np.ndarray) -> np.ndarray:
-    """Assemble the 2x2 operator from (possibly complex) coefficients."""
-    return np.tensordot(np.asarray(coeffs), PAULIS, axes=(0, 0))
+    """Assemble the 2x2 operator from (possibly complex) coefficients on the last axis."""
+    return np.tensordot(np.asarray(coeffs), PAULIS, axes=(-1, 0))
 
 
 def vectorize2q(rho: np.ndarray) -> np.ndarray:

@@ -212,22 +212,31 @@ def choi_matrix(ptm: np.ndarray) -> np.ndarray:
 
     Built from the map's action on the full operator basis |i><j|:
     C = (1/2) sum_ij map(|i><j|) (x) |i><j|.  Positive semidefinite iff the
-    map is completely positive.
+    map is completely positive.  A stack of n maps, shape (n, 4, 4), gives
+    the stack of their Choi operators.
     """
-    ptm = np.asarray(ptm, dtype=float)
-    if ptm.shape != (4, 4):
-        raise ValidationError("transfer matrix must be 4x4")
-    if np.abs(ptm[0] - np.array([1.0, 0, 0, 0])).max() > 1e-9:
+    try:
+        ptm = np.asarray(ptm, dtype=float)
+    except ValueError:  # a ragged stack
+        raise ValidationError("transfer matrices must all be 4x4") from None
+    if ptm.ndim not in (2, 3) or ptm.shape[-2:] != (4, 4):
+        raise ValidationError("transfer matrix must be 4x4, or a stack of 4x4 matrices")
+    if np.any(np.abs(ptm[..., 0, :] - np.array([1.0, 0, 0, 0])) > 1e-9):
         raise ValidationError("transfer matrix is not trace preserving")
-    c = np.zeros((4, 4), dtype=complex)
+    c = np.zeros(ptm.shape, dtype=complex)
     for unit in _BASIS_UNITS:
         c += 0.5 * np.kron(from_coherence4(ptm @ coherence4(unit)), unit)
     return c
 
 
-def choi_min_eigenvalue(ptm: np.ndarray) -> float:
-    """Smallest eigenvalue of the map's Choi operator (>= 0 iff CP)."""
-    return float(np.linalg.eigvalsh(choi_matrix(ptm))[0])
+def choi_min_eigenvalue(ptm: np.ndarray):
+    """Smallest eigenvalue of the map's Choi operator (>= 0 iff CP).
+
+    A float for one map; for a stack of maps, one ``eigvalsh`` over the
+    stack gives the array of their minima.
+    """
+    low = np.linalg.eigvalsh(choi_matrix(ptm))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def trace_distance(a: QubitState, b: QubitState) -> float:

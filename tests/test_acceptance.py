@@ -6,10 +6,12 @@ scope and asserts every one of them, so `pytest tests/test_acceptance.py -s`
 prints the per-criterion summary table.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qubitbath import acceptance
+from qubitbath import acceptance, markovianity
 from qubitbath.acceptance import ALL_CHECK_NAMES, run_acceptance
 from qubitbath.lindblad import ModelParams, build_generator
 
@@ -106,3 +108,27 @@ def test_wrong_rate_verdict_at_an_overdamped_point_is_reported(monkeypatch):
     monkeypatch.setattr(acceptance, "has_information_backflow", lambda p: backflow(p) != (p == flipped))
     result = acceptance._check_criteria_agreement()
     assert result.detail == "1 disagreements, first: (0.25, 3.8, 'rate=False cp=True blp=True')"
+
+
+def test_criteria_agreement_scans_in_batches(monkeypatch):
+    # one point at a time, markovianity made 6,600 kernel passes here (5,800
+    # detection, 400 edge and 400 witness); batched it makes about 80
+    passes = []
+    kernel = markovianity._kernel
+    monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: passes.append(np.size(t)) or kernel(xi, kappa, t))
+    assert acceptance._check_criteria_agreement().passed
+    assert len(passes) <= 100
+    assert max(passes) <= markovianity._SLICE_POINTS
+
+
+def test_criteria_agreement_memory():
+    # grids are built one slice at a time: holding every grid alive peaked at 3.2 MB
+    acceptance._check_criteria_agreement()
+    tracemalloc.start()
+    try:
+        result = acceptance._check_criteria_agreement()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 2_000_000

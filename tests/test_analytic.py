@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitbath.analytic import (
+    _BIG_S,
     MAX_TIME,
+    REGIME_TOL,
     Regime,
+    _kernel,
     abs_coherence_derivative,
     bath_correlation,
     blp_analytic,
@@ -165,6 +168,63 @@ class TestCoherenceFactor:
             coherence_factor(ModelParams(1, 1), -0.1)
         with pytest.raises(ValidationError):
             coherence_factor(ModelParams(1, 1), math.nan)
+
+
+@st.composite
+def kernel_lane(draw):
+    """One (xi, kappa, t) lane of a batch, from one of the kernel's branches."""
+    xi = draw(wide_xi)
+    branch = draw(st.sampled_from(["underdamped", "threshold", "overdamped", "xi0", "kappa0"]))
+    if branch == "underdamped":
+        kappa = 8.0 * abs(xi) * draw(st.floats(0.0, 0.99))
+    elif branch == "threshold":  # kappa = 8|xi|(1 +- 1e-9), inside the REGIME_TOL band
+        kappa = 8.0 * abs(xi) * (1.0 + draw(st.sampled_from([-1e-9, 0.0, 1e-9])))
+    elif branch == "overdamped":
+        kappa = 8.0 * abs(xi) * draw(st.floats(1.01, 1e3))
+    elif branch == "xi0":
+        xi, kappa = 0.0, draw(wide_kappa)
+    else:
+        kappa = 0.0
+    disc = abs(ModelParams(xi, kappa).discriminant)
+    # t in units of 4/sqrt(|disc|), so that |s| = f**2: the series band is f < 1e-3
+    # and the overdamped lanes pass _BIG_S (s > 900) where f > 30
+    unit = 4.0 / math.sqrt(disc) if disc else 1.0
+    f = draw(st.one_of(st.just(0.0), st.floats(0.0, 9.9e-4), st.floats(0.0, 200.0)))
+    return xi, kappa, f * unit
+
+
+class TestBatchedKernel:
+    @given(st.lists(kernel_lane(), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_every_lane_equals_the_one_point_call(self, lanes):
+        assert 1e-9 < REGIME_TOL and _BIG_S == 900.0  # the bands the strategy draws across
+        xi, kappa, t = (np.array(column) for column in zip(*lanes))
+        c, dc = _kernel(xi, kappa, t)
+        for k, (x, kap, time) in enumerate(lanes):
+            one = coherence_factor_with_derivative(ModelParams(x, kap), time)
+            assert (c[k].hex(), dc[k].hex()) == (one[0].hex(), one[1].hex()), (x, kap, time)
+
+    def test_points_broadcast_against_rows_of_times(self):
+        xi, kappa = np.array([[1.0], [1.0], [0.5]]), np.array([[4.0], [12.0], [0.0]])
+        times = np.array([np.linspace(0.0, h, 7) for h in (3.0, 60.0, 5.0)])
+        c, dc = _kernel(xi, kappa, times)
+        for row, x, kap, t in zip(range(3), xi[:, 0], kappa[:, 0], times):
+            one = coherence_factor_with_derivative(ModelParams(x, kap), t)
+            assert c[row].tobytes() == one[0].tobytes() and dc[row].tobytes() == one[1].tobytes()
+
+    def test_squares_round_as_model_params_does(self):
+        # here xi**2 (C pow) and xi*xi differ in the last bit, and so do c and dc
+        # at t = 0.1; the pinned values are those of the unbatched kernel
+        xi = float.fromhex("0x1.28374a9a927ffp+1")
+        assert xi**2 != xi * xi
+        c, dc = coherence_factor_with_derivative(ModelParams(xi, 4.0 * xi), 0.1)
+        assert (c.hex(), dc.hex()) == ("0x1.d1897cd807b58p-1", "-0x1.a78bddda053dfp+0")
+
+    def test_time_limit_is_per_lane(self):
+        xi = np.array([1.0, 1e30])  # |disc| 64 and 6.4e61: limits MAX_TIME and about 1e123
+        _kernel(xi, np.zeros(2), np.array([1e140, 1e120]))
+        with pytest.raises(ValidationError, match="time must be <= "):
+            _kernel(xi, np.zeros(2), np.array([1e120, 1e140]))
 
 
 class TestDerivative:

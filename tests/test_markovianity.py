@@ -165,6 +165,24 @@ class TestChoi:
         assert closed == pytest.approx(generic, abs=1e-12)
 
 
+    def test_stacked_minima_equal_the_per_map_minima(self):
+        params = ModelParams(1.0, 4.0)
+        maps = np.array([intermediate_map(params, s, s + 0.37) for s in np.linspace(0.0, 3.0, 9)] + [np.eye(4)])
+        stacked = choi_min_eigenvalue(maps)
+        assert stacked.shape == (10,)
+        assert [v.hex() for v in stacked.tolist()] == [choi_min_eigenvalue(m).hex() for m in maps]
+        assert isinstance(choi_min_eigenvalue(maps[0]), float)
+
+    def test_stack_rejects_a_bad_map(self):
+        bad = np.eye(4)
+        bad[0, 1] = 0.2
+        with pytest.raises(ValidationError, match="trace preserving"):
+            choi_min_eigenvalue(np.array([np.eye(4), bad, np.eye(4)]))
+        for wrong in ([np.eye(4), np.eye(3)], np.ones((3, 4, 3)), np.ones((2, 2, 4, 4))):
+            with pytest.raises(ValidationError, match="4x4"):
+                choi_min_eigenvalue(wrong)
+
+
 class TestDivisibilityWitness:
     def test_markovian_point(self):
         witness = cp_divisibility_witness(ModelParams(1.0, 10.0))
@@ -383,7 +401,8 @@ class TestRefineCrossing:
 
     @staticmethod
     def refine(params, lo, hi, rising):
-        return _refine_crossings(params, np.array(lo), np.array(hi), np.array(rising))
+        n = len(lo)
+        return _refine_crossings(np.full(n, params.xi), np.full(n, params.kappa), np.array(lo), np.array(hi), np.array(rising))
 
     def test_terminates_below_ulp_resolution(self):
         (t,) = self.refine(ModelParams(1.0, 4.0), [900000.1], [900000.11], [True])
@@ -402,8 +421,8 @@ class TestRefineCrossing:
         near = increase_intervals(params, 1)[0, 0]
         far = _far_zero(params, 9e5)
         sizes = []
-        kernel = markovianity.abs_coherence_derivative
-        monkeypatch.setattr(markovianity, "abs_coherence_derivative", lambda p, t: sizes.append(t.size) or kernel(p, t))
+        kernel = markovianity._kernel
+        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: sizes.append(t.size) or kernel(xi, kappa, t))
 
         def refine_counted(lo, hi):
             sizes.clear()
@@ -470,15 +489,16 @@ class TestBlpNumeric:
 
     def test_reads_the_kernel_once_for_all_pairs(self, monkeypatch):
         shapes = []
-        kernel = markovianity.coherence_factor
+        kernel = markovianity._kernel
 
-        def counted(params, t):
+        def counted(xi, kappa, t):
             shapes.append(np.shape(t))
-            return kernel(params, t)
+            return kernel(xi, kappa, t)
 
-        monkeypatch.setattr(markovianity, "coherence_factor", counted)
+        monkeypatch.setattr(markovianity, "_kernel", counted)
         result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
-        assert shapes == [(len(result.segments), 2)]  # c at both edges of every window
+        # the detector's calls read 1-d grids and midpoints; c at both edges of every window is one call
+        assert [s for s in shapes if len(s) != 1] == [(len(result.segments), 2)]
 
     def test_segments_are_the_read_only_detector_array(self):
         params = ModelParams(1.0, 4.0)
@@ -555,6 +575,86 @@ class TestBlpNumeric:
         quadrature = float(np.sum(np.clip(rates, 0, None) * np.diff(t)))
         result = blp_numeric(params, horizon=horizon, n_pairs=0)
         assert result.value == pytest.approx(quadrature, abs=1e-4)
+
+
+def _hex(arrays):
+    return [[v.hex() for v in np.ravel(a).tolist()] for a in arrays]
+
+
+class TestBatchedScans:
+    """The batched scans against their one-point calls, bit for bit."""
+
+    @staticmethod
+    def same_detection(points, horizons):
+        batched = markovianity._detect_many(points, horizons)
+        single = [detect_increase_segments(p, h) for p, h in zip(points, horizons)]
+        assert [s.shape for s in batched] == [s.shape for s in single]
+        assert _hex(batched) == _hex(single)
+        return batched
+
+    def test_explicit_cases(self):
+        trailing = ModelParams(1.0, 4.0)
+        t_lo, t_hi = increase_intervals(trailing, 2)[1]
+        cases = [
+            (ModelParams(1.0, 12.0), 5.0),  # overdamped: no crossing
+            (ModelParams(1.0, 0.0), 10.0),  # kappa = 0 with an explicit horizon
+            (trailing, 0.5 * (t_lo + t_hi)),  # a rise closed at the horizon
+            (ModelParams(0.5, 1.0), 120.0),  # 12,001 points: longer than one slice, scanned alone
+            (ModelParams(2.0, 3.0), 15.0),
+        ]
+        batched = self.same_detection(*zip(*cases))
+        assert batched[0].shape == (0, 2) and len(batched[1]) == 6
+        assert batched[2][-1, 1] == cases[2][1]
+        assert markovianity._SLICE_POINTS < 12_001
+
+    def test_grids_straddling_a_slice_boundary(self, monkeypatch):
+        # four grids of 3,001 points: whole grids go two to a slice, none is split
+        points = [ModelParams(1.0, kappa) for kappa in (1.0, 2.0, 4.0, 6.0)]
+        horizons = [30.0] * 4
+        sizes = []
+        kernel = markovianity._kernel
+        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: sizes.append(t.size) or kernel(xi, kappa, t))
+        self.same_detection(points, horizons)
+        assert sizes[:2] == [6002, 6002]  # the two slice scans of the batched call
+
+    def test_leading_fall_is_dropped(self, monkeypatch):
+        # the real signal is 0 at t = 0; a stand-in kernel whose signal is
+        # cos(xi*t) starts positive, so the first sign change is a fall
+        def cosine(xi, kappa, t):
+            return np.ones(np.shape(t)), np.cos(np.multiply(xi, t)) + 0.0 * kappa
+
+        monkeypatch.setattr(markovianity, "_kernel", cosine)
+        points = [ModelParams(1.0, 12.0), ModelParams(2.0, 20.0)]
+        batched = self.same_detection(points, [10.0, 10.0])
+        assert batched[0][0, 0] == pytest.approx(1.5 * math.pi, abs=1e-9)
+        assert batched[1][0, 0] == pytest.approx(0.75 * math.pi, abs=1e-9)
+
+    def test_over_limit_horizon_is_refused_before_any_grid(self):
+        # 1,000,001 points (8 MB per float array) twice, then a horizon over MAX_SCAN_POINTS
+        points = [ModelParams(1.0, 9.0)] * 3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="over the limit"):
+                markovianity._detect_many(points, [10_000.0, 10_000.0, 1e6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_blp_many_equals_blp_numeric_on_the_readme_sweep(self):
+        points = [ModelParams(1.0, float(kappa)) for kappa in np.linspace(0.0, 8.0, 17)]
+        horizons = [10.0] + [None] * 16  # kappa = 0 diverges and needs one
+        batched = markovianity._blp_many(points, horizons, 16, 0)
+        for params, horizon, result in zip(points, horizons, batched):
+            single = blp_numeric(params, horizon=horizon, n_pairs=16, seed=0)
+            for name in ("value", "tail_bound", "horizon"):
+                assert getattr(result, name).hex() == getattr(single, name).hex()
+            assert _hex([result.random_values, result.segments]) == _hex([single.random_values, single.segments])
+            assert not result.segments.flags.writeable
+
+    def test_witness_many_equals_the_one_point_witness(self):
+        points = [ModelParams(xi, f * 8.0 * xi) for xi in (0.25, 1.3) for f in np.linspace(0.0, 1.9, 20).tolist()]
+        assert markovianity._witness_many(points) == [cp_divisibility_witness(p) for p in points]
 
 
 class TestAssess:
