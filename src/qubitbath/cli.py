@@ -23,10 +23,11 @@ flag a subcommand does not read is a validation error there.
 
 Outputs are deterministic for a fixed configuration and seed: CSV with LF
 line endings and 17 significant digits, or JSON with a ``records`` list.
-Both are printed by row templates built once per column layout, and
-formatted and written in fixed chunks of rows; the JSON is byte-identical to
-``json.dumps(..., indent=1)``.  A CSV text cell that
-holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
+Both are formatted and written in fixed chunks of rows: in each chunk a
+float column prints each of its distinct values once, and the chunk's text
+is one join of its cells with the fixed separators, keys and row joiners;
+the JSON is byte-identical to ``json.dumps(..., indent=1)``.  A CSV text
+cell that holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
 value is written as the token ``inf`` in CSV and the string ``"infinite"``
 in JSON.  ``evolve`` and ``contour`` write the times k*dt up to --t-max
 (the single time 0 where --t-max < --dt, --t-max 0 included), and ``evolve``
@@ -160,28 +161,48 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _cells(values, float_column: bool, fmt: str) -> list:
+def _cells(values, float_column: bool, fmt: str):
     """The printed cells of one column's values in one chunk of rows.
 
-    A float column is folded in numpy: -0.0 becomes 0.0 and +-inf the
-    infinity token.  Its cells are Python floats, printed by '%.17g' in CSV
-    and by '%s' (float.__repr__, as json's encoder does) in JSON.  Other
-    cells are rendered one by one: str() with quoting in CSV, json.dumps()
-    in JSON.
+    A float column is folded in numpy (-0.0 becomes 0.0, and in CSV -inf
+    becomes inf) before it is deduplicated, so each distinct folded value is
+    printed once: by '%.17g' in CSV, by float.__repr__ (as json's encoder
+    does) in JSON, with the infinity token and NaN there.  An object-array
+    take maps the printed values back to the rows.  Other cells are rendered
+    one by one: str() with quoting in CSV, json.dumps() in JSON.
     """
     if float_column:
         folded = np.asarray(values, dtype=float) + 0.0
-        infinite = np.isinf(folded)
         if fmt == "csv":
-            folded[infinite] = np.inf  # '%.17g' % inf is the token "inf"
-            return folded.tolist()
-        cells = folded.tolist()
-        for k in np.flatnonzero(~np.isfinite(folded)).tolist():
-            cells[k] = _INF_JSON if infinite[k] else "NaN"
-        return cells
+            folded[np.isinf(folded)] = np.inf  # '%.17g' % inf is the token "inf"
+        distinct, where = np.unique(folded, return_inverse=True)
+        if fmt == "csv":
+            printed = list(map("%.17g".__mod__, distinct.tolist()))
+        else:
+            printed = list(map(float.__repr__, distinct.tolist()))
+            for k in np.flatnonzero(~np.isfinite(distinct)).tolist():
+                printed[k] = _INF_JSON if np.isinf(distinct[k]) else "NaN"
+        return np.array(printed, dtype=object)[where]
     if fmt == "csv":
         return [_csv_text(str(v)) for v in values]
     return [json.dumps(v) for v in values]
+
+
+def _chunk_text(chunk, floats: list[bool], fmt: str, glue: list[str], first: str | None) -> str:
+    """One chunk's text: one join over a grid of ``glue[k]`` before the cells of column k.
+
+    ``first``, where given, replaces the glue before the first cell: the
+    table's first row has no row before it.
+    """
+    grid = np.empty((len(chunk), 2 * len(floats)), dtype=object)
+    grid[:, 0::2] = glue
+    for k, (values, is_float) in enumerate(zip(chunk.T if isinstance(chunk, np.ndarray) else zip(*chunk), floats)):
+        grid[:, 2 * k + 1] = _cells(values, is_float, fmt)
+    if first is not None:
+        grid[0, 0] = first
+    parts = grid.ravel().tolist()
+    del grid  # freed before the join allocates the text
+    return "".join(parts)
 
 
 def _pieces(fmt: str, columns: list[str], rows: np.ndarray | list[list]):
@@ -189,39 +210,43 @@ def _pieces(fmt: str, columns: list[str], rows: np.ndarray | list[list]):
 
     Whether a column prints as floats (every cell of a float ndarray, or a
     float in every row) is decided once over the whole column, so a chunk
-    boundary cannot change how a cell is printed.
+    boundary cannot change how a cell is printed.  A chunk's text is one
+    join over an object grid that interleaves its cell columns with the
+    fixed glue of a row: the separators and JSON keys, and before the first
+    cell of every row but the table's first, the end of the row before and
+    the row joiner.
     """
     array = isinstance(rows, np.ndarray)
     floats = [array or all(isinstance(row[k], float) for row in rows) for k in range(len(columns))]
-    specs = ["%.17g" if is_float and fmt == "csv" else "%s" for is_float in floats]
     if fmt == "csv":
-        template, joiner = ",".join(specs), "\n"
+        start, seps, end, joiner = "", [","] * (len(columns) - 1), "", "\n"
         head, tail = ",".join(map(_csv_text, columns)) + "\n", "\n"
     else:
-        keys = (json.dumps(col).replace("%", "%%") for col in columns)
-        template = "  {\n" + ",\n".join(f"   {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
-        joiner = ",\n"
+        keys = [json.dumps(col) for col in columns]
+        start, seps, end, joiner = f"  {{\n   {keys[0]}: ", [f",\n   {key}: " for key in keys[1:]], "\n  }", ",\n"
         head, tail = json.dumps({"columns": columns, "records": []}, indent=1) + "\n", ""
         if len(rows):  # open the empty records list up as indent=1 does a full one
             head, tail = head.removesuffix("[]\n}\n") + "[\n", "\n ]\n}\n"
+    glue = [end + joiner + start, *seps]
     yield head
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        cells = [_cells(values, is_float, fmt) for values, is_float in zip(chunk.T if array else zip(*chunk), floats)]
-        # the joiner also stands between two chunks, so the text is that of one join over all rows
-        yield (joiner if start else "") + joiner.join(map(template.__mod__, zip(*cells)))
+    for begin in range(0, len(rows), _CHUNK_ROWS):
+        # built in a call, so no chunk's cells stay referenced here while the next is built
+        yield _chunk_text(rows[begin:begin + _CHUNK_ROWS], floats, fmt, glue, None if begin else start)
     if len(rows):
-        yield tail
+        yield end + tail
 
 
 def write_records(path: str | None, fmt: str, columns: list[str], rows: np.ndarray | list[list]):
     """Serialize a table to CSV (LF, UTF-8, 17 significant digits) or JSON.
 
-    ``rows`` is a 2-D float ndarray or a list of rows, one cell per column.
-    Each row is printed by one ``%`` of a template built once per column
-    layout; the JSON one reproduces ``json.dumps(..., indent=1)`` exactly.
-    The text is formatted and written :data:`_CHUNK_ROWS` rows at a time,
-    so its memory is bounded by the chunk, not by the table.
+    ``rows`` is a 2-D float ndarray or a list of rows, one cell per column;
+    both go through the same route.  The text is formatted and written
+    :data:`_CHUNK_ROWS` rows at a time, so its memory is bounded by the
+    chunk, not by the table.  In a chunk, each float column prints each
+    distinct value once (:func:`_cells`), and the chunk's text is one join
+    over a grid of its cells and the fixed glue between them
+    (:func:`_chunk_text`); the JSON reproduces ``json.dumps(..., indent=1)``
+    exactly.
     """
     pieces = _pieces(fmt, columns, rows)
     if path is None:

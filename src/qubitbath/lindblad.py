@@ -41,14 +41,24 @@ __all__ = [
 #: does xi**2 * t in the closed forms for every t up to ``analytic.MAX_TIME``.
 MAX_RATE = 1e75
 
+#: Smallest nonzero |xi| accepted.  At |xi| >= 1e-150, xi**2 >= 1e-300 and
+#: 64*xi**2 are normal floats, and so is the critical band REGIME_TOL*64*xi**2
+#: (>= 6.4e-307 against the smallest normal 2.2e-308), so the regime and the
+#: closed forms keep depending on kappa/|xi| alone.  Below about 1.5e-154
+#: xi**2 is subnormal and loses digits, and below about 1.5e-162 it is 0.
+#: kappa has no lower bound: a tiny kappa only rounds kappa**2 toward 0,
+#: which is the kappa -> 0 limit.
+MIN_RATE = 1e-150
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """Coupling strength ``xi`` and cooling rate ``kappa`` (inverse time).
 
     ``xi`` may be negative; the dynamics depends on it only through xi**2
-    and |xi|.  ``kappa`` must be non-negative, and neither kappa nor 8|xi|
-    (the rates compared at the threshold) may exceed :data:`MAX_RATE`.
+    and |xi|.  A nonzero |xi| must be at least :data:`MIN_RATE`.  ``kappa``
+    must be non-negative, and neither kappa nor 8|xi| (the rates compared
+    at the threshold) may exceed :data:`MAX_RATE`.
     """
 
     xi: float
@@ -61,6 +71,8 @@ class ModelParams:
             raise ValidationError(f"cooling rate must be >= 0, got {self.kappa}")
         if max(8.0 * abs(self.xi), self.kappa) > MAX_RATE:
             raise ValidationError(f"kappa and 8|xi| must be <= MAX_RATE = {MAX_RATE:g}")
+        if 0.0 < abs(self.xi) < MIN_RATE:
+            raise ValidationError(f"a nonzero |xi| must be >= MIN_RATE = {MIN_RATE:g}, got {self.xi!r}")
 
     @property
     def discriminant(self) -> float:
@@ -171,7 +183,7 @@ def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarr
     v = np.array(v0, dtype=float)
     out[0] = v
     for k in range(1, grid.num):
-        v = step_prop @ v
+        v = step_prop.dot(v)  # the same dgemv as @, without the ufunc dispatch
         out[k] = v
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite state along expm trajectory")

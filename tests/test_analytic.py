@@ -28,7 +28,7 @@ from qubitbath.errors import (
     RegimeError,
     ValidationError,
 )
-from qubitbath.lindblad import ModelParams
+from qubitbath.lindblad import MIN_RATE, ModelParams
 from qubitbath.operator_space import PAULIS, coherence4
 from qubitbath.oracles import (
     bath_propagator,
@@ -36,7 +36,8 @@ from qubitbath.oracles import (
     dephasing_rate,
 )
 
-xi_values = st.floats(-3.0, 3.0, allow_nan=False)
+# the accepted couplings: 0 or |xi| >= MIN_RATE
+xi_values = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda xi: xi == 0.0 or abs(xi) >= MIN_RATE)
 kappa_values = st.floats(0.0, 20.0, allow_nan=False)
 # the extremes: |xi| log-uniform in [1e-6, 1e3] of either sign, kappa in [0, 1e4]
 wide_xi = st.builds(lambda e, negative: (-1.0 if negative else 1.0) * 10.0**e, st.floats(-6.0, 3.0), st.booleans())
@@ -56,6 +57,14 @@ class TestClassifyRegime:
 
     def test_negative_xi(self):
         assert classify_regime(ModelParams(-1.0, 8.0)) is Regime.CRITICAL
+
+    @pytest.mark.parametrize("fraction", [0.0, 1e-31, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.01, 2.0])
+    def test_scale_free_down_to_min_rate(self, fraction):
+        # the band stays normal at the smallest coupling, so the verdict is that at xi = 1
+        tiny, unit = ModelParams(MIN_RATE, fraction * 8.0 * MIN_RATE), ModelParams(1.0, fraction * 8.0)
+        assert classify_regime(tiny) is classify_regime(unit)
+        assert has_information_backflow(tiny) is has_information_backflow(unit)
+        assert blp_analytic(tiny) == pytest.approx(blp_analytic(unit), rel=1e-14)
 
 
 class TestCoherenceFactor:

@@ -468,6 +468,13 @@ class TestRateLimit:
         assert err.startswith("error:") and "MAX_RATE" in err
 
 
+    def test_coupling_below_min_rate_is_rejected(self, capsys):
+        # xi**2 is subnormal here; the closed-form measure (about 1e30) was written as 0 with exit 0
+        assert cli.main(["blp", "--xi", "1e-170", "--kappa-range", "1e-201:1e-200:2", "--pairs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MIN_RATE" in err
+
+
 class TestParsing:
     def test_unknown_subcommand(self):
         assert cli.main(["frobnicate"]) == 1

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitbath.acceptance import reference_generator_matrix
+from qubitbath.analytic import REGIME_TOL
 from qubitbath.errors import NumericsError, ValidationError
 from qubitbath.lindblad import (
     COOLING_PART,
     MAX_RATE,
+    MIN_RATE,
     ModelParams,
     TimeGrid,
+    _expm,
     build_generator,
     expm_trajectory,
 )
@@ -34,7 +38,8 @@ from qubitbath.oracles import (
     partial_trace_bath,
 )
 
-xi_values = st.floats(-3.0, 3.0, allow_nan=False)
+# the accepted couplings: 0 or |xi| >= MIN_RATE
+xi_values = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda xi: xi == 0.0 or abs(xi) >= MIN_RATE)
 kappa_values = st.floats(0.0, 20.0, allow_nan=False)
 
 
@@ -67,6 +72,17 @@ class TestModelParams:
         for xi, kappa in ((np.nextafter(MAX_RATE / 8.0, math.inf), 0.0), (0.0, 2.0 * MAX_RATE), (1e155, 1.0)):
             with pytest.raises(ValidationError, match="MAX_RATE"):
                 ModelParams(xi, kappa)
+
+    def test_nonzero_coupling_bounded_below_by_min_rate(self):
+        for xi in (MIN_RATE, -MIN_RATE, 0.0):
+            ModelParams(xi, 0.0)
+        for xi in (np.nextafter(MIN_RATE, 0.0), -np.nextafter(MIN_RATE, 0.0), 1e-170, 5e-324):
+            with pytest.raises(ValidationError, match="MIN_RATE"):
+                ModelParams(xi, 1.0)
+
+    def test_squares_normal_at_min_rate(self):
+        # 64*xi**2 and the critical band REGIME_TOL*64*xi**2 stay normal floats at the bound
+        assert REGIME_TOL * 64.0 * ModelParams(MIN_RATE, 0.0).xi ** 2 >= sys.float_info.min
 
     def test_negative_xi_allowed(self):
         assert ModelParams(-2.0, 1.0).discriminant == pytest.approx(1 - 256)
@@ -297,3 +313,14 @@ class TestExpmTrajectory:
         traj = expm_trajectory(gen, v0, grid)
         for k, t in enumerate(grid.times()):
             assert traj[k] == pytest.approx(evolve_expm(gen, v0, t), abs=1e-11)
+
+    @pytest.mark.parametrize("xi,kappa,step", [(1.0, 4.0, 0.002), (0.37, 11.0, 0.05)])
+    def test_equals_a_matmul_loop_bit_for_bit(self, xi, kappa, step):
+        gen = build_generator(ModelParams(xi, kappa))
+        v0 = initial_joint_vector((0.3, -0.4, 0.5))
+        grid = TimeGrid(step, 2001)
+        step_prop = _expm(gen * step)
+        expected = [np.array(v0, dtype=float)]
+        for _ in range(grid.num - 1):
+            expected.append(step_prop @ expected[-1])
+        assert np.array_equal(expm_trajectory(gen, v0, grid), np.array(expected))

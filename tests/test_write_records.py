@@ -140,6 +140,32 @@ def test_chunk_boundaries_match_oracle(n_rows, fmt):
     assert written(fmt, columns + ["m"], rows) == ORACLES[fmt](columns + ["m"], rows).encode("utf-8")
 
 
+def repeated_table(case, n_rows):
+    """A float table full of repeats, as columns and an (n_rows, k) array."""
+    k = np.arange(n_rows)
+    if case == "cartesian":  # contour's layout: every time of one kappa step, then the next step
+        t, kappa = 0.01 * (k % 101), np.linspace(0.0, 14.0, 141)[k // 101 % 141]
+        # 0.0 above kappa = 8 and -0.0 at t = 0, as d|c|/dt has both
+        return ["t", "kappa", "d_abs_c_dt"], np.stack([t, kappa, np.where(kappa > 8.0, 0.0, -np.sin(t * kappa))], 1)
+    if case == "constant":  # evolve's x, which the coupling conserves
+        return ["t", "x"], np.stack([0.002 * k, np.full(n_rows, 0.3)], 1)
+    # repeated NaN, both infinities (both read inf in CSV) and 0.0 next to -0.0
+    specials = np.resize([math.nan, math.inf, -math.inf, 0.0, -0.0, math.nan, -math.inf, 1.5, -0.0], n_rows)
+    return ["specials", "zeros"], np.stack([specials, np.resize([0.0, -0.0], n_rows)], 1)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [C - 1, C, C + 1, 2 * C + 1])
+@pytest.mark.parametrize("case", ["cartesian", "constant", "specials"])
+def test_repeated_values_match_oracle(case, n_rows, fmt):
+    columns, table = repeated_table(case, n_rows)
+    expected = ORACLES[fmt](columns, table.tolist()).encode("utf-8")
+    assert written(fmt, columns, table) == expected
+    assert written(fmt, columns, table.tolist()) == expected
+    if case == "specials" and fmt == "csv":
+        assert b"-inf" not in expected and b"-0" not in expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(table=tables())
 def test_csv_text_cells_read_back(table):
