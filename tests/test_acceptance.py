@@ -6,6 +6,7 @@ scope and asserts every one of them, so `pytest tests/test_acceptance.py -s`
 prints the per-criterion summary table.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,19 @@ def _report(result):
 
 def test_all_criteria_are_present(results):
     assert set(results) == set(ALL_CHECK_NAMES)
+
+
+#: SHA-256 of the nine "name<TAB>passed<TAB>detail" lines of run_acceptance(seed=0), in spec
+#: order and joined by newlines, computed with numpy 2.4.6 on CPython 3.11 (x86-64), as the
+#: output digests are; ``passed`` prints as True whether it is a bool or a numpy bool
+VERIFY_DETAILS_SHA256 = "fbce7a479324c73aedaadeaf68ab8f4f455089a6d754fa59ab95a518dbf903c2"
+
+
+def test_verify_details_are_pinned(results):
+    # a refactor of the routes under verify leaves every number it prints unchanged
+    assert list(results) == list(ALL_CHECK_NAMES)
+    text = "\n".join(f"{r.name}\t{r.passed}\t{r.detail}" for r in results.values())
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DETAILS_SHA256
 
 
 def test_criterion_1_generator_fidelity(results):
