@@ -247,7 +247,14 @@ def default_blp_horizon(params: ModelParams) -> tuple[float, int]:
             "the measure diverges at kappa = 0; choose a horizon explicitly"
         )
     r = math.sqrt(-params.discriminant)
-    n = max(1, math.ceil(math.log(1.0 / BLP_REL_TAIL) * r / (params.kappa * math.pi)))
+    windows = math.log(1.0 / BLP_REL_TAIL) * r / (params.kappa * math.pi)
+    if windows == math.inf:  # a count beyond the float range, far past what a scan of MAX_SCAN_POINTS covers
+        digits = math.log10(math.log(1.0 / BLP_REL_TAIL) * r / math.pi) - math.log10(params.kappa)
+        raise ValidationError(
+            f"the tail falls below BLP_REL_TAIL = {BLP_REL_TAIL:g} of the measure only after about "
+            f"1e{digits:.0f} increase windows, more than a float can count; use blp_analytic for the measure"
+        )
+    n = max(1, math.ceil(windows))
     spacing = 4.0 * math.pi / r
     return n * spacing + 0.25 * spacing, n
 

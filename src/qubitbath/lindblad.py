@@ -15,8 +15,11 @@ Propagation runs on a :class:`TimeGrid`, the times k*step for k below
 ``num``: one matrix exponential of the step (scaling and squaring with a
 truncated series kernel), applied step by step from the state at t = 0; the
 adaptive Dormand-Prince 5(4) integrator that cross-checks it lives in
-:mod:`qubitbath.oracles`.  All functions here are pure; generators are
-frozen after construction and safe to share between workers.
+:mod:`qubitbath.oracles`.  The exponential also takes a (..., n, n) stack,
+such as one generator times a whole axis of times; every matrix of the
+stack keeps its own squaring count and series length, so it gets the bits
+of its own call.  All functions here are pure; generators are frozen after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -148,28 +151,36 @@ _EXPM_SERIES_TOL = 1e-18  # relative cutoff on the scaled series terms
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a small dense matrix.
+    """exp(a) for a small dense matrix, or for each matrix of a (..., n, n) stack.
 
     Scale so the infinity norm is <= 0.5, sum the Taylor series to machine
-    precision, square back.  Plenty for 16x16; robustness over speed.
+    precision, square back.  Plenty for 16x16; robustness over speed.  Each
+    matrix of a stack keeps its own squaring count and ends its series at
+    its own term, so it gets the bits of its own call; a single matrix is
+    the stack of one.
     """
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, np.inf)
-    if not math.isfinite(norm):
+    stack = a.reshape(-1, *a.shape[-2:])
+    norms = np.abs(stack).sum(axis=-1).max(axis=-1)  # np.linalg.norm(m, np.inf) of each matrix
+    if not np.isfinite(norms).all():
         raise NumericsError("non-finite generator entries in expm")
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = a / (2.0**squarings)
-    n = a.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
+    squarings = np.array([math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0 for norm in norms.tolist()], dtype=int)
+    b = stack / (2.0**squarings)[:, None, None]
+    out = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
+    term = out.copy()
+    active = np.arange(len(stack))  # the matrices whose series is still summing
     for k in range(1, 40):
-        term = (b @ term) / k
-        out += term
-        if np.abs(term).max() < _EXPM_SERIES_TOL * max(1.0, np.abs(out).max()):
+        term = (b[active] @ term) / k
+        out[active] += term
+        done = np.abs(term).max(axis=(-2, -1)) < _EXPM_SERIES_TOL * np.maximum(1.0, np.abs(out[active]).max(axis=(-2, -1)))
+        if done.all():
             break
-    for _ in range(squarings):
-        out = out @ out
-    return out
+        active, term = active[~done], term[~done]
+    for p in range(squarings.max(initial=0)):  # pass p squares the matrices with more than p squarings
+        sel = np.flatnonzero(squarings > p)
+        lanes = out[sel]
+        out[sel] = lanes @ lanes
+    return out.reshape(a.shape)
 
 
 def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -121,7 +121,7 @@ def _witness_many(points) -> list[DivisibilityWitness]:
     horizons = [_default_witness_horizon(params) for params in points]
     out = []
     for start, stop in _slices([401] * len(points)):
-        grids = np.array([np.linspace(0.0, horizon, 401) for horizon in horizons[start:stop]])
+        grids = np.linspace(0.0, np.array(horizons[start:stop]), 401, axis=-1)
         xi, kappa = (np.array([[getattr(p, name)] for p in points[start:stop]]) for name in ("xi", "kappa"))
         for params, horizon, times, c in zip(points[start:stop], horizons[start:stop], grids, _kernel(xi, kappa, grids)[0]):
             resolved = np.abs(c) >= MAP_SINGULARITY_TOL

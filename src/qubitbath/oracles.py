@@ -16,7 +16,11 @@ uses two of them inside ``qubitbath verify``.  Each one cross-checks:
   :func:`choi_min_eigenvalue`: the generic complex Choi operator of a
   transfer matrix, against the closed-form Choi spectrum
   min(0, (1 - |r|)/2) that
-  :func:`~qubitbath.markovianity.cp_divisibility_witness` uses;
+  :func:`~qubitbath.markovianity.cp_divisibility_witness` uses.  The
+  intermediate maps of many (point, interval) pairs come as one (n, 4, 4)
+  stack from one kernel pass (``_intermediate_maps``, of which
+  :func:`intermediate_map` is the one-point read), and their Choi minima
+  from one ``eigvalsh`` over the stack;
 * :func:`trace_distance`, :func:`density_matrix` and
   :func:`density_trace_distance`: the Bloch and the eigenvalue trace
   distance of two states, against each other and against
@@ -41,6 +45,7 @@ import numpy as np
 from .analytic import (
     _BIG_S,
     _check_times,
+    _kernel,
     _sinhc_cosh_ext,
     coherence_factor,
 )
@@ -185,22 +190,40 @@ def system_map(params: ModelParams, t: float) -> np.ndarray:
     return np.diag([1.0, 1.0, c, c])
 
 
+def _intermediate_maps(points, intervals) -> np.ndarray:
+    """The (n, 4, 4) stack of :func:`intermediate_map` of every point over its (s, t) row of ``intervals``.
+
+    One kernel call reads c at every s and t.  The first lane that is
+    unordered or singular raises the error its own call raises.
+    """
+    intervals = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    s, t = intervals.T
+    unordered = ~((0 <= s) & (s <= t))
+    if unordered.any():
+        k = np.argmax(unordered)
+        raise ValidationError(f"need 0 <= s <= t, got s={float(s[k])}, t={float(t[k])}")
+    xi, kappa = (np.array([getattr(p, name) for p in points], dtype=float)[:, None] for name in ("xi", "kappa"))
+    c = _kernel(xi, kappa, intervals)[0]
+    singular = np.abs(c[:, 0]) < MAP_SINGULARITY_TOL
+    if singular.any():
+        raise SingularMapError(
+            f"coherence factor vanishes at s={s[np.argmax(singular)]:.6g}; the intermediate map "
+            "does not exist there"
+        )
+    maps = np.zeros((len(intervals), 4, 4))
+    maps[:, 0, 0] = maps[:, 1, 1] = 1.0
+    maps[:, 2, 2] = maps[:, 3, 3] = c[:, 1] / c[:, 0]
+    return maps
+
+
 def intermediate_map(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Transfer matrix of the evolution from time ``s`` to time ``t``.
 
     Equals diag(1, 1, c_t/c_s, c_t/c_s); undefined at zeros of the
-    coherence factor, where :class:`SingularMapError` is raised.
+    coherence factor, where :class:`SingularMapError` is raised.  The
+    one-point read of :func:`_intermediate_maps`.
     """
-    if not 0 <= s <= t:
-        raise ValidationError(f"need 0 <= s <= t, got s={s}, t={t}")
-    cs = coherence_factor(params, s)
-    if abs(cs) < MAP_SINGULARITY_TOL:
-        raise SingularMapError(
-            f"coherence factor vanishes at s={s:.6g}; the intermediate map "
-            "does not exist there"
-        )
-    ratio = coherence_factor(params, t) / cs
-    return np.diag([1.0, 1.0, ratio, ratio])
+    return _intermediate_maps([params], [(s, t)])[0]
 
 
 _BASIS_UNITS = [np.eye(2, dtype=complex)[i][:, None] @ np.eye(2, dtype=complex)[j][None, :]

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qubitbath import acceptance, markovianity
+from qubitbath import acceptance, markovianity, oracles
 from qubitbath.acceptance import ALL_CHECK_NAMES, run_acceptance
 from qubitbath.lindblad import ModelParams, build_generator
 
@@ -133,6 +133,19 @@ def test_criteria_agreement_scans_in_batches(monkeypatch):
     assert acceptance._check_criteria_agreement().passed
     assert len(passes) <= 100
     assert max(passes) <= markovianity._SLICE_POINTS
+
+
+def test_verify_stacks_its_maps_and_bath_propagators(monkeypatch):
+    # one kernel pass for the 400 worst-interval maps (400 pairs of one-point calls before)
+    # and one _expm call per bath rate (201 calls each before)
+    kernel_rows, stacks = [], []
+    kernel, expm = oracles._kernel, acceptance._expm
+    monkeypatch.setattr(oracles, "_kernel", lambda xi, kappa, t: kernel_rows.append(np.shape(t)) or kernel(xi, kappa, t))
+    monkeypatch.setattr(acceptance, "_expm", lambda a: stacks.append(np.shape(a)) or expm(a))
+    assert acceptance._check_criteria_agreement().passed
+    assert acceptance._check_bath_correlation().passed
+    assert kernel_rows == [(400, 2)]
+    assert stacks == [(201, 4, 4)] * 3
 
 
 def test_criteria_agreement_memory():

@@ -28,7 +28,7 @@ from qubitbath.errors import (
     RegimeError,
     ValidationError,
 )
-from qubitbath.lindblad import MIN_RATE, ModelParams
+from qubitbath.lindblad import MAX_RATE, MIN_RATE, ModelParams
 from qubitbath.operator_space import PAULIS, coherence4
 from qubitbath.oracles import (
     bath_propagator,
@@ -199,7 +199,9 @@ def kernel_lane(draw):
     # and the overdamped lanes pass _BIG_S (s > 900) where f > 30
     unit = 4.0 / math.sqrt(disc) if disc else 1.0
     f = draw(st.one_of(st.just(0.0), st.floats(0.0, 9.9e-4), st.floats(0.0, 200.0)))
-    return xi, kappa, f * unit
+    # at xi = 0 a kappa below about 1e-147 puts f * unit past MAX_TIME, which both routes
+    # refuse; such a lane reads the largest accepted time instead
+    return xi, kappa, min(f * unit, MAX_TIME)
 
 
 class TestBatchedKernel:
@@ -460,6 +462,16 @@ class TestDefaultHorizon:
             default_blp_horizon(ModelParams(1.0, 10.0))
         with pytest.raises(DegenerateModelError):
             default_blp_horizon(ModelParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("xi,kappa,digits", [(3e7, 1e-300, 309), (MAX_RATE / 8.0, 5e-324, 399)])
+    def test_window_count_beyond_the_float_range_is_refused(self, xi, kappa, digits):
+        # math.ceil of the inf count raised OverflowError; the count is named instead
+        with pytest.raises(ValidationError, match=f"about 1e{digits} increase windows"):
+            default_blp_horizon(ModelParams(xi, kappa))
+
+    def test_finite_window_count_near_the_float_maximum_is_kept(self):
+        horizon, n = default_blp_horizon(ModelParams(3e7, 1e-299))  # about 1.06e308 windows
+        assert n > 1e308 and 0.0 < horizon < math.inf
 
 
 class TestBathCorrelation:

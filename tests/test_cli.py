@@ -296,6 +296,14 @@ class TestBlp:
         assert err.startswith("error:") and f"over the limit of {MAX_SCAN_POINTS}" in err
         assert not out.exists()
 
+    def test_window_count_beyond_the_float_range_is_refused(self, capsys, tmp_path):
+        # at kappa = 1e-300 the default horizon's window count log(1e6)*r/(kappa*pi) is inf
+        out = tmp_path / "blp.csv"
+        assert cli.main(["blp", "--xi", "3e7", "--kappa-range", "1e-300:1:3", "--pairs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1e309 increase windows" in err
+        assert not out.exists()
+
 
 class TestThreshold:
     def test_scaling_with_coupling(self, tmp_path, capsys):

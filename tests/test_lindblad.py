@@ -324,3 +324,39 @@ class TestExpmTrajectory:
         for _ in range(grid.num - 1):
             expected.append(step_prop @ expected[-1])
         assert np.array_equal(expm_trajectory(gen, v0, grid), np.array(expected))
+
+
+class TestStackedExpm:
+    """_expm over a (..., n, n) stack against its per-matrix calls, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_stack_equals_the_per_matrix_calls(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.standard_normal((6, n, n))
+        base /= np.linalg.norm(base, np.inf, axis=(-2, -1))[:, None, None]
+        # the zero matrix, two norms under 0.5 (no squaring), then about 3, 7 and 10 squarings
+        norms = np.array([0.0, 0.1, 0.45, 3.0, 40.0, 511.0])
+        stack = (base * norms[:, None, None]).reshape(2, 3, n, n)
+        out = _expm(stack)
+        assert out.shape == (2, 3, n, n)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(out[index], _expm(stack[index]))
+        assert np.array_equal(out[0, 0], np.eye(n))
+
+    def test_generator_stack_equals_the_per_matrix_calls(self):
+        # the 16x16 generator over a time axis, as verify's 4x4 bath generator is stacked
+        gen = build_generator(ModelParams(1.0, 4.0))
+        stack = gen * np.linspace(0.0, 20.0, 41)[:, None, None]
+        out = _expm(stack)
+        for k, m in enumerate(stack):
+            assert np.array_equal(out[k], _expm(m))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_in_any_lane_raises(self, bad):
+        stack = np.zeros((2, 3, 4, 4))
+        stack[1, 2, 0, 3] = bad
+        with pytest.raises(NumericsError, match="non-finite"):
+            _expm(stack)
+
+    def test_empty_stack(self):
+        assert _expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)

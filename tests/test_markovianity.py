@@ -656,6 +656,13 @@ class TestBatchedScans:
         points = [ModelParams(xi, f * 8.0 * xi) for xi in (0.25, 1.3) for f in np.linspace(0.0, 1.9, 20).tolist()]
         assert markovianity._witness_many(points) == [cp_divisibility_witness(p) for p in points]
 
+    def test_witness_grids_equal_the_per_point_linspaces(self):
+        # one linspace over the horizons of verify's criteria grid gives every point its own 401 times
+        xis, fractions = np.linspace(0.25, 2.0, 20).tolist(), np.linspace(0.0, 1.9, 20).tolist()
+        horizons = [markovianity._default_witness_horizon(ModelParams(xi, f * 8.0 * xi)) for xi in xis for f in fractions]
+        grids = np.linspace(0.0, np.array(horizons), 401, axis=-1)
+        assert np.array_equal(grids, np.array([np.linspace(0.0, horizon, 401) for horizon in horizons]))
+
 
 class TestAssess:
     def test_markovian_report(self):

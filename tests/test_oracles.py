@@ -6,10 +6,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qubitbath
 from qubitbath import analytic, lindblad, markovianity, operator_space, oracles
+from qubitbath.errors import SingularMapError, ValidationError
+from qubitbath.lindblad import ModelParams
 
 SRC = pathlib.Path(qubitbath.__file__).parent
 
@@ -53,3 +56,33 @@ def test_moved_name_lives_only_in_oracles(module, name):
     assert callable(getattr(oracles, name))
     assert not hasattr(module, name)
     assert not hasattr(qubitbath, name)
+
+
+class TestIntermediateMaps:
+    """The batched intermediate maps against their one-point calls."""
+
+    def test_every_lane_equals_the_one_point_call(self):
+        points = [ModelParams(1.0, 4.0), ModelParams(1.0, 8.0), ModelParams(0.5, 20.0), ModelParams(2.0, 0.0)] * 3
+        intervals = [(0.0, 0.0), (0.0, 0.7), (0.3, 0.3), (1.2, 2.5), (0.5, 60.0), (3.0, 3.1)] * 2
+        maps = oracles._intermediate_maps(points, intervals)
+        assert maps.shape == (12, 4, 4)
+        for lane, params, (s, t) in zip(maps, points, intervals):
+            assert np.array_equal(lane, oracles.intermediate_map(params, s, t))
+            # diag(1, 1, r, r) with r from the one-point coherence factors
+            ratio = analytic.coherence_factor(params, t) / analytic.coherence_factor(params, s)
+            assert np.array_equal(lane, np.diag([1.0, 1.0, ratio, ratio]))
+
+    def test_first_bad_lane_raises_the_one_point_error(self):
+        params = ModelParams(1.0, 4.0)
+        zero = analytic.increase_intervals(params, 1)[0, 0]
+        cases = [
+            ((zero, zero + 0.1), SingularMapError, f"coherence factor vanishes at s={zero:.6g}"),
+            ((2.0, 1.0), ValidationError, "need 0 <= s <= t, got s=2.0, t=1.0"),
+        ]
+        for bad, error, message in cases:
+            with pytest.raises(error) as one:
+                oracles.intermediate_map(params, *bad)
+            with pytest.raises(error) as batched:
+                oracles._intermediate_maps([params] * 3, [(0.0, 1.0), bad, (0.5, 1.0)])
+            assert str(batched.value) == str(one.value)
+            assert str(one.value).startswith(message)
