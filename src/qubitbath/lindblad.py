@@ -170,12 +170,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     term = out.copy()
     active = np.arange(len(stack))  # the matrices whose series is still summing
     for k in range(1, 40):
-        term = (b[active] @ term) / k
+        term = (b @ term) / k
         out[active] += term
         done = np.abs(term).max(axis=(-2, -1)) < _EXPM_SERIES_TOL * np.maximum(1.0, np.abs(out[active]).max(axis=(-2, -1)))
         if done.all():
             break
-        active, term = active[~done], term[~done]
+        active, b, term = active[~done], b[~done], term[~done]
     for p in range(squarings.max(initial=0)):  # pass p squares the matrices with more than p squarings
         sel = np.flatnonzero(squarings > p)
         lanes = out[sel]

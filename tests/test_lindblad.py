@@ -343,14 +343,6 @@ class TestStackedExpm:
             assert np.array_equal(out[index], _expm(stack[index]))
         assert np.array_equal(out[0, 0], np.eye(n))
 
-    def test_generator_stack_equals_the_per_matrix_calls(self):
-        # the 16x16 generator over a time axis, as verify's 4x4 bath generator is stacked
-        gen = build_generator(ModelParams(1.0, 4.0))
-        stack = gen * np.linspace(0.0, 20.0, 41)[:, None, None]
-        out = _expm(stack)
-        for k, m in enumerate(stack):
-            assert np.array_equal(out[k], _expm(m))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_in_any_lane_raises(self, bad):
         stack = np.zeros((2, 3, 4, 4))
