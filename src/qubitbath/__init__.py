@@ -51,10 +51,8 @@ from .markovianity import (
 from .operator_space import (
     PauliLabel,
     coherence4,
-    from_coherence4,
     initial_joint_vector,
     sandwich_superop_rep,
-    vectorize2q,
 )
 
 __version__ = "0.1.0"

@@ -4,6 +4,10 @@ Each check pins one reproducibility claim with an explicit tolerance and a
 runtime budget.  Reference data that the checks compare against (the 16x16
 generator coefficient table and the 16 sandwich-superoperator matrices) is
 transcribed here by hand, independent of the construction code under test.
+The generator is built from the sandwich matrices, so ``superoperator_table``
+checks what the generator is built from and ``generator_fidelity`` checks
+how the parts are put together; the generic decomposition of the same parts
+is :func:`qubitbath.oracles.generic_generator_parts`, which the tests use.
 This is the one production module that imports :mod:`qubitbath.oracles`:
 the bath dissipator matrix and the generic Choi operator are second routes
 inside ``verify``.

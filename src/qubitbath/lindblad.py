@@ -8,8 +8,12 @@ generator ``M`` that depends linearly on both parameters:
 
     M(xi, kappa) = xi * COUPLING_PART + kappa * COOLING_PART
 
-Both constant parts are built once, generically, by applying the defining
-maps to every two-qubit Pauli basis element and re-decomposing.
+Both constant parts are built once from the published sandwich matrices
+S(a, b) of the maps rho -> sigma_a rho sigma_b, as the paper writes them:
+the map (A (x) B) rho (C (x) D) is kron(S(A, C), S(B, D)).  The generic
+route, which applies the defining maps to every two-qubit Pauli basis
+element and re-decomposes, is the oracle
+:func:`qubitbath.oracles.generic_generator_parts`.
 
 Propagation runs on a :class:`TimeGrid`, the times k*step for k below
 ``num``: one matrix exponential of the step (scaling and squaring with a
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .operator_space import PAULIS_2Q, SIGMA_MINUS, SIGMA_X, vectorize2q
+from .operator_space import PauliLabel, sandwich_superop_rep
 
 __all__ = [
     "ModelParams",
@@ -83,29 +87,40 @@ class ModelParams:
         return self.kappa**2 - 64.0 * self.xi**2
 
 
-def _superop_matrix_2q(apply_map) -> np.ndarray:
-    """16x16 real matrix of a superoperator, column by basis column."""
-    cols = [vectorize2q(apply_map(PAULIS_2Q[k])) for k in range(16)]
-    return np.stack(cols, axis=1)
+def _sandwich(a: str, b: str) -> np.ndarray:
+    return sandwich_superop_rep(PauliLabel[a], PauliLabel[b])
 
 
-def _coupling_action(rho: np.ndarray) -> np.ndarray:
-    h = np.kron(SIGMA_X, SIGMA_X)
-    return -1j * (h @ rho - rho @ h)
+def _bath_damping() -> np.ndarray:
+    """D[sigma_minus] on the bath's coherence 4-vectors, as a sum of sandwich matrices.
+
+    sigma_minus = (X - iY)/2 and sigma_plus sigma_minus = (I + Z)/2 turn the
+    jump term into (S(X, X) + i S(X, Y) - i S(Y, X) + S(Y, Y))/4 and the
+    anticommutator into (2 S(I, I) + S(Z, I) + S(I, Z))/4.  The result is
+    complex, with imaginary part exactly 0.
+    """
+    s = _sandwich
+    return (s("X", "X") + 1j * s("X", "Y") - 1j * s("Y", "X") + s("Y", "Y")) / 4 - (
+        2 * s("I", "I") + s("Z", "I") + s("I", "Z")
+    ) / 4
 
 
-def _cooling_action(rho: np.ndarray) -> np.ndarray:
-    jump = np.kron(np.eye(2), SIGMA_MINUS)
-    jdj = jump.conj().T @ jump
-    return jump @ rho @ jump.conj().T - 0.5 * (jdj @ rho + rho @ jdj)
+def _sandwich_parts() -> tuple[np.ndarray, np.ndarray]:
+    """The complex parts -i[X (x) X, rho] and D[I (x) sigma_minus] of the generator.
+
+    (A (x) B) rho (C (x) D) maps to kron(S(A, C), S(B, D)).
+    """
+    s = _sandwich
+    coupling = -1j * (np.kron(s("X", "I"), s("X", "I")) - np.kron(s("I", "X"), s("I", "X")))
+    cooling = np.kron(s("I", "I"), _bath_damping())
+    return coupling, cooling
 
 
-#: Unit-coupling Hamiltonian part of the generator (multiply by xi).
-COUPLING_PART = _superop_matrix_2q(_coupling_action)
+#: Unit-coupling Hamiltonian part (multiply by xi) and unit-rate bath
+#: dissipator part (multiply by kappa) of the generator.  The sandwich sums
+#: are real; ``+ 0.0`` turns their 49 -0.0 entries into +0.0.
+COUPLING_PART, COOLING_PART = (part.real + 0.0 for part in _sandwich_parts())
 COUPLING_PART.setflags(write=False)
-
-#: Unit-rate bath dissipator part of the generator (multiply by kappa).
-COOLING_PART = _superop_matrix_2q(_cooling_action)
 COOLING_PART.setflags(write=False)
 
 

@@ -22,12 +22,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
-
-# Hermiticity gate for vectorize2q: max tolerated imaginary coefficient.
-HERMITICITY_TOL = 1e-9
-
-
 class PauliLabel(Enum):
     """The four single-qubit basis labels; ``I`` is the 2x2 identity."""
 
@@ -69,33 +63,6 @@ def coherence4(op: np.ndarray) -> np.ndarray:
     return np.einsum("kab,ba->k", PAULIS, op) / 2.0
 
 
-def from_coherence4(coeffs: np.ndarray) -> np.ndarray:
-    """Assemble the 2x2 operator from (possibly complex) coefficients on the last axis."""
-    return np.tensordot(np.asarray(coeffs), PAULIS, axes=(-1, 0))
-
-
-def vectorize2q(rho: np.ndarray) -> np.ndarray:
-    """Coherence 16-vector of a Hermitian 4x4 operator.
-
-    Coefficients are ``v[4i+j] = Tr(rho @ kron(sigma_i, sigma_j)) / 4``.
-    Raises :class:`ValidationError` when any coefficient has imaginary part
-    above ``HERMITICITY_TOL`` (non-Hermitian input).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValidationError("matrix entries must be finite")
-    v = np.einsum("kab,ba->k", PAULIS_2Q, rho) / 4.0
-    worst = np.abs(v.imag).max()
-    if worst > HERMITICITY_TOL:
-        raise ValidationError(
-            f"matrix is not Hermitian: max imaginary coefficient {worst:.3e} "
-            f"exceeds tolerance {HERMITICITY_TOL:.0e}"
-        )
-    return v.real.copy()
-
-
 def initial_joint_vector(bloch) -> np.ndarray:
     """Coherence 16-vector of ``rho_S(bloch) (x) |0_B><0_B|``.
 
@@ -112,8 +79,9 @@ def sandwich_superop_rep(a: PauliLabel, b: PauliLabel) -> np.ndarray:
     """4x4 matrix of the map ``rho -> sigma_a @ rho @ sigma_b`` on coherence vectors.
 
     Built generically: apply the map to each Pauli basis element and
-    re-decompose.  Entries are complex in general (the composite maps used
-    by the dissipators are real).
+    re-decompose.  Entries are complex in general.  The generator's two
+    parts in :mod:`qubitbath.lindblad` are sums of Kronecker products of
+    these matrices, and those sums are real.
     """
     sa = PAULIS[PauliLabel(a).value]
     sb = PAULIS[PauliLabel(b).value]

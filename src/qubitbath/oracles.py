@@ -2,8 +2,14 @@
 
 Nothing on the production path calls these functions.  The test suite
 compares them with the production routes, and :mod:`qubitbath.acceptance`
-uses two of them inside ``qubitbath verify``.  Each one cross-checks:
+uses three of them inside ``qubitbath verify``.  Each one cross-checks:
 
+* :func:`generic_generator_parts`: the generator's coupling and cooling
+  parts from the defining maps, applied to every two-qubit Pauli basis
+  element and re-decomposed with :func:`vectorize2q`, against
+  :data:`~qubitbath.lindblad.COUPLING_PART` and
+  :data:`~qubitbath.lindblad.COOLING_PART`, which are sums of Kronecker
+  products of the sandwich matrices;
 * :func:`evolve_expm`: one matrix exponential per time, against the
   cumulative :func:`~qubitbath.lindblad.expm_trajectory` and against the
   closed-form coherence factor;
@@ -29,10 +35,11 @@ uses two of them inside ``qubitbath verify``.  Each one cross-checks:
 * :func:`coherence_log_derivative` and :func:`dephasing_rate`: c'/c with
   the decay envelope cancelled, against the fused closed-form kernel and
   against the regime verdict of :func:`~qubitbath.analytic.has_information_backflow`;
-* :func:`devectorize2q`, :func:`bloch_to_coherence4`,
-  :func:`coherence4_to_bloch` and :func:`partial_trace_bath`: the inverse
-  maps of the coherence representation, against
-  :func:`~qubitbath.operator_space.vectorize2q` and
+* :func:`vectorize2q`, :func:`devectorize2q`, :func:`from_coherence4`,
+  :func:`bloch_to_coherence4`, :func:`coherence4_to_bloch` and
+  :func:`partial_trace_bath`: the maps into and out of the coherence
+  representation, against each other and against
+  :func:`~qubitbath.operator_space.coherence4` and
   :func:`~qubitbath.operator_space.initial_joint_vector`.
 """
 
@@ -57,12 +64,38 @@ from .operator_space import (
     PAULIS_2Q,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_X,
     coherence4,
-    from_coherence4,
 )
 
 #: |c| below this is treated as a pole of the logarithmic derivative.
 POLE_TOL = 1e-12
+
+#: Hermiticity gate for vectorize2q: max tolerated imaginary coefficient.
+HERMITICITY_TOL = 1e-9
+
+
+def generic_generator_parts() -> tuple[np.ndarray, np.ndarray]:
+    """The generator's unit coupling and unit cooling parts, built generically.
+
+    Applies -i[X (x) X, .] and D[I (x) sigma_minus] to each of the 16
+    two-qubit Pauli basis elements and re-decomposes the results with
+    :func:`vectorize2q`, one column per basis element.
+    """
+    h = np.kron(SIGMA_X, SIGMA_X)
+    jump = np.kron(np.eye(2), SIGMA_MINUS)
+    jdj = jump.conj().T @ jump
+
+    def coupling(rho):
+        return -1j * (h @ rho - rho @ h)
+
+    def cooling(rho):
+        return jump @ rho @ jump.conj().T - 0.5 * (jdj @ rho + rho @ jdj)
+
+    coupling_part, cooling_part = (
+        np.stack([vectorize2q(action(basis)) for basis in PAULIS_2Q], axis=1) for action in (coupling, cooling)
+    )
+    return coupling_part, cooling_part
 
 
 def evolve_expm(gen: np.ndarray, v0: np.ndarray, t: float) -> np.ndarray:
@@ -325,6 +358,33 @@ def dephasing_rate(params: ModelParams, t: float) -> float:
     divisibility criterion.
     """
     return -0.5 * coherence_log_derivative(params, t)
+
+
+def from_coherence4(coeffs: np.ndarray) -> np.ndarray:
+    """Assemble the 2x2 operator from (possibly complex) coefficients on the last axis."""
+    return np.tensordot(np.asarray(coeffs), PAULIS, axes=(-1, 0))
+
+
+def vectorize2q(rho: np.ndarray) -> np.ndarray:
+    """Coherence 16-vector of a Hermitian 4x4 operator.
+
+    Coefficients are ``v[4i+j] = Tr(rho @ kron(sigma_i, sigma_j)) / 4``.
+    Raises :class:`ValidationError` when any coefficient has imaginary part
+    above ``HERMITICITY_TOL`` (non-Hermitian input).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValidationError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("matrix entries must be finite")
+    v = np.einsum("kab,ba->k", PAULIS_2Q, rho) / 4.0
+    worst = np.abs(v.imag).max()
+    if worst > HERMITICITY_TOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: max imaginary coefficient {worst:.3e} "
+            f"exceeds tolerance {HERMITICITY_TOL:.0e}"
+        )
+    return v.real.copy()
 
 
 def devectorize2q(v: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from qubitbath.operator_space import (
     PAULIS,
     coherence4,
     initial_joint_vector,
-    vectorize2q,
 )
 from qubitbath.oracles import (
     bath_dissipator_matrix,
@@ -36,6 +35,7 @@ from qubitbath.oracles import (
     evolve_expm,
     evolve_ode,
     partial_trace_bath,
+    vectorize2q,
 )
 
 # the accepted couplings: 0 or |xi| >= MIN_RATE

@@ -12,16 +12,16 @@ from qubitbath.operator_space import (
     PauliLabel,
     SIGMA_MINUS,
     coherence4,
-    from_coherence4,
     initial_joint_vector,
     sandwich_superop_rep,
-    vectorize2q,
 )
 from qubitbath.oracles import (
     bloch_to_coherence4,
     coherence4_to_bloch,
     devectorize2q,
+    from_coherence4,
     partial_trace_bath,
+    vectorize2q,
 )
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

@@ -24,7 +24,10 @@ MOVED = {
         "trace_distance", "density_trace_distance",
     ],
     analytic: ["coherence_log_derivative", "_nearest_zero", "dephasing_rate"],
-    operator_space: ["devectorize2q", "bloch_to_coherence4", "coherence4_to_bloch", "partial_trace_bath"],
+    operator_space: [
+        "devectorize2q", "bloch_to_coherence4", "coherence4_to_bloch", "partial_trace_bath",
+        "vectorize2q", "from_coherence4",
+    ],
 }
 
 
