@@ -383,9 +383,10 @@ def threshold_scan(
     (see :func:`~qubitbath.analytic.has_information_backflow`), taken
     without the critical band, so the bisection converges on kappa = 8|xi|
     itself rather than on the band's lower edge.  ``kappa_lo`` must show
-    backflow (negative discriminant) and ``kappa_hi`` must not; the
-    returned rate is within ``tol`` of the transition, or one ulp where
-    ``tol`` is finer: bisection stops when the midpoint rounds onto an endpoint.
+    backflow (negative discriminant) and ``kappa_hi`` must not.  ``tol``
+    bounds the error both absolutely and relative to the transition rate
+    8|xi|: bisection stops at the width min(tol, tol*8|xi|), or where the
+    midpoint rounds onto an endpoint (one ulp finer than that width).
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -406,4 +407,4 @@ def threshold_scan(
     def markovian(_, mid):
         return np.array([ModelParams(xi, m).discriminant >= 0 for m in mid.tolist()])
 
-    return float(_bisect([lo], [hi], tol, markovian)[0])
+    return float(_bisect([lo], [hi], min(tol, tol * 8.0 * abs(xi)), markovian)[0])

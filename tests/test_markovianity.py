@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitbath import markovianity
@@ -16,7 +16,7 @@ from qubitbath.analytic import (
     increase_intervals,
 )
 from qubitbath.errors import SingularMapError, ValidationError
-from qubitbath.lindblad import ModelParams, build_generator
+from qubitbath.lindblad import MIN_RATE, ModelParams, build_generator
 from qubitbath.markovianity import (
     DivisibilityVerdict,
     QubitState,
@@ -712,6 +712,19 @@ class TestThresholdScan:
         tol = 10.0**tol_exponent
         star = threshold_scan(xi, 4.0 * abs(xi), 20.0 * abs(xi), tol=tol)
         assert abs(star - 8.0 * abs(xi)) <= max(tol, 2 * math.ulp(8.0 * xi))
+
+    @pytest.mark.usefixtures("alarm")
+    @given(st.floats(-150.0, 3.0), st.booleans(), st.floats(-12.0, -3.0))
+    # an absolute width of tol put these at relative errors of 50%, 0.39% and 12.5%
+    @example(-150.0, False, -6.0)
+    @example(-5.0, False, -6.0)
+    @example(math.log10(3e-7), True, -6.0)
+    @settings(max_examples=200, deadline=None)
+    def test_relative_error_is_within_tol_at_any_coupling(self, exponent, negative, tol_exponent):
+        xi = (-1.0 if negative else 1.0) * max(10.0**exponent, MIN_RATE)
+        tol = 10.0**tol_exponent
+        star = threshold_scan(xi, 4.0 * abs(xi), 20.0 * abs(xi), tol=tol)
+        assert abs(star - 8.0 * abs(xi)) <= tol * 8.0 * abs(xi)
 
     @pytest.mark.usefixtures("alarm")
     @pytest.mark.parametrize("xi", [25.0, 100.0, 1e10])
