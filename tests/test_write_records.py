@@ -9,6 +9,11 @@ printed as its other cells are, by str() in CSV and json.dumps() in JSON.
 The oracle differs from the old serializer only in quoting CSV text cells
 that hold a comma, a quote, CR or LF (RFC 4180); ``csv.reader`` is the
 independent check that those cells read back.
+
+The chunks are formatted by as many processes as there are usable CPUs.
+The tests at the end force that count by replacing ``os.sched_getaffinity``
+and compare the bytes with the one-process route; after each call no
+child process may be left.
 """
 
 import csv
@@ -16,6 +21,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -178,3 +184,150 @@ def test_csv_text_cells_read_back(table):
         back = back or [""]  # csv.reader reads the blank line of one empty cell as no fields
         assert len(back) == len(columns)
         assert [b for v, b in zip(row, back) if isinstance(v, str)] == [v for v in row if isinstance(v, str)]
+
+
+# ---------------------------------------------------------------------------
+# Chunks formatted by forked workers.
+# ---------------------------------------------------------------------------
+
+SMALL = 4  # rows per chunk in the tests below, so that a few rows make several chunks
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def edge_table(n_rows):
+    """A float table with -0.0, +-inf and NaN on the first and last row of every chunk."""
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-20, 20, (n_rows, 3))
+    edges = sorted({*range(0, n_rows, SMALL), *range(SMALL - 1, n_rows, SMALL), n_rows - 1})
+    specials = [-0.0, math.inf, -math.inf, math.nan, 0.0]
+    for k, row in enumerate(edges):
+        table[row] = np.roll(specials, k)[:3]
+    return ["t", "x", "y"], table
+
+
+def verify_rows(n_rows):
+    """The layout of ``verify --out``: name, int flag, seconds, a detail that needs quoting."""
+    columns = ["check", "passed", "seconds", "detail"]
+    rows = [[f"check_{k}", k % 2, [0.25, -0.0, math.inf, math.nan][k % 4], f'max gap {k}e-9, "ok"\nnext'] for k in range(n_rows)]
+    return columns, rows
+
+
+def threshold_rows(n_rows):
+    """The layout of ``threshold --out``, one float column holding an int."""
+    columns = ["xi", "kappa_star", "abs_dev_from_8xi", "witness"]
+    rows = [[1.0 + k, 8.0 * (1.0 + k), [0.0, 1e-17, 7][k % 3], "rate-sign (information backflow)"] for k in range(n_rows)]
+    return columns, rows
+
+
+TABLES = {"floats": edge_table, "verify": verify_rows, "threshold": threshold_rows}
+# 1 chunk, 2 chunks, 3 chunks with a 1-row last one, and 5 chunks with a 1-row last one
+PARALLEL_ROWS = [1, SMALL + 3, 2 * SMALL + 1, 4 * SMALL + 1]
+
+
+def file_bytes(tmp_path, fmt, columns, rows):
+    path = tmp_path / "out"
+    cli.write_records(str(path), fmt, columns, rows)
+    assert_no_child_left()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", PARALLEL_ROWS)
+@pytest.mark.parametrize("layout", sorted(TABLES))
+def test_workers_write_the_one_process_bytes_to_a_file(layout, n_rows, fmt, tmp_path, monkeypatch, alarm):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+    columns, rows = TABLES[layout](n_rows)
+    use_cpus(monkeypatch, 1)
+    expected = file_bytes(tmp_path, fmt, columns, rows)
+    if layout == "floats":
+        assert expected == ORACLES[fmt](columns, rows.tolist()).encode("utf-8")
+    for n in (2, 4):
+        use_cpus(monkeypatch, n)
+        assert file_bytes(tmp_path, fmt, columns, rows) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", PARALLEL_ROWS)
+@pytest.mark.parametrize("layout", sorted(TABLES))
+def test_workers_write_the_one_process_text_to_stdout(layout, n_rows, fmt, capfd, monkeypatch, alarm):
+    # the head waits in sys.stdout's buffer when the workers fork: a worker that flushed
+    # its copy of that buffer would write the head twice
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+    columns, rows = TABLES[layout](n_rows)
+    outputs = []
+    for n in (1, 2, 4):
+        use_cpus(monkeypatch, n)
+        cli.write_records(None, fmt, columns, rows)
+        sys.stdout.flush()
+        assert_no_child_left()
+        outputs.append(capfd.readouterr().out)
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert outputs[0].count(columns[-1]) == (1 if fmt == "csv" else n_rows + 1)
+
+
+def test_one_cpu_forks_nothing(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+    columns, table = edge_table(3 * SMALL)
+    assert file_bytes(tmp_path, "csv", columns, table) == oracle_csv(columns, table.tolist()).encode("utf-8")
+
+
+def test_a_failing_worker_is_an_io_error(tmp_path, monkeypatch, capsys, alarm):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
+    use_cpus(monkeypatch, 2)
+    chunk_text, bad_time = cli._chunk_text, cli.TimeGrid(0.01, 101).times()[30]
+
+    def failing(chunk, *args):
+        if chunk[0, 0] == bad_time:  # chunk 3, which the worker formats
+            raise ValueError("chunk 3 cannot be formatted")
+        return chunk_text(chunk, *args)
+
+    monkeypatch.setattr(cli, "_chunk_text", failing)
+    out = tmp_path / "traj.csv"
+    assert cli.main(["evolve", "--kappa", "4", "--t-max", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "formatting worker" in err and "exit code 1" in err
+    assert_no_child_left()
+
+
+def test_a_full_device_is_an_io_error(monkeypatch, capsys, alarm):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this OS")
+    use_cpus(monkeypatch, 2)
+    assert cli.main(["contour", "--out", "/dev/full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No space left on device" in err
+    assert_no_child_left()
+
+
+def test_closing_early_kills_the_workers(monkeypatch, alarm):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+    use_cpus(monkeypatch, 4)
+    pieces = cli._pieces("csv", *edge_table(40 * SMALL))
+    next(pieces), next(pieces)  # the head, then chunk 0 once three workers are forked
+    pieces.close()
+    assert_no_child_left()
+
+
+def test_a_worker_whose_caller_is_gone_exits_at_its_next_write(monkeypatch, alarm):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
+    use_cpus(monkeypatch, 2)
+    pieces = cli._pieces("csv", *edge_table(20_000))
+    next(pieces), next(pieces)
+    # the caller's end of the pipe closes, as it does when the caller dies; the worker's
+    # ten chunks are far more than a pipe holds, so it is still writing
+    (pid, pipe), = pieces.gi_frame.f_locals["workers"].values()
+    pipe.close()
+    ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # left for the generator to reap
+    assert (ended.si_code, ended.si_status) == (os.CLD_EXITED, 1)
+    pieces.close()
+    assert_no_child_left()
