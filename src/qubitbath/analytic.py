@@ -151,7 +151,9 @@ def _kernel(xi, kappa, t) -> tuple[np.ndarray, np.ndarray]:
     if long_time:  # one point's parameters stay scalars; batched ones are picked lane by lane
         tb, kb, x2b, db = (np.broadcast_to(a, s.shape)[big] if np.ndim(a) else a for a in (arr, k, x2, disc))
         r = np.sqrt(db)
-        grow, decay = np.exp((r - kb) * tb / 4.0), np.exp(-(r + kb) * tb / 4.0)
+        # r - kappa = -64 xi**2 / (r + kappa) exactly; the difference itself cancels to a
+        # relative error of about eps*kappa**2/(32 xi**2) where kappa >> 8|xi|
+        grow, decay = np.exp(-64.0 * x2b / (r + kb) * tb / 4.0), np.exp(-(r + kb) * tb / 4.0)
         c[big] = 0.5 * ((1.0 + kb / r) * grow + (1.0 - kb / r) * decay)
         dc[big] = -8.0 * x2b / r * (grow - decay)
     return c, dc

@@ -238,6 +238,39 @@ class TestBatchedKernel:
             _kernel(xi, np.zeros(2), np.array([1e120, 1e140]))
 
 
+def mp_coherence_with_derivative(xi, kappa, t):
+    """c and dc/dt of the overdamped closed form, at 50 digits, from the exact binary inputs."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        xi, kappa, t = mp.mpf(xi), mp.mpf(kappa), mp.mpf(t)
+        r = mp.sqrt(kappa**2 - 64 * xi**2)
+        envelope, sinh, cosh = mp.exp(-kappa * t / 4), mp.sinh(r * t / 4), mp.cosh(r * t / 4)
+        return envelope * (kappa / r * sinh + cosh), -16 * xi**2 / r * envelope * sinh
+
+
+class TestLongTimeOverdamped:
+    """The long-time overdamped forms against mpmath where kappa >> 8|xi|.
+
+    There c = exp(x) to about 1 part in exp(2x*kappa/(r - kappa)), with the
+    exponent x = (r - kappa)*t/4 = -16 xi**2 t/(r + kappa) (r = sqrt(disc)).
+    Formed that way, x carries a few roundings, so exp(x) is good to about
+    (4|x| + 4)*eps; written as the difference r - kappa, it lost about
+    eps*kappa**2/(32 xi**2) relative to x (3e-5 to 1.2e-3 in c at these points).
+    """
+
+    @pytest.mark.parametrize("xi,kappa,t", [
+        (1e-3, 1e4, 3.1e8), (1e-3, 1e4, 1.25e9), (1e-3, 1e4, 1.25e10), (1e-3, 1e6, 1e11), (0.5, 1e3, 2e4),
+    ])
+    def test_matches_fifty_digits(self, xi, kappa, t):
+        assert kappa**2 * (t / 4.0) ** 2 > _BIG_S  # the long-time branch
+        c, dc = coherence_factor_with_derivative(ModelParams(xi, kappa), t)
+        ref_c, ref_dc = mp_coherence_with_derivative(xi, kappa, t)
+        x = abs(math.log(float(ref_c)))
+        bound = (4.0 * x + 4.0) * np.finfo(float).eps
+        assert abs(c - ref_c) <= bound * abs(ref_c)
+        assert abs(dc - ref_dc) <= bound * abs(ref_dc)
+
+
 class TestDerivative:
     @pytest.mark.parametrize(
         "params,t",
