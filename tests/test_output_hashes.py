@@ -95,7 +95,7 @@ def test_closed_form_kernel_digest():
                 digest.update(np.float64(coherence_log_derivative(params, t)).tobytes())
             except PoleError:
                 digest.update(b"pole")
-    assert digest.hexdigest() == "72fbe317d1ab0c9b763b5a0a1088299273c8717b3515b8e5c9f7fec92caed606"
+    assert digest.hexdigest() == "00944ffb32f8a6d06fd1ed1617017329ebbc7b16345a5a921eec5d4410a6fa99"
 
 
 def test_criteria_agreement_edges_digest():
