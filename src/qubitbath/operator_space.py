@@ -39,14 +39,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: Pauli matrices indexed by PauliLabel.value.
 PAULIS = np.stack([SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-#: Bath ground / excited states under the sigma_z = -1 ground convention.
-BATH_GROUND = np.array([0.0, 1.0], dtype=complex)
-BATH_EXCITED = np.array([1.0, 0.0], dtype=complex)
-
-#: Cooling jump operator |0_B><1_B| on the bath qubit.
-SIGMA_MINUS = np.outer(BATH_GROUND, BATH_EXCITED.conj())
-SIGMA_PLUS = SIGMA_MINUS.conj().T
-
 #: kron(sigma_i, sigma_j) for the 16 two-qubit basis elements, row-major in (i, j).
 PAULIS_2Q = np.stack(
     [np.kron(PAULIS[i], PAULIS[j]) for i in range(4) for j in range(4)]

@@ -59,20 +59,21 @@ from .analytic import (
 from .errors import NumericsError, PoleError, SingularMapError, ValidationError
 from .lindblad import ModelParams, TimeGrid, _expm
 from .markovianity import MAP_SINGULARITY_TOL, QubitState
-from .operator_space import (
-    PAULIS,
-    PAULIS_2Q,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    coherence4,
-)
+from .operator_space import PAULIS, PAULIS_2Q, SIGMA_X, coherence4
 
 #: |c| below this is treated as a pole of the logarithmic derivative.
 POLE_TOL = 1e-12
 
 #: Hermiticity gate for vectorize2q: max tolerated imaginary coefficient.
 HERMITICITY_TOL = 1e-9
+
+#: Bath ground / excited states under the sigma_z = -1 ground convention.
+BATH_GROUND = np.array([0.0, 1.0], dtype=complex)
+BATH_EXCITED = np.array([1.0, 0.0], dtype=complex)
+
+#: Cooling jump operator |0_B><1_B| on the bath qubit.
+SIGMA_MINUS = np.outer(BATH_GROUND, BATH_EXCITED.conj())
+SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
 def generic_generator_parts() -> tuple[np.ndarray, np.ndarray]:

@@ -21,13 +21,13 @@ from qubitbath.lindblad import (
     expm_trajectory,
 )
 from qubitbath.operator_space import (
-    BATH_EXCITED,
-    BATH_GROUND,
     PAULIS,
     coherence4,
     initial_joint_vector,
 )
 from qubitbath.oracles import (
+    BATH_EXCITED,
+    BATH_GROUND,
     bath_dissipator_matrix,
     bath_propagator,
     coherence4_to_bloch,

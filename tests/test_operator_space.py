@@ -7,15 +7,15 @@ from hypothesis.extra import numpy as hnp
 from qubitbath.acceptance import reference_sandwich_table
 from qubitbath.errors import ValidationError
 from qubitbath.operator_space import (
-    BATH_GROUND,
     PAULIS,
     PauliLabel,
-    SIGMA_MINUS,
     coherence4,
     initial_joint_vector,
     sandwich_superop_rep,
 )
 from qubitbath.oracles import (
+    BATH_GROUND,
+    SIGMA_MINUS,
     bloch_to_coherence4,
     coherence4_to_bloch,
     devectorize2q,
