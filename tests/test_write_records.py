@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -271,6 +272,22 @@ def test_workers_write_the_one_process_text_to_stdout(layout, n_rows, fmt, capfd
         outputs.append(capfd.readouterr().out)
     assert outputs[1] == outputs[2] == outputs[0]
     assert outputs[0].count(columns[-1]) == (1 if fmt == "csv" else n_rows + 1)
+
+
+def test_workers_leave_a_buffered_stdout_alone():
+    # under capfd stdout is unbuffered; a real one, block-buffered into a pipe, holds the
+    # head when the workers fork, and a worker that flushed it would write the head again
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])));"
+        "import qubitbath.cli as cli; cli._CHUNK_ROWS = 4;"
+        "sys.exit(cli.main(['evolve', '--kappa', '4', '--t-max', '0.2', '--format', 'json']))"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = [subprocess.run([sys.executable, "-c", code, str(n)], env=env, capture_output=True, check=True, timeout=60).stdout
+               for n in (1, 2, 4)]
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert outputs[0].count(b'"columns"') == 1 and outputs[0].count(b'"t": ') == 21
 
 
 def test_one_cpu_forks_nothing(monkeypatch, tmp_path):
