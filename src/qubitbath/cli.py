@@ -262,10 +262,10 @@ def _receive(workers: dict, owner: int) -> bytes:
     pid, pipe = workers[owner]
     head = pipe.read(8)
     size = int.from_bytes(head, "little")
-    data = pipe.read(size) if len(head) == 8 else b""
+    data = pipe.read(size)
     if len(head) < 8 or len(data) < size:
-        _reap(workers, owner)
-        raise OSError(f"formatting worker {pid} ended before it sent its chunk, with exit code 0")
+        _reap(workers, owner)  # raises where the worker failed
+        raise OSError(f"formatting worker {pid} exited with code 0 before it sent its chunk")
     return data
 
 
