@@ -198,19 +198,43 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape)
 
 
+#: Rows of a trajectory filled by one BLAS product in :func:`expm_trajectory`.
+#: Its powers of the step propagator take a 128 KB stack (64 matrices of
+#: 16x16 doubles, the identity implied), and it divides ``cli._CHUNK_ROWS``.
+_BLOCK = 64
+
+
 def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """States at every grid time, shape (num, 16).
 
-    One exponential of the grid step, applied cumulatively; exact because
-    the generator commutes with itself.  v0 is the state at t = 0.
+    One exponential P of the grid step; the state after k steps is P**k v0,
+    exact because the generator commutes with itself.  v0 is the state at
+    t = 0.  The rows go in blocks of :data:`_BLOCK`: the block starting at
+    state v is v, P v, ..., P**(B-1) v, one (B*16, 16) @ v product over the
+    stacked powers P**1 ... P**(B-1), each built from the one before, and the
+    next block starts at P**B v.  That is about num/B BLAS calls where one
+    matvec per step took num.  Rounding follows the powers, not the steps, so
+    a state differs from the step-by-step product by rounding only.  Since B
+    divides ``cli._CHUNK_ROWS``, a trajectory propagated in chunks of that
+    many steps, each from the last state of the chunk before, has the bits of
+    one call over the whole grid.
     """
     step_prop = _expm(gen * grid.step)
+    block = min(_BLOCK, grid.num)
+    powers = np.empty((block - 1, 16, 16))  # P**1 ... P**(block-1): no more than the grid needs
+    power = np.eye(16)
+    for j in range(block - 1):
+        power = powers[j] = step_prop @ power
+    stack = powers.reshape(-1, 16)
+    jump = step_prop @ power  # P**block, from each block's first state to the next one's
     out = np.empty((grid.num, 16))
     v = np.array(v0, dtype=float)
-    out[0] = v
-    for k in range(1, grid.num):
-        v = step_prop.dot(v)  # the same dgemv as @, without the ufunc dispatch
-        out[k] = v
+    for start in range(0, grid.num, block):
+        if start:
+            v = jump @ v
+        rows = min(block, grid.num - start) - 1
+        out[start] = v
+        out[start + 1:start + 1 + rows] = (stack[:16 * rows] @ v).reshape(rows, 16)
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite state along expm trajectory")
     return out

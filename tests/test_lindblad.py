@@ -17,6 +17,7 @@ from qubitbath.lindblad import (
     MIN_RATE,
     ModelParams,
     TimeGrid,
+    _BLOCK,
     _expm,
     build_generator,
     expm_trajectory,
@@ -44,7 +45,6 @@ xi_values = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda xi: xi == 0.0 or
 kappa_values = st.floats(0.0, 20.0, allow_nan=False)
 
 EPS = np.finfo(float).eps
-BLOCK = 64
 
 
 def traced_bloch_z(v):
@@ -318,7 +318,7 @@ class TestExpmTrajectory:
         for k, t in enumerate(grid.times()):
             assert traj[k] == pytest.approx(evolve_expm(gen, v0, t), abs=1e-11)
 
-    @pytest.mark.parametrize("num", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2001])
+    @pytest.mark.parametrize("num", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2001])
     @pytest.mark.parametrize("xi,kappa,step", [(1.0, 4.0, 0.002), (0.37, 11.0, 0.05)])
     def test_matches_a_matmul_loop_to_rounding(self, xi, kappa, step, num):
         # The loop rounds one 16-term product per step, the blocked route one per power and
@@ -339,7 +339,8 @@ class TestExpmTrajectory:
 
     def test_evolve_chunks_equal_one_trajectory(self, monkeypatch):
         # cmd_evolve propagates _CHUNK_ROWS steps at a time, each chunk from the last state
-        # of the one before; the 20,001 rows span three chunks
+        # of the one before; the 20,001 rows span three chunks, and the blocks of rows line
+        # up with one call's because _BLOCK divides _CHUNK_ROWS
         tables = []
         monkeypatch.setattr(cli, "write_records", lambda *args: tables.append(args[3].copy()))
         argv = ["evolve", "--xi", "1", "--kappa", "4", "--bloch=0.3,-0.2,0.5", "--t-max", "40", "--dt", "0.002"]
@@ -347,6 +348,7 @@ class TestExpmTrajectory:
         (table,) = tables
         grid = TimeGrid(0.002, 20_001)
         assert len(table) == grid.num > 2 * cli._CHUNK_ROWS
+        assert cli._CHUNK_ROWS % _BLOCK == 0
         gen = build_generator(ModelParams(1.0, 4.0))
         traj = expm_trajectory(gen, initial_joint_vector((0.3, -0.2, 0.5)), grid)
         probe_traj = expm_trajectory(gen, initial_joint_vector((0.0, 0.0, 1.0)), grid)
