@@ -36,7 +36,7 @@ def test_all_criteria_are_present(results):
 #: SHA-256 of the nine "name<TAB>passed<TAB>detail" lines of run_acceptance(seed=0), in spec
 #: order and joined by newlines, computed with numpy 2.4.6 on CPython 3.11 (x86-64), as the
 #: output digests are; ``passed`` prints as True whether it is a bool or a numpy bool
-VERIFY_DETAILS_SHA256 = "fbce7a479324c73aedaadeaf68ab8f4f455089a6d754fa59ab95a518dbf903c2"
+VERIFY_DETAILS_SHA256 = "0beaebc449c0d1abdc6da937480f468674f847d8b8accf41dddc11e51c38965b"
 
 
 def test_verify_details_are_pinned(results):

@@ -42,16 +42,16 @@ EVOLVE_UNDERDAMPED = ["evolve", "--xi", "1", "--kappa", "4", "--bloch=0.3,-0.2,0
 THRESHOLD = ["threshold", "--xi", "2", "--kappa-range", "8:40", "--tol", "1e-6"]
 
 FILE_OUTPUTS = {
-    "evolve-csv": (EVOLVE, "24c2f735571b8365315a9d332053fdb4da126ee2f6f0ab979412f8ad88e75603"),
+    "evolve-csv": (EVOLVE, "2095e654a959fd4c906b3f4cd3dd1559977f3a045ed1d6963f0273a214f92339"),
     "contour-csv": (CONTOUR, "d66249c5cb767d673fb59c736bf5d7e758d3f29835ac2ac3b8a388efe4339317"),
     "blp-csv": (BLP, "43cb66f74e9a4f6f6e37d9c3c29b4dfa54adaa9d4c6468e4bba4132cae5b6bd8"),
-    "evolve-json": (EVOLVE + ["--format", "json"], "0bb9f90dd81309ad7c2d237c7e623549c507973f033693ac6e51b67f4ccf9722"),
+    "evolve-json": (EVOLVE + ["--format", "json"], "6d1b5c746f9569d7c89f5fd55ff1ccfcd65ba32f6c82a699660698c0b7d81466"),
     "blp-json": (BLP + ["--format", "json"], "de408263d4b66d43d534e65b20dc8d7a35255d1827b6b6f63ba1da9be88f6eb1"),
     "contour-json": (CONTOUR + ["--format", "json"], "5f95cbf9f2c0ad84f1e46d233ee28fe39bef5106f2852b133e3129ec1ecb8b4a"),
-    "evolve-underdamped-csv": (EVOLVE_UNDERDAMPED, "19aad1f0b78eb0b447aaade2af609d18f576e7d4c1e7de3da1b25471cd31ee1c"),
+    "evolve-underdamped-csv": (EVOLVE_UNDERDAMPED, "e023d2c5338438adbb8d8e39aa8ee258a9814ff3ed24932004108cf7a287670f"),
     "evolve-underdamped-json": (
         EVOLVE_UNDERDAMPED + ["--format", "json"],
-        "adbceabc620a6f349120588cb825b5f3931711228ec06a95eaa6036f2ea82d12",
+        "288aa5870d1cbe256de00fd5297f7f48b2618ba6c72d4fb5c70bc133ec8af2eb",
     ),
 }
 
