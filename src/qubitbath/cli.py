@@ -419,7 +419,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     table[:, 0] = times
     state, probe = initial_joint_vector(args.bloch), initial_joint_vector((0.0, 0.0, 1.0))
     # _CHUNK_ROWS steps per propagation; neighbouring chunks share their edge row, so each
-    # starts from the last state of the one before and the matvecs run as in one trajectory
+    # starts from the last state of the one before, and since lindblad._BLOCK divides
+    # _CHUNK_ROWS its blocks of rows start where one trajectory's would: the same bits
     for start in range(0, max(grid.num - 1, 1), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, grid.num - 1) + 1
         chunk = TimeGrid(grid.step, stop - start)

@@ -16,9 +16,10 @@ element and re-decomposes, is the oracle
 :func:`qubitbath.oracles.generic_generator_parts`.
 
 Propagation runs on a :class:`TimeGrid`, the times k*step for k below
-``num``: one matrix exponential of the step (scaling and squaring with a
-truncated series kernel), applied step by step from the state at t = 0; the
-adaptive Dormand-Prince 5(4) integrator that cross-checks it lives in
+``num``: one matrix exponential P of the step (scaling and squaring with a
+truncated series kernel), whose powers P**1 ... P**63 fill 64 rows per BLAS
+product from the state at t = 0; the adaptive Dormand-Prince 5(4)
+integrator and the exponential at each time that cross-check it live in
 :mod:`qubitbath.oracles`.  The exponential also takes a (..., n, n) stack,
 such as one generator times a whole axis of times; every matrix of the
 stack keeps its own squaring count and series length, so it gets the bits
