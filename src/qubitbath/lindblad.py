@@ -200,8 +200,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 #: Rows of a trajectory filled by one BLAS product in :func:`expm_trajectory`.
-#: Its powers of the step propagator take a 128 KB stack (64 matrices of
-#: 16x16 doubles, the identity implied), and it divides ``cli._CHUNK_ROWS``.
+#: The powers of the step propagator behind it take about 128 KB (64 16x16
+#: matrices of doubles, of which the identity is implied).  It divides
+#: ``cli._CHUNK_ROWS``, so that ``evolve``'s chunks keep one trajectory's bits.
 _BLOCK = 64
 
 
