@@ -10,7 +10,9 @@ how the parts are put together; the generic decomposition of the same parts
 is :func:`qubitbath.oracles.generic_generator_parts`, which the tests use.
 This is the one production module that imports :mod:`qubitbath.oracles`:
 the bath dissipator matrix and the generic Choi operator are second routes
-inside ``verify``.
+inside ``verify``.  Every propagation here, the oracle trajectories and the
+bath dissipator's, goes through :func:`qubitbath.lindblad.expm_trajectory`,
+the route ``evolve`` uses.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .analytic import (
     has_information_backflow,
     increase_intervals,
 )
-from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory, _expm
+from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import (
     DivisibilityVerdict,
     _blp_many,
@@ -157,13 +159,13 @@ def _timed(budget: float):
 
 
 @_timed(budget=1.0)
-def _check_generator_fidelity(generator_builder, seed: int) -> tuple[bool, str]:
+def _check_generator_fidelity(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
         xi = float(rng.uniform(-3.0, 3.0))
         kappa = float(rng.uniform(0.0, 20.0))
-        built = generator_builder(ModelParams(xi, kappa))
+        built = build_generator(ModelParams(xi, kappa))
         expected = reference_generator_matrix(xi, kappa)
         if not np.array_equal(built, expected):
             worst = max(worst, float(np.abs(built - expected).max()))
@@ -181,13 +183,12 @@ _ORACLE_PARAMS = (
 )
 
 
-def _oracle_trajectories(generator_builder):
+def _oracle_trajectories():
     grid = TimeGrid(20.0 / 1999, 2000)  # linspace(0, 20, 2000), bit for bit
     times = grid.times()
     out = []
     for params in _ORACLE_PARAMS:
-        gen = generator_builder(params)
-        traj = expm_trajectory(gen, initial_joint_vector((0.0, 0.0, 1.0)), grid)
+        traj = expm_trajectory(build_generator(params), initial_joint_vector((0.0, 0.0, 1.0)), grid)
         out.append((params, times, traj))
     return out
 
@@ -287,11 +288,12 @@ def _check_criteria_agreement() -> tuple[bool, str]:
 
 @_timed(budget=1.0)
 def _check_bath_correlation() -> tuple[bool, str]:
-    taus = np.linspace(0.0, 10.0, 201)
+    grid = TimeGrid(0.05, 201)  # linspace(0, 10, 201), bit for bit
+    taus = grid.times()
     sigma_x_coeffs = coherence4(np.array([[0, 1], [1, 0]], dtype=complex)).real
     worst = 0.0
     for kappa in (0.5, 2.0, 8.0):
-        evolved = _expm(bath_dissipator_matrix(kappa) * taus[:, None, None]) @ sigma_x_coeffs
+        evolved = expm_trajectory(bath_dissipator_matrix(kappa), sigma_x_coeffs, grid)
         numeric = evolved[:, 1]  # pairing <sigma_x, .> = the sigma_x coefficient
         worst = max(worst, float(np.abs(numeric - bath_correlation(kappa, taus)).max()))
     ok = worst <= 1e-10
@@ -344,11 +346,7 @@ ALL_CHECK_NAMES = (
 )
 
 
-def run_acceptance(
-    tol: float | None = None,
-    generator_builder: Callable[[ModelParams], np.ndarray] = build_generator,
-    seed: int = 0,
-) -> list[CheckResult]:
+def run_acceptance(tol: float | None = None, seed: int = 0) -> list[CheckResult]:
     """Run every acceptance check and return the results in spec order.
 
     ``tol`` loosens the closed-form-vs-propagation and measure-gap
@@ -357,9 +355,9 @@ def run_acceptance(
     oracle_tol = max(ORACLE_TOL, tol or 0.0)
     gap_tol = max(1e-3, tol or 0.0)
 
-    trajectories = _oracle_trajectories(generator_builder)
+    trajectories = _oracle_trajectories()
     results = [
-        _check_generator_fidelity(generator_builder, seed),
+        _check_generator_fidelity(seed),
         _check_analytic_numeric_oracle(trajectories, oracle_tol),
         _check_threshold_reproduction(1e-6),
         _check_blp_closed_form(gap_tol, seed),

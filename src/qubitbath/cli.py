@@ -417,21 +417,20 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     times = grid.times()
     table = np.empty((grid.num, len(EVOLVE_COLUMNS)))
     table[:, 0] = times
-    state, probe = initial_joint_vector(args.bloch), initial_joint_vector((0.0, 0.0, 1.0))
+    # column 0 is the state whose Bloch vector is written, column 1 the probe whose c is checked
+    states = np.column_stack([initial_joint_vector(args.bloch), initial_joint_vector((0.0, 0.0, 1.0))])
     # _CHUNK_ROWS steps per propagation; neighbouring chunks share their edge row, so each
-    # starts from the last state of the one before, and since lindblad._BLOCK divides
+    # starts from the last states of the one before, and since lindblad._BLOCK divides
     # _CHUNK_ROWS its blocks of rows start where one trajectory's would: the same bits
     for start in range(0, max(grid.num - 1, 1), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, grid.num - 1) + 1
-        chunk = TimeGrid(grid.step, stop - start)
-        traj = expm_trajectory(gen, state, chunk)
-        probe_traj = expm_trajectory(gen, probe, chunk)
+        traj = expm_trajectory(gen, states, TimeGrid(grid.step, stop - start))
         block = table[start:stop]
-        block[:, 1:4] = 4.0 * traj[:, [4, 8, 12]]
+        block[:, 1:4] = 4.0 * traj[:, [4, 8, 12], 0]
         block[:, 4] = coherence_factor(params, times[start:stop])
-        block[:, 5] = 4.0 * probe_traj[:, 12]
+        block[:, 5] = 4.0 * traj[:, 12, 1]
         block[:, 6] = np.abs(block[:, 4] - block[:, 5])
-        state, probe = traj[-1], probe_traj[-1]
+        states = traj[-1]
     gap = table[:, 6].max()
     if gap > ORACLE_TOL:
         raise NumericsError(f"propagated c departs from the closed form by {gap:.3e}, over the bound {ORACLE_TOL:g}")
@@ -459,7 +458,7 @@ def cmd_blp(args: argparse.Namespace) -> int:
     # the measure diverges where analytic is inf: those rows report the sentinel, not a horizon artifact;
     # --t-max 0 (the default) leaves the horizon to blp_numeric
     finite = [params for params, value in zip(points, analytic) if value != math.inf]
-    results = iter(_blp_many(finite, [args.t_max or None] * len(finite), args.pairs, args.seed) if finite else ())
+    results = iter(_blp_many(finite, [args.t_max or None] * len(finite), args.pairs, args.seed))
     rows = []
     for params, value in zip(points, analytic):
         if value == math.inf:

@@ -18,13 +18,13 @@ element and re-decomposes, is the oracle
 Propagation runs on a :class:`TimeGrid`, the times k*step for k below
 ``num``: one matrix exponential P of the step (scaling and squaring with a
 truncated series kernel), whose powers P**1 ... P**63 fill 64 rows per BLAS
-product from the state at t = 0; the adaptive Dormand-Prince 5(4)
-integrator and the exponential at each time that cross-check it live in
-:mod:`qubitbath.oracles`.  The exponential also takes a (..., n, n) stack,
-such as one generator times a whole axis of times; every matrix of the
-stack keeps its own squaring count and series length, so it gets the bits
-of its own call.  All functions here are pure; generators are frozen after
-construction and safe to share between workers.
+product from the state at t = 0.  It is the one production route: ``evolve``
+carries its state and probe through it as two columns, and ``verify`` its
+oracle trajectories and the cooled bath qubit's 4x4 generator.  The
+adaptive Dormand-Prince 5(4) integrator and the exponential at each time
+that cross-check it live in :mod:`qubitbath.oracles`.  All functions here
+are pure; generators are frozen after construction and safe to share
+between workers.
 """
 
 from __future__ import annotations
@@ -167,36 +167,27 @@ _EXPM_SERIES_TOL = 1e-18  # relative cutoff on the scaled series terms
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a small dense matrix, or for each matrix of a (..., n, n) stack.
+    """exp(a) for a small dense matrix.
 
     Scale so the infinity norm is <= 0.5, sum the Taylor series to machine
-    precision, square back.  Plenty for 16x16; robustness over speed.  Each
-    matrix of a stack keeps its own squaring count and ends its series at
-    its own term, so it gets the bits of its own call; a single matrix is
-    the stack of one.
+    precision, square back.  Plenty for 16x16; robustness over speed.
     """
     a = np.asarray(a, dtype=float)
-    stack = a.reshape(-1, *a.shape[-2:])
-    norms = np.abs(stack).sum(axis=-1).max(axis=-1)  # np.linalg.norm(m, np.inf) of each matrix
-    if not np.isfinite(norms).all():
+    norm = np.abs(a).sum(axis=-1).max()  # np.linalg.norm(a, np.inf)
+    if not math.isfinite(norm):
         raise NumericsError("non-finite generator entries in expm")
-    squarings = np.array([math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0 for norm in norms.tolist()], dtype=int)
-    b = stack / (2.0**squarings)[:, None, None]
-    out = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    b = a / 2.0**squarings
+    out = np.eye(len(a))
     term = out.copy()
-    active = np.arange(len(stack))  # the matrices whose series is still summing
     for k in range(1, 40):
         term = (b @ term) / k
-        out[active] += term
-        done = np.abs(term).max(axis=(-2, -1)) < _EXPM_SERIES_TOL * np.maximum(1.0, np.abs(out[active]).max(axis=(-2, -1)))
-        if done.all():
+        out += term
+        if np.abs(term).max() < _EXPM_SERIES_TOL * max(1.0, np.abs(out).max()):
             break
-        active, b, term = active[~done], b[~done], term[~done]
-    for p in range(squarings.max(initial=0)):  # pass p squares the matrices with more than p squarings
-        sel = np.flatnonzero(squarings > p)
-        lanes = out[sel]
-        out[sel] = lanes @ lanes
-    return out.reshape(a.shape)
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 #: Rows of a trajectory filled by one BLAS product in :func:`expm_trajectory`.
@@ -207,36 +198,41 @@ _BLOCK = 64
 
 
 def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """States at every grid time, shape (num, 16).
+    """States at every grid time under the n x n generator ``gen``.
 
-    One exponential P of the grid step; the state after k steps is P**k v0,
-    exact because the generator commutes with itself.  v0 is the state at
-    t = 0.  The rows go in blocks of :data:`_BLOCK`: the block starting at
-    state v is v, P v, ..., P**(B-1) v, one (B*16, 16) @ v product over the
-    stacked powers P**1 ... P**(B-1), each built from the one before, and the
-    next block starts at P**B v.  That is about num/B BLAS calls where one
-    matvec per step took num.  Rounding follows the powers, not the steps, so
-    a state differs from the step-by-step product by rounding only.  Since B
+    ``v0`` holds the state at t = 0: one state of shape (n,), giving a
+    (num, n) trajectory, or m states as the columns of an (n, m) array,
+    giving (num, n, m); BLAS may sum a row of the (n, m) product in another
+    order than the (n,) one, so a column matches its one-state call to
+    rounding.  One exponential P of the grid step; the state after
+    k steps is P**k v0, exact because the generator commutes with itself.
+    The rows go in blocks of :data:`_BLOCK`: the block starting at state v
+    is v, P v, ..., P**(B-1) v, one (B*n, n) @ v product over the stacked
+    powers P**1 ... P**(B-1), each built from the one before, and the next
+    block starts at P**B v.  That is about num/B BLAS calls where one matvec
+    per step took num.  Rounding follows the powers, not the steps, so a
+    state differs from the step-by-step product by rounding only.  Since B
     divides ``cli._CHUNK_ROWS``, a trajectory propagated in chunks of that
     many steps, each from the last state of the chunk before, has the bits of
     one call over the whole grid.
     """
+    n = len(gen)
     step_prop = _expm(gen * grid.step)
     block = min(_BLOCK, grid.num)
-    powers = np.empty((block - 1, 16, 16))  # P**1 ... P**(block-1): no more than the grid needs
-    power = np.eye(16)
+    powers = np.empty((block - 1, n, n))  # P**1 ... P**(block-1): no more than the grid needs
+    power = np.eye(n)
     for j in range(block - 1):
         power = powers[j] = step_prop @ power
-    stack = powers.reshape(-1, 16)
+    stack = powers.reshape(-1, n)
     jump = step_prop @ power  # P**block, from each block's first state to the next one's
-    out = np.empty((grid.num, 16))
     v = np.array(v0, dtype=float)
+    out = np.empty((grid.num, *v.shape))
     for start in range(0, grid.num, block):
         if start:
             v = jump @ v
         rows = min(block, grid.num - start) - 1
         out[start] = v
-        out[start + 1:start + 1 + rows] = (stack[:16 * rows] @ v).reshape(rows, 16)
+        out[start + 1:start + 1 + rows] = (stack[:n * rows] @ v).reshape(rows, *v.shape)
     if not np.all(np.isfinite(out)):
         raise NumericsError("non-finite state along expm trajectory")
     return out

@@ -16,8 +16,9 @@ uses three of them inside ``qubitbath verify``.  Each one cross-checks:
 * :func:`evolve_ode`: adaptive Dormand-Prince 5(4) integration, against
   the matrix exponential;
 * :func:`bath_propagator` and :func:`bath_dissipator_matrix`: the cooled
-  bath qubit in closed form and as a generator, against each other and
-  against :func:`~qubitbath.analytic.bath_correlation`;
+  bath qubit in closed form and as a 4x4 generator, against each other and
+  against :func:`~qubitbath.analytic.bath_correlation`; ``verify``
+  propagates the generator with :func:`~qubitbath.lindblad.expm_trajectory`;
 * :func:`system_map`, :func:`intermediate_map`, :func:`choi_matrix` and
   :func:`choi_min_eigenvalue`: the generic complex Choi operator of a
   transfer matrix, against the closed-form Choi spectrum

@@ -169,7 +169,7 @@ class TestTimeAxis:
         monkeypatch.setattr(cli, "expm_trajectory", recorded)
         out = tmp_path / "evolve.csv"
         assert cli.main(["evolve", "--kappa", "4", "--dt", "0.1", "--t-max", "0.3", "--out", str(out)]) == 0
-        assert steps == [0.1, 0.1]  # the trajectory and the probe
+        assert steps == [0.1]  # the state and the probe, as two columns of one call
         assert column(*read_csv(out), "t") == [0.0, 0.1, 0.2, 0.1 * 3]
 
     @pytest.mark.parametrize("argv", [

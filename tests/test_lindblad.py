@@ -155,6 +155,8 @@ class TestEvolveExpm:
         gen = build_generator(ModelParams(1.3, 2.1))
         v0 = initial_joint_vector((0.1, 0.2, 0.3))
         assert np.array_equal(evolve_expm(gen, v0, 0.0), v0)
+        for n in (4, 16):
+            assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
 
     def test_rejects_negative_time(self):
         gen = build_generator(ModelParams(1.0, 1.0))
@@ -192,8 +194,10 @@ class TestTimeGrid:
                 TimeGrid(step, num)
         for step, num in [(0.1, 4), (0.3, 1), (20.0 / 1999, 2000)]:
             assert np.array_equal(TimeGrid(step, num).times(), step * np.arange(num))
-        # the acceptance oracle's grid is linspace(0, 20, 2000), bit for bit
+        # the acceptance oracle's grid is linspace(0, 20, 2000), and bath_correlation's
+        # linspace(0, 10, 201), bit for bit
         assert np.array_equal(TimeGrid(20.0 / 1999, 2000).times(), np.linspace(0.0, 20.0, 2000))
+        assert np.array_equal(TimeGrid(0.05, 201).times(), np.linspace(0.0, 10.0, 201))
 
 
 class TestEvolveOde:
@@ -337,6 +341,35 @@ class TestExpmTrajectory:
         k = np.arange(num)[:, None]
         assert (np.abs(traj - expected) <= 36 * k * EPS * np.abs(expected).max()).all()
 
+    @pytest.mark.parametrize("num", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2001])
+    def test_columns_equal_one_column_calls(self, num):
+        # cmd_evolve propagates its state and probe as the two columns of one call. A
+        # (B*16, 16) @ (16, 2) product may sum a row in another order than (B*16, 16) @ (16,),
+        # so a column matches its one-column call to rounding (the bound of
+        # test_matches_a_matmul_loop_to_rounding); every row of every power has two nonzero
+        # terms at the coefficients evolve writes, 4, 8 and 12, so those match bit for bit
+        gen = build_generator(ModelParams(1.0, 4.0))
+        grid = TimeGrid(0.002, num)
+        state, probe = initial_joint_vector((0.3, -0.4, 0.5)), initial_joint_vector((0.0, 0.0, 1.0))
+        both = expm_trajectory(gen, np.column_stack([state, probe]), grid)
+        assert both.shape == (num, 16, 2)
+        k = np.arange(num)[:, None]
+        for column, v0 in enumerate((state, probe)):
+            alone = expm_trajectory(gen, v0, grid)
+            assert np.array_equal(both[:, [4, 8, 12], column], alone[:, [4, 8, 12]])
+            assert (np.abs(both[:, :, column] - alone) <= 36 * k * EPS * np.abs(alone).max()).all()
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 8.0, 40.0])
+    def test_bath_generator_matches_the_closed_form(self, kappa):
+        # the 4x4 route of verify's bath_correlation, two operators as columns; within the
+        # per-row bound of test_matches_a_matmul_loop_to_rounding (largest ratio seen 2.5)
+        v0 = np.array([[0.5, 0.25], [0.3, -0.2], [-0.1, 0.4], [0.2, -0.25]])
+        grid = TimeGrid(0.05, 201)
+        traj = expm_trajectory(bath_dissipator_matrix(kappa), v0, grid)
+        expected = np.array([[bath_propagator(kappa, t, column) for column in v0.T] for t in grid.times()])
+        k = np.arange(grid.num)[:, None, None]
+        assert (np.abs(traj - expected.transpose(0, 2, 1)) <= 36 * (k + 1) * EPS * np.abs(v0).max()).all()
+
     def test_evolve_chunks_equal_one_trajectory(self, monkeypatch):
         # cmd_evolve propagates _CHUNK_ROWS steps at a time, each chunk from the last state
         # of the one before; the 20,001 rows span three chunks, and the blocks of rows line
@@ -356,11 +389,12 @@ class TestExpmTrajectory:
         assert np.array_equal(table[:, 5], 4.0 * probe_traj[:, 12])
 
     def test_non_finite_input_raises(self):
-        gen = build_generator(ModelParams(1.0, 4.0)).copy()
         v0 = initial_joint_vector((0.3, -0.4, 0.5))
-        gen[3, 5] = np.nan
-        with pytest.raises(NumericsError, match="non-finite generator"):
-            expm_trajectory(gen, v0, TimeGrid(0.01, 200))
+        for bad in (math.nan, math.inf, -math.inf):
+            gen = build_generator(ModelParams(1.0, 4.0)).copy()
+            gen[3, 5] = bad
+            with pytest.raises(NumericsError, match="non-finite generator"):
+                expm_trajectory(gen, v0, TimeGrid(0.01, 200))
         v0[7] = np.nan
         with pytest.raises(NumericsError, match="non-finite state"):
             expm_trajectory(build_generator(ModelParams(1.0, 4.0)), v0, TimeGrid(0.01, 200))
@@ -413,31 +447,3 @@ class TestTrajectoryAccuracy:
             state = traj[-1]
         assert gap <= self.C * EPS * (np.abs(gen).sum(axis=1).max() * step * (num - 1) + num)
         assert gap <= 2 * 2.08e-11
-
-
-class TestStackedExpm:
-    """_expm over a (..., n, n) stack against its per-matrix calls, bit for bit."""
-
-    @pytest.mark.parametrize("n", [4, 16])
-    def test_stack_equals_the_per_matrix_calls(self, n):
-        rng = np.random.default_rng(n)
-        base = rng.standard_normal((6, n, n))
-        base /= np.linalg.norm(base, np.inf, axis=(-2, -1))[:, None, None]
-        # the zero matrix, two norms under 0.5 (no squaring), then about 3, 7 and 10 squarings
-        norms = np.array([0.0, 0.1, 0.45, 3.0, 40.0, 511.0])
-        stack = (base * norms[:, None, None]).reshape(2, 3, n, n)
-        out = _expm(stack)
-        assert out.shape == (2, 3, n, n)
-        for index in np.ndindex(2, 3):
-            assert np.array_equal(out[index], _expm(stack[index]))
-        assert np.array_equal(out[0, 0], np.eye(n))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entry_in_any_lane_raises(self, bad):
-        stack = np.zeros((2, 3, 4, 4))
-        stack[1, 2, 0, 3] = bad
-        with pytest.raises(NumericsError, match="non-finite"):
-            _expm(stack)
-
-    def test_empty_stack(self):
-        assert _expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)

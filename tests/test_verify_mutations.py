@@ -3,7 +3,8 @@
 Each case copies the package source, applies one textual mutation, asserts
 that the mutation happened (so a refactor cannot silently turn it into a
 no-op), and runs ``python -m qubitbath.cli verify`` on the mutated copy.
-The run must end with exit 3 and name the checks that see the fault.
+The run must end with exit 3, and exactly the checks that see the fault
+must fail, each with a detail that names what is wrong.
 """
 
 import os
@@ -18,21 +19,37 @@ import qubitbath
 
 SRC = pathlib.Path(qubitbath.__file__).parent
 
-#: (module file, original text, mutated text, checks that must FAIL)
+#: (module file, original text, mutated text, {check that must FAIL: text its line holds})
 MUTATIONS = {
     # S(a, b) becomes S(b, a): the coupling part changes sign, so the
-    # generator built from the sandwich matrices is wrong, not only the table
+    # generator built from the sandwich matrices is wrong, not only the table,
+    # and so is the propagation from it
     "sandwich-transposed": (
         "operator_space.py",
         "sa @ PAULIS[k] @ sb",
         "sb @ PAULIS[k] @ sa",
-        {"generator_fidelity", "superoperator_table"},
+        {
+            "generator_fidelity": "generator deviates",
+            "analytic_numeric_oracle": "closed form - propagated",
+            "conservation": "trace dev",
+            "superoperator_table": "s_IX deviates",
+        },
+    ),
+    # the coupling part transposed flips the sign of its off-diagonal entries; xi enters
+    # the dynamics through xi**2 and |xi| alone, so only the generator table sees it, and
+    # the sandwich table and the threshold, which do not involve it, stay green
+    "generator-coupling-transposed": (
+        "lindblad.py",
+        "params.xi * COUPLING_PART",
+        "params.xi * COUPLING_PART.T",
+        {"generator_fidelity": "generator deviates"},
     ),
 }
 
 
-def failed_checks(stdout: str) -> set[str]:
-    return {line.split()[0] for line in stdout.splitlines() if line.split()[1:2] == ["FAIL"]}
+def failed_checks(stdout: str) -> dict[str, str]:
+    """The summary lines of the checks that FAIL, by check name."""
+    return {line.split()[0]: line for line in stdout.splitlines() if line.split()[1:2] == ["FAIL"]}
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
@@ -51,4 +68,7 @@ def test_verify_fails_on_mutation(name, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 3, run.stdout + run.stderr
-    assert must_fail <= failed_checks(run.stdout), run.stdout
+    failed = failed_checks(run.stdout)
+    assert set(failed) == set(must_fail), run.stdout
+    for check, text in must_fail.items():
+        assert text in failed[check], failed[check]
