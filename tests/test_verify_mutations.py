@@ -4,7 +4,7 @@ Each case copies the package source, applies one textual mutation, asserts
 that the mutation happened (so a refactor cannot silently turn it into a
 no-op), and runs ``python -m qubitbath.cli verify`` on the mutated copy.
 The run must end with exit 3, and exactly the checks that see the fault
-must fail, each with a detail that names what is wrong.
+must fail, each printing the detail expected of it.
 """
 
 import os
@@ -35,9 +35,9 @@ MUTATIONS = {
             "superoperator_table": "s_IX deviates",
         },
     ),
-    # the coupling part transposed flips the sign of its off-diagonal entries; xi enters
-    # the dynamics through xi**2 and |xi| alone, so only the generator table sees it, and
-    # the sandwich table and the threshold, which do not involve it, stay green
+    # the coupling part is antisymmetric, so its transpose turns xi into -xi; the dynamics
+    # depends on xi**2 and |xi| alone, so only the generator table sees it, and the
+    # sandwich table and the threshold, which do not involve it, stay green
     "generator-coupling-transposed": (
         "lindblad.py",
         "params.xi * COUPLING_PART",
