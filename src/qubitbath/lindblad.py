@@ -226,6 +226,8 @@ def expm_trajectory(gen: np.ndarray, v0: np.ndarray, grid: TimeGrid) -> np.ndarr
     stack = powers.reshape(-1, n)
     jump = step_prop @ power  # P**block, from each block's first state to the next one's
     v = np.array(v0, dtype=float)
+    if not np.all(np.isfinite(v)):  # before an inf meets a zero in the products below
+        raise NumericsError("non-finite state along expm trajectory")
     out = np.empty((grid.num, *v.shape))
     for start in range(0, grid.num, block):
         if start:

@@ -400,6 +400,19 @@ class TestExpmTrajectory:
             expm_trajectory(build_generator(ModelParams(1.0, 4.0)), v0, TimeGrid(0.01, 200))
 
 
+class TestStackedExpm:
+    """expm_trajectory over m states stacked as the columns (lanes) of one (n, m) array."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_in_any_lane_raises(self, bad):
+        gen = build_generator(ModelParams(1.0, 4.0))
+        for lane in range(3):
+            v0 = np.column_stack([initial_joint_vector(b) for b in ((0.3, -0.4, 0.5), (0, 0, 1), (1, 0, 0))])
+            v0[5, lane] = bad
+            with pytest.raises(NumericsError, match="non-finite state"):
+                expm_trajectory(gen, v0, TimeGrid(0.01, 200))
+
+
 class TestTrajectoryAccuracy:
     """The propagated probe's c = 4 v[12] against the closed form, to the rounding floor.
 
