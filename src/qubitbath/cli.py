@@ -23,14 +23,11 @@ flag a subcommand does not read is a validation error there.
 
 Outputs are deterministic for a fixed configuration and seed: CSV with LF
 line endings and 17 significant digits, or JSON with a ``records`` list.
-Both are formatted and written in fixed chunks of rows: in each chunk a
-float column prints each of its distinct values once, and the chunk's text
-is one join of its cells with the fixed separators, keys and row joiners;
-the JSON is byte-identical to ``json.dumps(..., indent=1)``.  Where the OS
-reports an affinity mask (Linux), the chunks are formatted on every CPU in
-it: the process and forked workers take them round-robin, and the bytes
-are the same for any number of CPUs; elsewhere the process formats them
-all.  No worker outlives the write.  A CSV text
+Both are formatted and written in fixed chunks of rows, in one process: a
+chunk's float cells are printed in numpy (:mod:`qubitbath._floattext`),
+byte for byte as '%.17g' and float.__repr__ print them, and its bytes are
+picked from one grid of those cells and the fixed separators, keys and row
+joiners; the JSON is byte-identical to ``json.dumps(..., indent=1)``.  A CSV text
 cell that holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
 value is written as the token ``inf`` in CSV and the string ``"infinite"``
 in JSON.  ``evolve`` and ``contour`` write the times k*dt up to --t-max
@@ -49,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -63,7 +59,7 @@ from .operator_space import initial_joint_vector
 
 __all__ = ["SUBCOMMANDS", "build_parser", "main", "entry"]
 
-_INF_JSON = json.dumps("infinite")
+_INF_JSON = json.dumps("infinite").encode()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -144,19 +140,14 @@ _FLAGS = {
 #: validation error raised before any array is allocated.  Formatting takes
 #: O(chunk) memory (:data:`_CHUNK_ROWS`); what grows with the rows is the
 #: table.  Peak RSS above the import, per row, at 100,001 and 400,001 rows:
-#: evolve CSV 142 and 87 B, evolve JSON 159 and 92 B, contour (one kappa
-#: step) 94 and 92 B.  An added evolve row costs about 70 B, so 10,000,000
-#: evolve rows need about 0.75 GB.
+#: evolve CSV 127 and 79 B, evolve JSON 127 and 81 B, contour (one kappa
+#: step) 99 and 98 B.  An added evolve row costs about 65 B, so 10,000,000
+#: evolve rows need about 0.65 GB.
 MAX_ROWS = 10_000_000
 
 #: Rows formatted and written at a time by :func:`write_records`, and time
 #: steps per propagation in ``evolve``: their memory is bounded by this.
 _CHUNK_ROWS = 8192
-
-#: SIGKILL's number, which POSIX fixes; the signal module is not imported for it,
-#: since its import alone costs the CLI about 0.07 MB of peak RSS.
-_SIGKILL = 9
-
 
 # ---------------------------------------------------------------------------
 # Serialization.
@@ -170,128 +161,125 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _cells(values, float_column: bool, fmt: str):
-    """The printed cells of one column's values in one chunk of rows.
+def _text_cells(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, None]:
+    """Byte strings as (w, n) uint64 words, 8w bytes from the lowest byte of ``words[0]``, and their lengths."""
+    lengths = np.array([len(text) for text in texts], dtype=np.intp)
+    width = -(-max(lengths.max(), 1) // 8)
+    return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width).T, lengths, None
 
-    A float column is folded in numpy (-0.0 becomes 0.0, and in CSV -inf
-    becomes inf) before it is deduplicated, so each distinct folded value is
-    printed once: by '%.17g' in CSV, by float.__repr__ (as json's encoder
-    does) in JSON, with the infinity token and NaN there.  An object-array
-    take maps the printed values back to the rows.  Other cells are rendered
-    one by one: str() with quoting in CSV, json.dumps() in JSON.
+
+def _float_cells(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text of float cells as (3, n) uint64 words and lengths: '%.17g' in CSV, float.__repr__ in JSON.
+
+    The values come folded (-0.0 as 0.0, and in CSV -inf as inf); the JSON
+    tokens for +-inf and NaN replace repr's.  They are printed in slices of
+    half a chunk's rows: the formatter holds about 150 bytes a value, and
+    slices of :data:`_CHUNK_ROWS` // 2 values keep that near 0.6 MB where
+    whole-chunk slices took 1.2 MB (and peak RSS on the README contour
+    rose by 0.8 MB), at the same speed.
     """
-    if float_column:
+    # imported here, on the first table: compiling the module without cached bytecode
+    # added about 4 ms, a tenth, to the CLI's set-up time
+    from ._floattext import float_text
+
+    words = np.empty((3, len(values)), dtype=np.uint64)
+    lengths = np.empty(len(values), dtype=np.intp)
+    for begin in range(0, len(values), _CHUNK_ROWS // 2):
+        part = slice(begin, begin + _CHUNK_ROWS // 2)
+        words[:, part], lengths[part] = float_text(values[part], shortest=fmt == "json")
+    if fmt == "json":
+        for lanes, token in ((np.flatnonzero(np.isinf(values)), _INF_JSON), (np.flatnonzero(np.isnan(values)), b"NaN")):
+            words[:, lanes] = np.frombuffer(token.ljust(8 * len(words), b"\0"), dtype=np.uint64)[:, None]
+            lengths[lanes] = len(token)
+    return words, lengths
+
+
+def _columns_text(chunk, floats: list[bool], fmt: str, repeats: list[bool] | None):
+    """The cells of one chunk of rows, column by column: (w, n) uint64 words, lengths and row indices.
+
+    The float cells of all float columns go through :func:`_float_cells` in
+    one pass.  A float column that repeats its values prints each distinct
+    value once (np.unique), and its row indices map them to its rows; other
+    columns have None there, for cell k on row k.  ``repeats`` says which
+    float columns repeat.  Where it is None, the chunk is the first of a
+    table of several chunks and decides it: a column repeats where that
+    chunk holds at most half as many distinct values as rows.  That picks
+    contour's t and kappa columns and evolve's conserved x; on evolve's
+    other columns, and on tables of one chunk, np.unique's sort costs more
+    than it saves.  Other cells are rendered one by one: str() with quoting
+    in CSV, json.dumps() in JSON.
+    """
+    columns = list(chunk.T) if isinstance(chunk, np.ndarray) else [list(c) for c in zip(*chunk)]
+    printed, decided = [], []  # per float column: the values to print and their row indices
+    for values in (values for values, is_float in zip(columns, floats) if is_float):
         folded = np.asarray(values, dtype=float) + 0.0
         if fmt == "csv":
             folded[np.isinf(folded)] = np.inf  # '%.17g' % inf is the token "inf"
-        distinct, where = np.unique(folded, return_inverse=True)
-        if fmt == "csv":
-            printed = list(map("%.17g".__mod__, distinct.tolist()))
+        if repeats is None or repeats[len(decided)]:
+            distinct, inverse = np.unique(folded, return_inverse=True)
+        decided.append(2 * len(distinct) <= len(folded) if repeats is None else repeats[len(decided)])
+        printed.append((distinct, inverse) if decided[-1] else (folded, None))
+    words, lengths = _float_cells(np.concatenate([values for values, _ in printed] or [np.empty(0)]), fmt)
+    cells, offset, floats_printed = [], 0, iter(printed)
+    for values, is_float in zip(columns, floats):
+        if is_float:
+            lanes, rows = next(floats_printed)
+            part = slice(offset, offset + len(lanes))
+            offset = part.stop
+            cells.append((words[:, part], lengths[part], rows))
+        elif fmt == "csv":
+            cells.append(_text_cells([_csv_text(str(v)).encode() for v in values]))
         else:
-            printed = list(map(float.__repr__, distinct.tolist()))
-            for k in np.flatnonzero(~np.isfinite(distinct)).tolist():
-                printed[k] = _INF_JSON if np.isinf(distinct[k]) else "NaN"
-        return np.array(printed, dtype=object)[where]
-    if fmt == "csv":
-        return [_csv_text(str(v)) for v in values]
-    return [json.dumps(v) for v in values]
+            cells.append(_text_cells([json.dumps(v).encode() for v in values]))
+    return cells, decided
 
 
-def _chunk_text(chunk, floats: list[bool], fmt: str, glue: list[str], first: str | None) -> str:
-    """One chunk's text: one join over a grid of ``glue[k]`` before the cells of column k.
+def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int):
+    """The bytes of ``n_rows`` rows, ``glue[k]`` then the cells of column k on each, as uint8 arrays.
 
-    ``first``, where given, replaces the glue before the first cell: the
-    table's first row has no row before it.
+    The glue and the cells' words are laid side by side in a (rows, width)
+    uint8 grid, each cell at a multiple of 8 bytes after its glue and the
+    padding before that glue, and a mask of the glue and of each cell's
+    length picks the bytes; ``skip`` bytes of the first row's glue are left
+    out.  The grid holds at most :data:`_CHUNK_ROWS` cells at a time, so
+    the rows go in slices of that many cells.
     """
-    grid = np.empty((len(chunk), 2 * len(floats)), dtype=object)
-    grid[:, 0::2] = glue
-    for k, (values, is_float) in enumerate(zip(chunk.T if isinstance(chunk, np.ndarray) else zip(*chunk), floats)):
-        grid[:, 2 * k + 1] = _cells(values, is_float, fmt)
-    if first is not None:
-        grid[0, 0] = first
-    parts = grid.ravel().tolist()
-    del grid  # freed before the join allocates the text
-    return "".join(parts)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one, else 1."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _serve(pipe_fd: int, texts, inherited: list[int]):
-    """A forked worker's whole life: send each of ``texts`` down its pipe, then exit.
-
-    It first closes the read ends it inherited (``inherited``), so that its
-    own pipe and its siblings' have the caller as their only reader.  Each
-    text goes as its 8-byte length and its UTF-8 bytes.  The worker ends in
-    os._exit whatever happens, so it never returns into the caller's frames
-    and never flushes the stdio buffers it inherited (the table's head may
-    sit in one); if the caller is gone, its next write fails with EPIPE and
-    it exits with status 1.
-    """
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        with open(pipe_fd, "wb") as pipe:
-            for text in texts:
-                data = text.encode()
-                del text
-                pipe.write(len(data).to_bytes(8, "little"))
-                pipe.write(data)
-                pipe.flush()
-                del data
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(workers: dict, owner: int):
-    """Wait for worker ``owner``, forget it, and raise OSError unless it exited with status 0."""
-    pid, pipe = workers[owner]
-    status = os.waitpid(pid, 0)[1]
-    del workers[owner]
-    pipe.close()
-    if status:
-        raise OSError(f"formatting worker {pid} failed with exit code {os.waitstatus_to_exitcode(status)}")
-
-
-def _receive(workers: dict, owner: int) -> bytes:
-    """The next chunk from worker ``owner``'s pipe; OSError if the worker ended before sending it all."""
-    pid, pipe = workers[owner]
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 8 or len(data) < size:
-        _reap(workers, owner)  # raises where the worker failed
-        raise OSError(f"formatting worker {pid} exited with code 0 before it sent its chunk")
-    return data
+    template, kept, at = bytearray(), bytearray(), []
+    for g, (words, _, _) in zip(glue, cells):
+        pad = -(len(template) + len(g)) % 8
+        template += bytes(pad) + g
+        kept += bytes(pad) + b"\1" * len(g)
+        at.append(len(template) // 8)
+        template += bytes(8 * len(words))
+        kept += bytes(8 * len(words))
+    masks = {len(words): (np.arange(8 * len(words)) < np.arange(8 * len(words) + 1)[:, None]).view(np.uint64)
+             for words, _, _ in cells}
+    step = max(_CHUNK_ROWS // len(cells), 1)
+    for begin in range(0, n_rows, step):
+        part = slice(begin, min(begin + step, n_rows))
+        grid = np.empty((part.stop - begin, len(template)), dtype=np.uint8)
+        grid[:] = np.frombuffer(template, dtype=np.uint8)
+        keep = np.empty(grid.shape, dtype=bool)
+        keep[:] = np.frombuffer(kept, dtype=bool)
+        if begin == 0:
+            first = -len(glue[0]) % 8  # where the first glue starts
+            keep[0, first:first + skip] = False
+        for k, (words, lengths, rows) in zip(at, cells):
+            cell = part if rows is None else rows[part]
+            grid.view(np.uint64)[:, k:k + len(words)] = words[:, cell].T
+            keep.view(np.uint64)[:, k:k + len(words)] = np.take(masks[len(words)], lengths[cell], axis=0)
+        yield grid[keep]
 
 
 def _pieces(fmt: str, columns: list[str], rows: np.ndarray | list[list]):
-    """The UTF-8 bytes of a table: its head, one piece per :data:`_CHUNK_ROWS` rows, its tail.
+    """The UTF-8 bytes of a table: its head, the pieces of each :data:`_CHUNK_ROWS` rows, its tail.
 
     Whether a column prints as floats (every cell of a float ndarray, or a
     float in every row) is decided once over the whole column, so a chunk
-    boundary cannot change how a cell is printed.  A chunk's text is one
-    join over an object grid that interleaves its cell columns with the
-    fixed glue of a row: the separators and JSON keys, and before the first
-    cell of every row but the table's first, the end of the row before and
-    the row joiner.
-
-    The chunks are formatted by n = min(usable CPUs, chunks) processes:
-    chunk k by process k mod n, where process 0 is the caller and the n - 1
-    others are forked once the head is yielded.  Each worker sends its
-    chunks, in order, down a pipe of its own; the caller formats its own
-    chunks and reads the others from the pipes in their turn, so it holds
-    one chunk at a time.  With n = 1 nothing is forked.  Forking is safe
-    here because a worker calls no BLAS: it only runs np.unique (a sort),
-    tolist, repr and '%', the object-array take and str.join, so an idle
-    OpenBLAS thread of the caller, which fork does not copy, holds no lock
-    that the worker could wait on.  However the generator ends (exhausted,
-    or closed early by a write error or KeyboardInterrupt), its ``finally``
-    SIGKILLs the workers still running and waits for every one.
+    boundary cannot change how a cell is printed.  Each row of a chunk is
+    its cells with the fixed glue before each: the separators and JSON
+    keys, and before the first cell the end of the row before and the row
+    joiner, which the table's first row leaves out.
     """
     array = isinstance(rows, np.ndarray)
     floats = [array or all(isinstance(row[k], float) for row in rows) for k in range(len(columns))]
@@ -304,41 +292,14 @@ def _pieces(fmt: str, columns: list[str], rows: np.ndarray | list[list]):
         head, tail = json.dumps({"columns": columns, "records": []}, indent=1) + "\n", ""
         if len(rows):  # open the empty records list up as indent=1 does a full one
             head, tail = head.removesuffix("[]\n}\n") + "[\n", "\n ]\n}\n"
-    glue = [end + joiner + start, *seps]
+    glue = [(end + joiner + start).encode(), *(sep.encode() for sep in seps)]
     yield head.encode()
-    begins = range(0, len(rows), _CHUNK_ROWS)
-    n = min(_usable_cpus(), len(begins))
-
-    def texts(owner: int):
-        # built in a call, so no chunk's cells stay referenced here while the next is built
-        for begin in begins[owner::n]:
-            yield _chunk_text(rows[begin:begin + _CHUNK_ROWS], floats, fmt, glue, None if begin else start)
-
-    workers = {}  # process number -> (pid, read end of its pipe)
-    try:
-        for owner in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(write_fd, texts(owner), [read_fd, *(p.fileno() for _, p in workers.values())])
-            finally:
-                os.close(write_fd)  # the caller's copy: EOF on the pipe then means the worker has ended
-            workers[owner] = (pid, pipe)
-        own = texts(0)
-        for k in range(len(begins)):
-            yield next(own).encode() if k % n == 0 else _receive(workers, k % n)
-        for owner in list(workers):
-            _reap(workers, owner)
-    finally:
-        for pid, _ in workers.values():
-            os.kill(pid, _SIGKILL)
-        for owner in list(workers):
-            try:
-                _reap(workers, owner)
-            except OSError:  # killed above; the error that closed the generator is the one to report
-                pass
+    repeats = None if len(rows) > _CHUNK_ROWS else [False] * len(columns)
+    for begin in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[begin:begin + _CHUNK_ROWS]
+        cells, repeats = _columns_text(chunk, floats, fmt, repeats)
+        yield from _chunk_pieces(cells, len(chunk), glue, 0 if begin else len(end + joiner))
+        del chunk, cells  # freed before the next chunk is built
     if len(rows):
         yield (end + tail).encode()
 
@@ -349,20 +310,19 @@ def write_records(path: str | None, fmt: str, columns: list[str], rows: np.ndarr
     ``rows`` is a 2-D float ndarray or a list of rows, one cell per column;
     both go through the same route.  The text is formatted and written
     :data:`_CHUNK_ROWS` rows at a time, so its memory is bounded by the
-    chunk, not by the table.  In a chunk, each float column prints each
-    distinct value once (:func:`_cells`), and the chunk's text is one join
-    over a grid of its cells and the fixed glue between them
-    (:func:`_chunk_text`); the JSON reproduces ``json.dumps(..., indent=1)``
-    exactly.  On Linux the chunks are formatted on every usable CPU, by the
-    caller and by forked workers that take them round-robin
-    (:func:`_pieces`); the bytes are the same for any number of CPUs, and
-    no worker outlives the call.  A file is written as those bytes; standard
+    chunk, not by the table.  In a chunk, the float cells are printed in
+    numpy (:mod:`qubitbath._floattext`), each column that repeats its
+    values once per distinct value (:func:`_columns_text`), and the cells
+    and the fixed glue between them are laid out in a uint8 grid from
+    which a length mask picks the bytes (:func:`_chunk_pieces`); the JSON
+    reproduces ``json.dumps(..., indent=1)`` exactly.  Everything runs in
+    the calling process.  A file is written as those bytes; standard
     output gets their text.
     """
     pieces = _pieces(fmt, columns, rows)
     try:
         if path is None:
-            sys.stdout.writelines(piece.decode() for piece in pieces)
+            sys.stdout.writelines(str(piece, "utf-8") for piece in pieces)
         else:
             with open(path, "wb") as handle:
                 handle.writelines(pieces)

@@ -10,10 +10,10 @@ The oracle differs from the old serializer only in quoting CSV text cells
 that hold a comma, a quote, CR or LF (RFC 4180); ``csv.reader`` is the
 independent check that those cells read back.
 
-The chunks are formatted by as many processes as there are usable CPUs.
-The tests at the end force that count by replacing ``os.sched_getaffinity``
-and compare the bytes with the one-process route; after each call no
-child process may be left.
+The float text itself comes from ``qubitbath._floattext``, which prints
+float64 arrays in numpy; the tests in its section check it against
+``repr`` and ``'%.17g'`` value by value.  The tests at the end shrink
+``_CHUNK_ROWS`` so that a few rows make several chunks.
 """
 
 import csv
@@ -21,7 +21,6 @@ import io
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -30,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qubitbath._floattext as floattext
 import qubitbath.cli as cli
 
 
@@ -81,7 +81,7 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2
                   1e300, -1e-300, 1e16, 1e17, 0.1, 123456789.123]
 FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 TEXT = st.one_of(st.text(), st.sampled_from(['a,b', '"quoted"', 'say "x", y', "line\nbreak", "cr\rlf", "",
-                                             "ünïcödé", "%s %d %%", "{0.25, 0.5, 1, 2}"]))
+                                             "ünïcödé", "%s %d %%", "{0.25, 0.5, 1, 2}", "\x00", "nul\x00, then €"]))
 CELLS = {"float": FLOATS, "int": st.integers(), "str": TEXT}
 NAMES = st.one_of(st.text(min_size=1), st.sampled_from(["t", "kappa", "abs(c_analytic-c_numeric)", "100%", 'q"x']))
 
@@ -188,19 +188,73 @@ def test_csv_text_cells_read_back(table):
 
 
 # ---------------------------------------------------------------------------
-# Chunks formatted by forked workers.
+# The numpy float text against repr and '%.17g', value by value.
+# ---------------------------------------------------------------------------
+
+ORACLE_TEXT = {True: repr, False: "%.17g".__mod__}
+
+
+def texts(words, lengths):
+    raw = np.ascontiguousarray(words.T).view(np.uint8).reshape(len(lengths), floattext.WIDTH)
+    return [bytes(row[:n]).decode() for row, n in zip(raw, lengths.tolist())]
+
+
+def assert_prints_as_python(values):
+    values = np.asarray(values, dtype=float)
+    for shortest, oracle in ORACLE_TEXT.items():
+        expected = [oracle(v) for v in values.tolist()]
+        words, lengths = floattext._numpy_text(values, shortest)  # every lane through numpy, however few
+        assert texts(words, lengths) == expected
+        assert texts(*floattext.float_text(values, shortest)) == expected
+
+
+BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 0x4310000000000000).map(lambda b: b | (2**63 if b & 1 else 0)),  # |v| below 2**50, either sign
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(BIT_PATTERNS, min_size=1, max_size=40))
+def test_float_text_matches_python_on_bit_patterns(bits):
+    assert_prints_as_python(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(min_value=-(2.0**50), max_value=2.0**50), min_size=1, max_size=40))
+def test_float_text_matches_python_below_2_to_50(values):
+    assert_prints_as_python(values)
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,  # subnormals
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    2.0**-25,  # 2.98023223876953125e-08: 18 digits, a tie that '%.17g' rounds to even
+    1e-4, 1e-5, 9.999999999999999e-05, 0.00010000000000000002, 1e16, 1e17, 9999999999999998.0, 99999999999999984.0,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**50 - 0.5, 2.0**50, 0.1, 0.3, 1 / 3, 123456789.123, 1e23, 8.0, 0.5,
+    *(2.0**k for k in range(-1074, 1024)), *(10.0**k for k in range(-323, 309)),
+]
+
+
+def test_float_text_matches_python_on_edges():
+    # 5e-324 prints through CPython in '%.17g' (a quotient of few digits), 0.5 and 8.0 in
+    # repr (exact digits cut), 1e300, inf and nan in both (2**50 and above)
+    assert_prints_as_python(EDGE_FLOATS + [-v for v in EDGE_FLOATS])
+
+
+def test_a_short_pass_prints_through_python(monkeypatch):
+    printed = []
+    monkeypatch.setattr(floattext, "_numpy_text", lambda *args: printed.append(args))
+    values = np.linspace(-3.0, 7.0, floattext._NUMPY_LANES - 1)
+    assert texts(*floattext.float_text(values, True)) == list(map(repr, values.tolist()))
+    assert printed == []
+
+
+# ---------------------------------------------------------------------------
+# Tables of several small chunks.
 # ---------------------------------------------------------------------------
 
 SMALL = 4  # rows per chunk in the tests below, so that a few rows make several chunks
-
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def edge_table(n_rows):
@@ -211,6 +265,7 @@ def edge_table(n_rows):
     specials = [-0.0, math.inf, -math.inf, math.nan, 0.0]
     for k, row in enumerate(edges):
         table[row] = np.roll(specials, k)[:3]
+    table[1::5, 1] = 0.25  # a column with repeats, which a table of several chunks prints once per value
     return ["t", "x", "y"], table
 
 
@@ -232,119 +287,55 @@ TABLES = {"floats": edge_table, "verify": verify_rows, "threshold": threshold_ro
 # 1 chunk, 2 chunks, 3 chunks with a 1-row last one, and 5 chunks with a 1-row last one
 PARALLEL_ROWS = [1, SMALL + 3, 2 * SMALL + 1, 4 * SMALL + 1]
 
+# The two tests below are named for the forked writer that formatted chunks in
+# other processes before the numpy float text; their ids are kept.  They now check
+# that small chunks (one pass, glue and masks per chunk, and the repeated-value
+# decision of the first chunk) write the bytes of one chunk.
 
-def file_bytes(tmp_path, fmt, columns, rows):
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", PARALLEL_ROWS)
+@pytest.mark.parametrize("layout", sorted(TABLES))
+def test_workers_write_the_one_process_bytes_to_a_file(layout, n_rows, fmt, tmp_path, monkeypatch):
+    columns, rows = TABLES[layout](n_rows)
     path = tmp_path / "out"
     cli.write_records(str(path), fmt, columns, rows)
-    assert_no_child_left()
-    return path.read_bytes()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n_rows", PARALLEL_ROWS)
-@pytest.mark.parametrize("layout", sorted(TABLES))
-def test_workers_write_the_one_process_bytes_to_a_file(layout, n_rows, fmt, tmp_path, monkeypatch, alarm):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
-    columns, rows = TABLES[layout](n_rows)
-    use_cpus(monkeypatch, 1)
-    expected = file_bytes(tmp_path, fmt, columns, rows)
+    expected = path.read_bytes()
     if layout == "floats":
         assert expected == ORACLES[fmt](columns, rows.tolist()).encode("utf-8")
-    for n in (2, 4):
-        use_cpus(monkeypatch, n)
-        assert file_bytes(tmp_path, fmt, columns, rows) == expected
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+    cli.write_records(str(path), fmt, columns, rows)
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_rows", PARALLEL_ROWS)
 @pytest.mark.parametrize("layout", sorted(TABLES))
-def test_workers_write_the_one_process_text_to_stdout(layout, n_rows, fmt, capfd, monkeypatch, alarm):
-    # the head waits in sys.stdout's buffer when the workers fork: a worker that flushed
-    # its copy of that buffer would write the head twice
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+def test_workers_write_the_one_process_text_to_stdout(layout, n_rows, fmt, capfd, monkeypatch):
     columns, rows = TABLES[layout](n_rows)
     outputs = []
-    for n in (1, 2, 4):
-        use_cpus(monkeypatch, n)
+    for chunk_rows in (cli._CHUNK_ROWS, SMALL):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
         cli.write_records(None, fmt, columns, rows)
         sys.stdout.flush()
-        assert_no_child_left()
         outputs.append(capfd.readouterr().out)
-    assert outputs[1] == outputs[2] == outputs[0]
+    assert outputs[1] == outputs[0]
     assert outputs[0].count(columns[-1]) == (1 if fmt == "csv" else n_rows + 1)
 
 
-def test_workers_leave_a_buffered_stdout_alone():
-    # under capfd stdout is unbuffered; a real one, block-buffered into a pipe, holds the
-    # head when the workers fork, and a worker that flushed it would write the head again
-    code = (
-        "import os, sys; os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])));"
-        "import qubitbath.cli as cli; cli._CHUNK_ROWS = 4;"
-        "sys.exit(cli.main(['evolve', '--kappa', '4', '--t-max', '0.2', '--format', 'json']))"
-    )
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    outputs = [subprocess.run([sys.executable, "-c", code, str(n)], env=env, capture_output=True, check=True, timeout=60).stdout
-               for n in (1, 2, 4)]
-    assert outputs[1] == outputs[2] == outputs[0]
-    assert outputs[0].count(b'"columns"') == 1 and outputs[0].count(b'"t": ') == 21
-
-
-def test_one_cpu_forks_nothing(monkeypatch, tmp_path):
+def test_write_records_never_forks(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
-    use_cpus(monkeypatch, 1)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("write_records forked"))
     columns, table = edge_table(3 * SMALL)
-    assert file_bytes(tmp_path, "csv", columns, table) == oracle_csv(columns, table.tolist()).encode("utf-8")
+    path = tmp_path / "out"
+    cli.write_records(str(path), "csv", columns, table)
+    assert path.read_bytes() == oracle_csv(columns, table.tolist()).encode("utf-8")
+    assert cli.main(["evolve", "--kappa", "4", "--t-max", "0.2", "--format", "json", "--out", str(path)]) == 0
 
 
-def test_a_failing_worker_is_an_io_error(tmp_path, monkeypatch, capsys, alarm):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
-    use_cpus(monkeypatch, 2)
-    chunk_text, bad_time = cli._chunk_text, cli.TimeGrid(0.01, 101).times()[30]
-
-    def failing(chunk, *args):
-        if chunk[0, 0] == bad_time:  # chunk 3, which the worker formats
-            raise ValueError("chunk 3 cannot be formatted")
-        return chunk_text(chunk, *args)
-
-    monkeypatch.setattr(cli, "_chunk_text", failing)
-    out = tmp_path / "traj.csv"
-    assert cli.main(["evolve", "--kappa", "4", "--t-max", "1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "formatting worker" in err and "exit code 1" in err
-    assert_no_child_left()
-
-
-def test_a_full_device_is_an_io_error(monkeypatch, capsys, alarm):
+def test_a_full_device_is_an_io_error(capsys, alarm):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this OS")
-    use_cpus(monkeypatch, 2)
     assert cli.main(["contour", "--out", "/dev/full"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No space left on device" in err
-    assert_no_child_left()
-
-
-def test_closing_early_kills_the_workers(monkeypatch, alarm):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
-    use_cpus(monkeypatch, 4)
-    pieces = cli._pieces("csv", *edge_table(40 * SMALL))
-    next(pieces), next(pieces)  # the head, then chunk 0 once three workers are forked
-    pieces.close()
-    assert_no_child_left()
-
-
-def test_a_worker_whose_caller_is_gone_exits_at_its_next_write(monkeypatch, alarm):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
-    use_cpus(monkeypatch, 2)
-    pieces = cli._pieces("csv", *edge_table(20_000))
-    next(pieces), next(pieces)
-    # the caller's end of the pipe closes, as it does when the caller dies; the worker's
-    # ten chunks are far more than a pipe holds, so it is still writing
-    (pid, pipe), = pieces.gi_frame.f_locals["workers"].values()
-    pipe.close()
-    ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # left for the generator to reap
-    assert (ended.si_code, ended.si_status) == (os.CLD_EXITED, 1)
-    pieces.close()
-    assert_no_child_left()
