@@ -36,6 +36,8 @@ at import.  Each value's text comes back as 24 bytes (the length of
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 WIDTH = 24  # bytes of text per value
@@ -49,9 +51,9 @@ _NUMPY_LANES = 256  # fewer values are printed by CPython
 _NO_POINT = 24  # a point position past every digit: no decimal point
 _EXP_MIN = -324  # decimal exponent of 5e-324
 _ZEROS = {True: ["0.0", "-0.0"], False: ["0", "-0"]}
-_T: dict = {}
 
 
+@functools.cache
 def _tables() -> dict:
     """The per-exponent and layout tables, built on first use.
 
@@ -73,34 +75,35 @@ def _tables() -> dict:
     "0.000", at 6 * negative + lead; ``exps`` and ``exp_lens``, "e-05" and
     its length for each decimal exponent from -324 to 308.
     """
-    if not _T:
-        limbs = np.zeros((5, _BIG), dtype=np.uint64)
-        e10 = np.zeros(_BIG, dtype=np.int64)
-        exact = np.full(_BIG, 2**64 - 1, dtype=np.uint64)
-        up, down = np.zeros((3, _BIG), dtype=np.uint64), np.zeros((3, 2 * _BIG), dtype=np.uint64)
-        words = lambda v: [v >> 128, (v >> 64) & (2**64 - 1), v & (2**64 - 1)]  # noqa: E731
-        for be in range(_BIG):
-            e2 = max(be, 1) - 1077  # subnormals share the smallest exponent
-            q = ((-e2 * 732923) >> 20) - 1  # floor(-e2 log10 5) - 1, as Ryu takes it for -e2 > 1
-            e10[be] = q + e2
-            pow5 = 5 ** (-e2 - q)
-            mul = pow5 >> max(pow5.bit_length() - 125, 0) << max(125 - pow5.bit_length(), 0)
-            mul <<= 128 - (q - pow5.bit_length() + 125)  # Ryu's shifts run from 118 to 125
-            limbs[:, be] = [(mul >> (32 * k)) & 0xFFFFFFFF for k in range(5)]
-            if q < 64:
-                exact[be] = 2**q - 1
-            up[:, be] = words(((2 * mul) >> 128 << 128) + 2**128 - (2 * mul) % 2**128)
-            down[:, be], down[:, _BIG + be] = words(mul), words(2 * mul)
-        ones = [[(1 << 8 * min(max(b - 8 * w, 0), 8)) - 1 for b in range(25)] for w in range(3)]
-        points = [[0x2E << 8 * (b - 8 * w) if 0 <= b - 8 * w < 8 and b < _NO_POINT else 0 for b in range(25)] for w in range(3)]
-        fronts = [int.from_bytes((b"-" if neg else b"") + b"0.000"[:lead], "little") for neg in (0, 1) for lead in range(6)]
-        exps = [f"e{x:+03d}" for x in range(_EXP_MIN, 309)]
-        _T.update(limbs=limbs, e10=e10, exact=exact, up=up, down=down,
-                  masks=np.array(ones, dtype=np.uint64), points=np.array(points, dtype=np.uint64),
-                  fronts=np.array(fronts, dtype=np.uint64),
-                  exps=np.array([int.from_bytes(x.encode(), "little") for x in exps], dtype=np.uint64),
-                  exp_lens=np.array([len(x) for x in exps]))
-    return _T
+    limbs = np.zeros((5, _BIG), dtype=np.uint64)
+    e10 = np.zeros(_BIG, dtype=np.int64)
+    exact = np.full(_BIG, 2**64 - 1, dtype=np.uint64)
+    up, down = np.zeros((3, _BIG), dtype=np.uint64), np.zeros((3, 2 * _BIG), dtype=np.uint64)
+
+    def words(v: int) -> list[int]:  # v >> 128, then the two words of v mod 2**128
+        return [v >> 128, (v >> 64) & (2**64 - 1), v & (2**64 - 1)]
+
+    for be in range(_BIG):
+        e2 = max(be, 1) - 1077  # subnormals share the smallest exponent
+        q = ((-e2 * 732923) >> 20) - 1  # floor(-e2 log10 5) - 1, as Ryu takes it for -e2 > 1
+        e10[be] = q + e2
+        pow5 = 5 ** (-e2 - q)
+        mul = pow5 >> max(pow5.bit_length() - 125, 0) << max(125 - pow5.bit_length(), 0)
+        mul <<= 128 - (q - pow5.bit_length() + 125)  # Ryu's shifts run from 118 to 125
+        limbs[:, be] = [(mul >> (32 * k)) & 0xFFFFFFFF for k in range(5)]
+        if q < 64:
+            exact[be] = 2**q - 1
+        up[:, be] = words(((2 * mul) >> 128 << 128) + 2**128 - (2 * mul) % 2**128)
+        down[:, be], down[:, _BIG + be] = words(mul), words(2 * mul)
+    ones = [[(1 << 8 * min(max(b - 8 * w, 0), 8)) - 1 for b in range(25)] for w in range(3)]
+    points = [[0x2E << 8 * (b - 8 * w) if 0 <= b - 8 * w < 8 and b < _NO_POINT else 0 for b in range(25)] for w in range(3)]
+    fronts = [int.from_bytes((b"-" if neg else b"") + b"0.000"[:lead], "little") for neg in (0, 1) for lead in range(6)]
+    exps = [f"e{x:+03d}" for x in range(_EXP_MIN, 309)]
+    return dict(limbs=limbs, e10=e10, exact=exact, up=up, down=down,
+                masks=np.array(ones, dtype=np.uint64), points=np.array(points, dtype=np.uint64),
+              fronts=np.array(fronts, dtype=np.uint64),
+              exps=np.array([int.from_bytes(x.encode(), "little") for x in exps], dtype=np.uint64),
+              exp_lens=np.array([len(x) for x in exps]))
 
 
 def _mulshift(m: np.ndarray, mul: np.ndarray):

@@ -140,8 +140,8 @@ _FLAGS = {
 #: validation error raised before any array is allocated.  Formatting takes
 #: O(chunk) memory (:data:`_CHUNK_ROWS`); what grows with the rows is the
 #: table.  Peak RSS above the import, per row, at 100,001 and 400,001 rows:
-#: evolve CSV 127 and 79 B, evolve JSON 127 and 81 B, contour (one kappa
-#: step) 99 and 98 B.  An added evolve row costs about 65 B, so 10,000,000
+#: evolve CSV 107 and 74 B, evolve JSON 113 and 76 B, contour (one kappa
+#: step) 100 and 98 B.  An added evolve row costs about 65 B, so 10,000,000
 #: evolve rows need about 0.65 GB.
 MAX_ROWS = 10_000_000
 
@@ -390,7 +390,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         block[:, 4] = coherence_factor(params, times[start:stop])
         block[:, 5] = 4.0 * traj[:, 12, 1]
         block[:, 6] = np.abs(block[:, 4] - block[:, 5])
-        states = traj[-1]
+        states = traj[-1].copy()  # not a view, which would hold this chunk's trajectory through the next
+        del traj
     gap = table[:, 6].max()
     if gap > ORACLE_TOL:
         raise NumericsError(f"propagated c departs from the closed form by {gap:.3e}, over the bound {ORACLE_TOL:g}")

@@ -265,8 +265,17 @@ def edge_table(n_rows):
     specials = [-0.0, math.inf, -math.inf, math.nan, 0.0]
     for k, row in enumerate(edges):
         table[row] = np.roll(specials, k)[:3]
-    table[1::5, 1] = 0.25  # a column with repeats, which a table of several chunks prints once per value
     return ["t", "x", "y"], table
+
+
+def repeated_rows(n_rows):
+    """Contour's layout in small: t takes two values and kappa one in each chunk, so that a table of
+    several chunks prints them once per value; d_abs_c_dt differs on every row."""
+    k = np.arange(n_rows)
+    t = np.where(k % 2, 0.25, -0.0)
+    kappa = np.where(k // SMALL % 3 == 2, np.inf, 1.5 * (k // SMALL))
+    d_abs_c_dt = np.sin(k + 1.0) * 10.0 ** (k % 7 - 3)
+    return ["t", "kappa", "d_abs_c_dt"], np.stack([t, kappa, d_abs_c_dt], 1)
 
 
 def verify_rows(n_rows):
@@ -283,7 +292,7 @@ def threshold_rows(n_rows):
     return columns, rows
 
 
-TABLES = {"floats": edge_table, "verify": verify_rows, "threshold": threshold_rows}
+TABLES = {"floats": edge_table, "repeats": repeated_rows, "verify": verify_rows, "threshold": threshold_rows}
 # 1 chunk, 2 chunks, 3 chunks with a 1-row last one, and 5 chunks with a 1-row last one
 PARALLEL_ROWS = [1, SMALL + 3, 2 * SMALL + 1, 4 * SMALL + 1]
 
@@ -301,7 +310,7 @@ def test_workers_write_the_one_process_bytes_to_a_file(layout, n_rows, fmt, tmp_
     path = tmp_path / "out"
     cli.write_records(str(path), fmt, columns, rows)
     expected = path.read_bytes()
-    if layout == "floats":
+    if isinstance(rows, np.ndarray):
         assert expected == ORACLES[fmt](columns, rows.tolist()).encode("utf-8")
     monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
     cli.write_records(str(path), fmt, columns, rows)
