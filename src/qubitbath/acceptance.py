@@ -27,7 +27,7 @@ import numpy as np
 from .analytic import (
     BLP_REL_TAIL,
     Regime,
-    abs_coherence_derivative,
+    _kernel,
     bath_correlation,
     blp_analytic,
     classify_regime,
@@ -39,6 +39,7 @@ from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import (
     DivisibilityVerdict,
     _blp_many,
+    _slices,
     _witness_many,
     blp_numeric,
     threshold_scan,
@@ -204,6 +205,24 @@ def _check_analytic_numeric_oracle(trajectories, tol: float) -> tuple[bool, str]
     return ok, f"max |closed form - propagated| = {worst:.3e} (tol {tol:g})"
 
 
+# Each entry (a, b) of kron(sigma_i, sigma_j) is nonzero for exactly 4 of the 16 k, with a
+# coefficient of 1, -1, 1j or -1j: the k of those terms in ascending order, and their coefficients.
+_RHO_TERMS = np.argsort(PAULIS_2Q == 0, axis=0, kind="stable")[:4]
+_RHO_COEFFS = np.take_along_axis(PAULIS_2Q, _RHO_TERMS, axis=0)
+
+
+def _density_matrices(traj) -> np.ndarray:
+    """The (n, 4, 4) density matrices sum_k traj[:, k] * PAULIS_2Q[k] of coherence 16-vectors.
+
+    Each entry adds its 4 terms one at a time in ascending k, the order of the sum over k,
+    so the values are those of ``np.einsum("nk,kab->nab", traj, PAULIS_2Q)``, up to the sign
+    of an exact zero; one (n, 4, 4) term is alive at a time."""
+    rhos = traj[:, _RHO_TERMS[0]] * _RHO_COEFFS[0]
+    for terms, coeffs in zip(_RHO_TERMS[1:], _RHO_COEFFS[1:]):
+        rhos += traj[:, terms] * coeffs
+    return rhos
+
+
 @_timed(budget=10.0)
 def _check_conservation(trajectories) -> tuple[bool, str]:
     worst_trace = worst_x = 0.0
@@ -211,9 +230,8 @@ def _check_conservation(trajectories) -> tuple[bool, str]:
     for params, times, traj in trajectories:
         worst_trace = max(worst_trace, float(np.abs(traj[:, 0] - 0.25).max()))
         worst_x = max(worst_x, float(np.abs(4.0 * traj[:, 4] - 0.0).max()))
-        rhos = np.einsum("nk,kab->nab", traj, PAULIS_2Q)
-        eigs = np.linalg.eigvalsh(rhos)
-        worst_eig = min(worst_eig, float(eigs.min()))
+        for rows in range(0, len(traj), 256):  # (256, 4, 4) temporaries: below glibc's mmap threshold
+            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(_density_matrices(traj[rows:rows + 256])).min()))
     ok = worst_trace <= 1e-12 and worst_eig >= -1e-10 and worst_x <= 1e-10
     return ok, (
         f"trace dev {worst_trace:.2e} (<=1e-12), min eig {worst_eig:.2e} "
@@ -234,10 +252,11 @@ def _check_threshold_reproduction(tol: float) -> tuple[bool, str]:
 @_timed(budget=30.0)
 def _check_blp_closed_form(gap_tol: float, seed: int) -> tuple[bool, str]:
     worst_gap = 0.0
-    for kappa in (2.0, 4.0, 6.0, 7.5):
-        params = ModelParams(1.0, kappa)
+    kappas = (2.0, 4.0, 6.0, 7.5)
+    points = [ModelParams(1.0, kappa) for kappa in kappas]
+    # one batched call: the 8 pairs depend only on the seed and the pair count, as in one call per kappa
+    for kappa, params, result in zip(kappas, points, _blp_many(points, [None] * len(points), 8, seed)):
         analytic = blp_analytic(params)
-        result = blp_numeric(params, n_pairs=8, seed=seed)
         gap = abs(result.value - analytic)
         if result.tail_bound > BLP_REL_TAIL * analytic * 1.001:
             return False, f"tail bound {result.tail_bound:.3e} not satisfied at kappa={kappa}"
@@ -305,10 +324,13 @@ def _check_contour_sign_structure() -> tuple[bool, str]:
     xi = 1.0
     kappas = np.linspace(0.0, 14.0, 57)
     times = np.linspace(0.0, 10.0, 1001)
+    rows = []  # d|c|/dt = sign(c) * dc/dt of each row, one kernel call per slice of whole rows
+    for start, stop in _slices([times.size] * kappas.size):
+        c, dc = _kernel(xi, kappas[start:stop, None], np.broadcast_to(times, (stop - start, times.size)))
+        rows.extend(np.sign(c) * dc)
     problems = []
-    for kappa in kappas:
+    for kappa, values in zip(kappas, rows):
         params = ModelParams(xi, float(kappa))
-        values = abs_coherence_derivative(params, times)
         if not has_information_backflow(params):
             if values.max() > 1e-12:
                 problems.append(f"kappa={kappa:g}: positive value {values.max():.2e}")
@@ -355,16 +377,21 @@ def run_acceptance(tol: float | None = None, seed: int = 0) -> list[CheckResult]
     oracle_tol = max(ORACLE_TOL, tol or 0.0)
     gap_tol = max(1e-3, tol or 0.0)
 
+    fidelity = _check_generator_fidelity(seed)
+    # both checks of the five oracle trajectories run first, so the trajectories (1.3 MB) are
+    # freed before the other checks allocate; the results stay in report order
     trajectories = _oracle_trajectories()
-    results = [
-        _check_generator_fidelity(seed),
-        _check_analytic_numeric_oracle(trajectories, oracle_tol),
+    oracle = _check_analytic_numeric_oracle(trajectories, oracle_tol)
+    conservation = _check_conservation(trajectories)
+    del trajectories
+    return [
+        fidelity,
+        oracle,
         _check_threshold_reproduction(1e-6),
         _check_blp_closed_form(gap_tol, seed),
         _check_criteria_agreement(),
         _check_bath_correlation(),
         _check_contour_sign_structure(),
-        _check_conservation(trajectories),
+        conservation,
         _check_superoperator_table(),
     ]
-    return results

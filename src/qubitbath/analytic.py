@@ -99,11 +99,13 @@ def _sinhc_cosh_ext(s: np.ndarray, disc) -> tuple[np.ndarray, np.ndarray]:
     if series:
         r[small] = 1.0  # keeps the division finite; the series overwrites it
     pos = np.greater(disc, 0)
-    if pos.ndim == 0:  # one point, one branch
-        sinhc, cosh = (np.sinh(r) / r, np.cosh(r)) if pos else (np.sin(r) / r, np.cos(r))
-    else:  # sin is finite on every lane, sinh only on the clipped overdamped ones
-        sinhc, cosh, pos = np.sin(r) / r, np.cos(r), np.broadcast_to(pos, s.shape)
-        sinhc[pos], cosh[pos] = np.sinh(r[pos]) / r[pos], np.cosh(r[pos])
+    if pos.all() or not pos.any():  # one branch for every lane, as for one point
+        sinhc, cosh = (np.sinh(r) / r, np.cosh(r)) if pos.any() else (np.sin(r) / r, np.cos(r))
+    else:  # each lane evaluates its own branch only; sinh is finite on the clipped overdamped ones
+        sinhc, cosh, pos = np.empty_like(r), np.empty_like(r), np.broadcast_to(pos, s.shape)
+        for lanes, sin, cos in ((pos, np.sinh, np.cosh), (~pos, np.sin, np.cos)):
+            part = r[lanes]
+            sinhc[lanes], cosh[lanes] = sin(part) / part, cos(part)
     if series:
         u = s[small]
         sinhc[small] = 1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0))

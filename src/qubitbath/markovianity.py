@@ -117,29 +117,36 @@ def _default_witness_horizon(params: ModelParams) -> float:
 
 
 def _witness_many(points) -> list[DivisibilityWitness]:
-    """:func:`cp_divisibility_witness` of every point, one kernel call per slice of their 401-time grids."""
+    """:func:`cp_divisibility_witness` of every point: per slice of their 401-time grids, one kernel
+    call and one array pass over the (points, 400) sub-interval ratios; only the dataclass is per point.
+
+    An invalid sub-interval reads -inf, below every |r|, so the first row maximum is the first
+    largest valid ratio; a row without one keeps the infinite minimum and no worst interval."""
     horizons = [_default_witness_horizon(params) for params in points]
     out = []
     for start, stop in _slices([401] * len(points)):
         grids = np.linspace(0.0, np.array(horizons[start:stop]), 401, axis=-1)
         xi, kappa = (np.array([[getattr(p, name)] for p in points[start:stop]]) for name in ("xi", "kappa"))
-        for params, horizon, times, c in zip(points[start:stop], horizons[start:stop], grids, _kernel(xi, kappa, grids)[0]):
-            resolved = np.abs(c) >= MAP_SINGULARITY_TOL
-            valid = resolved[:-1] & resolved[1:]
-            min_eig, worst = math.inf, None
-            if np.any(valid):
-                ratios = np.abs(c[1:][valid] / c[:-1][valid])
-                k = int(np.argmax(ratios))
-                min_eig = float(_choi_min_eigenvalue(ratios[k]))
-                idx = np.flatnonzero(valid)[k]
-                worst = (float(times[idx]), float(times[idx + 1]))
+        c = _kernel(xi, kappa, grids)[0]
+        resolved = np.abs(c) >= MAP_SINGULARITY_TOL
+        valid = resolved[:, :-1] & resolved[:, 1:]
+        ratios = np.full(valid.shape, -np.inf)
+        np.divide(c[:, 1:], c[:, :-1], out=ratios, where=valid)
+        np.abs(ratios, out=ratios, where=valid)
+        rows, k = np.arange(len(c)), np.argmax(ratios, axis=1)
+        found = valid.any(axis=1)
+        min_eigs = np.where(found, _choi_min_eigenvalue(ratios[rows, k]), math.inf).tolist()
+        worst = [(lo, hi) if f else None for lo, hi, f in zip(grids[rows, k].tolist(), grids[rows, k + 1].tolist(), found)]
+        for params, horizon, min_eig, interval, n_skipped in zip(
+            points[start:stop], horizons[start:stop], min_eigs, worst, (~valid).sum(axis=1).tolist()
+        ):
             if min_eig < -CP_EIGENVALUE_TOL:
                 verdict = DivisibilityVerdict.NON_DIVISIBLE
             elif classify_regime(params) is Regime.UNDERDAMPED:
                 verdict = DivisibilityVerdict.INCONCLUSIVE
             else:
                 verdict = DivisibilityVerdict.DIVISIBLE
-            out.append(DivisibilityWitness(verdict, min_eig, worst, len(times) - 1, int((~valid).sum()), float(horizon)))
+            out.append(DivisibilityWitness(verdict, min_eig, interval, valid.shape[1], n_skipped, float(horizon)))
     return out
 
 
@@ -251,24 +258,31 @@ def _detect_many(points, horizons) -> list[np.ndarray]:
     xis, kappas = (np.array([getattr(p, name) for p in points]) for name in ("xi", "kappa"))
     found = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))]
     for start, stop in _slices(sizes):
-        counts = sizes[start:stop]
-        times = np.concatenate([np.linspace(0.0, h, n) for h, n in zip(horizons[start:stop], counts)])
-        # a grid alone is read with its point's scalars, as one point is: no grid-length copies
-        xi, kappa = (a[start] if stop - start == 1 else np.repeat(a[start:stop], counts) for a in (xis, kappas))
+        counts = np.array(sizes[start:stop])
+        ends = np.cumsum(counts)
+        if stop - start == 1:  # a grid alone is read with its point's scalars, as one point is: no grid-length copies
+            times, xi, kappa = np.linspace(0.0, horizons[start], sizes[start]), xis[start], kappas[start]
+        else:  # every point's np.linspace(0.0, h, n) in one vector, by linspace's own formula: k * (h/(n-1))
+            # + 0.0, then h itself at k = n - 1 (n >= 2, and h/(n-1) is at least the grid step, so never 0)
+            h = np.array(horizons[start:stop], dtype=float)
+            k = np.arange(ends[-1], dtype=float) - np.repeat(ends - counts, counts)
+            times = k * np.repeat(h / (counts - 1), counts) + 0.0
+            times[ends - 1] = h
+            xi, kappa = (np.repeat(a[start:stop], counts) for a in (xis, kappas))
         positive = _increasing(xi, kappa, times)
         change = positive[1:] != positive[:-1]
-        ends = np.cumsum(counts)[:-1]
-        change[ends - 1] = False  # from the last point of one grid to the first of the next
+        change[ends[:-1] - 1] = False  # from the last point of one grid to the first of the next
         idx = np.flatnonzero(change)
-        found.append((times[idx], times[idx + 1], positive[idx + 1], start + np.searchsorted(ends, idx, "right")))
+        found.append((times[idx], times[idx + 1], positive[idx + 1], start + np.searchsorted(ends[:-1], idx, "right")))
     lo, hi, rising, owner = (np.concatenate(column) for column in zip(*found))
     edges = _refine_crossings(xis[owner], kappas[owner], lo, hi, rising)
-    bounds = np.searchsorted(owner, np.arange(1, len(points)))
+    bounds = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
     out = []
-    for horizon, e, r in zip(horizons, np.split(edges, bounds), np.split(rising, bounds)):
+    for horizon, first, last in zip(horizons, bounds, bounds[1:]):
         # sign changes alternate: drop a leading fall, close a trailing rise
-        if e.size and not r[0]:
-            e = e[1:]
+        if first < last and not rising[first]:
+            first += 1
+        e = edges[first:last]
         if e.size % 2:
             e = np.append(e, horizon)
         out.append(e.reshape(-1, 2))
@@ -325,26 +339,44 @@ class BlpResult:
 
 def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
     """:func:`blp_numeric` of every (point, horizon) pair: one batched detection, one kernel call
-    for the window edges of all points and one draw of the pairs; each point sums its own arrays."""
+    for the window edges of all points and one draw of the pairs.  The optimal pair and each
+    random pair are summed over the windows of every point in one array pass: the points with w
+    windows are the rows of one (points, w) array, and a row sum adds in the order of
+    ``np.sum`` over one point's windows (pairwise from 8 windows on), so each point keeps the
+    bits of its one-point call."""
     if not 0 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
     horizons = [h if h is not None else default_blp_horizon(p)[0] if classify_regime(p) is Regime.UNDERDAMPED
                 else _default_witness_horizon(p) for p, h in zip(points, horizons)]
     all_segments = _detect_many(points, horizons)
-    counts = [len(segments) for segments in all_segments]
+    counts = np.array([len(segments) for segments in all_segments], dtype=int)
     xi, kappa = (np.repeat([getattr(p, name) for p in points], counts)[:, None] for name in ("xi", "kappa"))
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
     c_all = _kernel(xi, kappa, np.concatenate([np.empty((0, 2)), *all_segments]))[0]
-    differences = _random_differences(seed, n_pairs)
+    starts = np.cumsum(counts) - counts
+    # np.unique would import numpy.ma (1.6 MB of peak RSS) on its first call
+    rows = [(idx, starts[idx, None] + np.arange(w)) for w in sorted(set(counts.tolist()) - {0})
+            for idx in [np.flatnonzero(counts == w)]]
+
+    def measures(distance) -> np.ndarray:
+        """Each point's sum of distance(t_hi) - distance(t_lo) over its windows; 0 without one."""
+        increase, out = distance[:, 1] - distance[:, 0], np.zeros(len(points))
+        for idx, windows in rows:
+            out[idx] = increase[windows].sum(axis=1)
+        return out
+
+    optimal = measures(np.abs(c_all)).tolist()
+    # one (windows, 2) temporary per pair: a (pairs x windows) array would
+    # reach 16 GB at MAX_PAIRS with the windows of a MAX_SCAN_POINTS scan
+    random_values = np.array([measures(_trace_distance(d, c_all)) for d in _random_differences(seed, n_pairs)])
     out = []
-    for params, horizon, segments, c_edges in zip(points, horizons, all_segments, np.split(c_all, np.cumsum(counts)[:-1])):
+    for params, horizon, segments, best, randoms in zip(
+        points, horizons, all_segments, optimal, random_values.reshape(n_pairs, len(points)).T.tolist()
+    ):
         segments.flags.writeable = False
-        optimal = float(np.diff(np.abs(c_edges)).sum())
-        # one (n_windows, 2) temporary per pair: a (pairs x windows) array would
-        # reach 16 GB at MAX_PAIRS with the windows of a MAX_SCAN_POINTS scan
-        random_values = tuple(float(np.diff(_trace_distance(d, c_edges)).sum()) for d in differences)
+        randoms = tuple(randoms)
         tail_bound = blp_tail_bound(params, len(segments))
-        out.append(BlpResult(max((optimal, *random_values)), random_values, segments, tail_bound, float(horizon)))
+        out.append(BlpResult(max((best, *randoms)), randoms, segments, tail_bound, float(horizon)))
     return out
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qubitbath import markovianity
 from qubitbath.analytic import (
+    Regime,
     blp_analytic,
     blp_tail_bound,
     classify_regime,
@@ -652,6 +653,24 @@ class TestBatchedScans:
             assert _hex([result.random_values, result.segments]) == _hex([single.random_values, single.segments])
             assert not result.segments.flags.writeable
 
+    def test_blp_many_sums_as_the_per_point_tail(self):
+        # the oracle is the per-point tail that the array pass replaced: c at one point's own
+        # windows and np.diff(...).sum() for the optimal pair and for each random pair; the
+        # counts run from 0 to 352 windows (pairwise sums from 8 on, recursive from 128 on),
+        # and the ratio kappa/|xi| = 2 gives three points the same count, one row array
+        points = [ModelParams(1.0, k) for k in (0.1, 0.3, 1.0, 2.0, 7.9, 9.0)]
+        points += [ModelParams(2.0, 4.0), ModelParams(-0.5, 1.0), ModelParams(3.0, 1.0)]
+        results = markovianity._blp_many(points, [None] * len(points), 5, 3)
+        differences = markovianity._random_differences(3, 5)
+        counts = [len(r.segments) for r in results]
+        assert min(counts) == 0 and max(counts) > 128 and counts.count(counts[3]) == 3
+        for params, result in zip(points, results):
+            c_edges = markovianity._kernel(params.xi, params.kappa, result.segments)[0]
+            optimal = float(np.diff(np.abs(c_edges)).sum())
+            randoms = tuple(float(np.diff(markovianity._trace_distance(d, c_edges)).sum()) for d in differences)
+            assert [v.hex() for v in result.random_values] == [v.hex() for v in randoms]
+            assert result.value.hex() == max((optimal, *randoms)).hex()
+
     def test_witness_many_equals_the_one_point_witness(self):
         points = [ModelParams(xi, f * 8.0 * xi) for xi in (0.25, 1.3) for f in np.linspace(0.0, 1.9, 20).tolist()]
         assert markovianity._witness_many(points) == [cp_divisibility_witness(p) for p in points]
@@ -662,6 +681,75 @@ class TestBatchedScans:
         horizons = [markovianity._default_witness_horizon(ModelParams(xi, f * 8.0 * xi)) for xi in xis for f in fractions]
         grids = np.linspace(0.0, np.array(horizons), 401, axis=-1)
         assert np.array_equal(grids, np.array([np.linspace(0.0, horizon, 401) for horizon in horizons]))
+
+
+def reference_witness(params, horizon, times, c):
+    """The witness of one point from its grid ``times`` and c on it, one sub-interval ratio at a
+    time over the valid ones: the per-point loop body that the array pass of _witness_many replaced."""
+    resolved = np.abs(c) >= markovianity.MAP_SINGULARITY_TOL
+    valid = resolved[:-1] & resolved[1:]
+    min_eig, worst = math.inf, None
+    if np.any(valid):
+        ratios = np.abs(c[1:][valid] / c[:-1][valid])
+        k = int(np.argmax(ratios))
+        min_eig = float(_choi_min_eigenvalue(ratios[k]))
+        idx = np.flatnonzero(valid)[k]
+        worst = (float(times[idx]), float(times[idx + 1]))
+    if min_eig < -markovianity.CP_EIGENVALUE_TOL:
+        verdict = DivisibilityVerdict.NON_DIVISIBLE
+    elif classify_regime(params) is Regime.UNDERDAMPED:
+        verdict = DivisibilityVerdict.INCONCLUSIVE
+    else:
+        verdict = DivisibilityVerdict.DIVISIBLE
+    return markovianity.DivisibilityWitness(verdict, min_eig, worst, len(times) - 1, int((~valid).sum()), float(horizon))
+
+
+def reference_witnesses(points):
+    out = []
+    for params in points:
+        horizon = markovianity._default_witness_horizon(params)
+        times = np.linspace(0.0, horizon, 401)
+        out.append(reference_witness(params, horizon, times, markovianity._kernel(params.xi, params.kappa, times)[0]))
+    return out
+
+
+# |xi| log-uniform over 60 decades, either sign, and kappa/(8|xi|) in [0, 2]
+witness_points = st.builds(
+    lambda e, negative, f: ModelParams((-1.0 if negative else 1.0) * 10.0**e, f * 8.0 * 10.0**e),
+    st.floats(-30.0, 30.0), st.booleans(), st.floats(0.0, 2.0),
+)
+
+
+class TestBatchedWitness:
+    """_witness_many's array pass against the per-point loop it replaced, whole witnesses with ==."""
+
+    @given(st.lists(witness_points, min_size=1, max_size=45))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_point_loop(self, points):
+        assert markovianity._SLICE_POINTS // 401 < 45  # some draws span two slices
+        assert markovianity._witness_many(points) == reference_witnesses(points)
+
+    def test_fixed_cases(self):
+        # kappa = 0, both sides of the critical band and a point whose |c| underflows before its
+        # first window (skipped sub-intervals), each at three couplings
+        fractions = (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.999)
+        points = [ModelParams(xi, f * 8.0 * abs(xi)) for f in fractions for xi in (1.0, -3e-5, 2e7)]
+        batched = markovianity._witness_many(points)
+        assert batched == reference_witnesses(points)
+        verdicts = [{(w.verdict, w.n_skipped > 0) for w in batched[k : k + 3]} for k in range(0, 12, 3)]
+        assert verdicts[0] == {(DivisibilityVerdict.NON_DIVISIBLE, True)}
+        assert verdicts[1] == verdicts[2] == {(DivisibilityVerdict.DIVISIBLE, False)}
+        assert verdicts[3] == {(DivisibilityVerdict.INCONCLUSIVE, True)}
+
+    def test_a_row_without_a_valid_sub_interval(self, monkeypatch):
+        # a stand-in c that vanishes on every lane of the first point: no ratio, an infinite minimum
+        kernel = markovianity._kernel
+        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: (kernel(xi, kappa, t)[0] * (xi != 1.0), None))
+        points = [ModelParams(1.0, 4.0), ModelParams(2.0, 4.0)]
+        batched = markovianity._witness_many(points)
+        assert batched == reference_witnesses(points)
+        assert batched[0].min_choi_eigenvalue == math.inf and batched[0].worst_interval is None
+        assert batched[0].n_skipped == 400 and batched[1].worst_interval is not None
 
 
 class TestAssess:

@@ -44,6 +44,44 @@ MUTATIONS = {
         "params.xi * COUPLING_PART.T",
         {"generator_fidelity": "generator deviates"},
     ),
+    # 63 for 64 in the discriminant moves the transition to sqrt(63)|xi|: the threshold, the
+    # measure's closed form and the predicted windows all move with it
+    "discriminant-63": (
+        "lindblad.py",
+        "64.0 * self.xi**2",
+        "63.0 * self.xi**2",
+        {
+            "threshold_reproduction": "max |kappa* - 8|xi||",
+            "blp_closed_form": "max |numeric - analytic|",
+            "contour_sign_structure": "no positive value in window",
+        },
+    ),
+    "blp-analytic-exponent": (
+        "analytic.py",
+        "x = params.kappa * math.pi / math.sqrt(-params.discriminant)",
+        "x = 1.01 * params.kappa * math.pi / math.sqrt(-params.discriminant)",
+        {"blp_closed_form": "max |numeric - analytic|"},
+    ),
+    # the windows beyond half the horizon leave more than BLP_REL_TAIL of the measure
+    "blp-horizon-halved": (
+        "analytic.py",
+        "return n * spacing + 0.25 * spacing, n",
+        "return 0.5 * (n * spacing + 0.25 * spacing), n",
+        {"blp_closed_form": "tail bound 5.400e-04 not satisfied at kappa=2.0"},
+    ),
+    "bath-correlation-rate": (
+        "analytic.py",
+        "np.exp(-0.5 * kappa * arr)",
+        "np.exp(-0.49 * kappa * arr)",
+        {"bath_correlation": "max |numeric - exp(-kappa*tau/2)|"},
+    ),
+    # the closed-form Choi minimum halved: the generic Choi operator of the worst interval disagrees
+    "choi-minimum-halved": (
+        "markovianity.py",
+        "0.5 * (1.0 - np.abs(ratio))",
+        "0.25 * (1.0 - np.abs(ratio))",
+        {"criteria_agreement": "Choi minimum -3.750e-01, generic -7.499e-01"},
+    ),
 }
 
 
