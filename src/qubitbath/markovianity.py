@@ -354,9 +354,10 @@ def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
     c_all = _kernel(xi, kappa, np.concatenate([np.empty((0, 2)), *all_segments]))[0]
     starts = np.cumsum(counts) - counts
-    # np.unique would import numpy.ma (1.6 MB of peak RSS) on its first call
-    rows = [(idx, starts[idx, None] + np.arange(w)) for w in sorted(set(counts.tolist()) - {0})
-            for idx in [np.flatnonzero(counts == w)]]
+    rows = []  # for each count w > 0: the points with w windows and their (points, w) window indices
+    for w in sorted(set(counts.tolist()) - {0}):  # np.unique of integers imports numpy.ma: 1.6 MB of peak RSS
+        idx = np.flatnonzero(counts == w)
+        rows.append((idx, starts[idx, None] + np.arange(w)))
 
     def measures(distance) -> np.ndarray:
         """Each point's sum of distance(t_hi) - distance(t_lo) over its windows; 0 without one."""
