@@ -21,7 +21,13 @@ for its four rates, ``contour_sign_structure`` reads its 57 rows one slice
 of whole rows per kernel call, and ``conservation`` builds its density
 matrices from the 4 nonzero Pauli terms of each entry, with no BLAS
 product.  One run makes 125 kernel calls for 492,311 lanes (261 when each
-check read its points one by one).  The five oracle trajectories are freed
+check read its points one by one).  The kernel's per-point terms are
+computed once per point and read by the lanes: ``np.float_power`` squares
+16,329 values in one run (527,319 when every lane squared its own xi and
+kappa).  The criteria grid decides each point's regime once and reads its
+horizons in array passes; one run decides a regime 1,307 times (2,892
+before), 862 of them in ``has_information_backflow`` and
+``blp_tail_bound``, once per call.  The five oracle trajectories are freed
 after the two checks that read them.
 """
 
@@ -36,11 +42,11 @@ import numpy as np
 
 from .analytic import (
     BLP_REL_TAIL,
-    Regime,
+    ORACLE_TOL,
+    _first_window_ends,
     _kernel,
     bath_correlation,
     blp_analytic,
-    classify_regime,
     coherence_factor,
     has_information_backflow,
     increase_intervals,
@@ -49,7 +55,9 @@ from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import (
     DivisibilityVerdict,
     _blp_many,
+    _parameters,
     _slices,
+    _underdamped,
     _witness_many,
     blp_numeric,
     threshold_scan,
@@ -70,11 +78,6 @@ __all__ = [
     "run_acceptance",
     "ALL_CHECK_NAMES",
 ]
-
-
-#: Largest |closed-form c - propagated c| accepted: the analytic-numeric
-#: check's default tolerance, and the bound ``qubitbath evolve`` holds to.
-ORACLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -284,14 +287,18 @@ def _check_criteria_agreement() -> tuple[bool, str]:
     xis = np.linspace(0.25, 2.0, 20)
     fractions = np.linspace(0.0, 1.9, 20)
     points = [ModelParams(xi, f * 8.0 * xi) for xi in xis.tolist() for f in fractions.tolist()]
-    witnesses = _witness_many(points)
-    conclusive = [(p, w) for p, w in zip(points, witnesses) if w.verdict is not DivisibilityVerdict.INCONCLUSIVE]
+    underdamped = _underdamped(points)  # each point's regime, decided once
+    witnesses = _witness_many(points, underdamped)
+    keep = [k for k, w in enumerate(witnesses) if w.verdict is not DivisibilityVerdict.INCONCLUSIVE]
+    conclusive, under = [points[k] for k in keep], underdamped[keep]
     # the first window decides; the regime, not the rate verdict under test, says so
-    horizons = [1.25 * increase_intervals(p, 1)[0, 1] if classify_regime(p) is Regime.UNDERDAMPED else None for p, _ in conclusive]
-    blp = iter(_blp_many([p for p, _ in conclusive], horizons, n_pairs=0, seed=0))
+    xi, kappa = _parameters(conclusive)
+    ends = iter(_first_window_ends(xi[under], kappa[under]).tolist())
+    horizons = [1.25 * next(ends) if u else None for u in under.tolist()]
+    blp = iter(_blp_many(conclusive, horizons, n_pairs=0, seed=0, underdamped=under))
     # the closed-form Choi minima against the generic Choi operators of the worst intervals'
     # maps: one kernel pass builds the maps, one eigvalsh over the stack gives the minima
-    maps = _intermediate_maps([p for p, _ in conclusive], [w.worst_interval for _, w in conclusive])
+    maps = _intermediate_maps(conclusive, [witnesses[k].worst_interval for k in keep])
     generic = iter(choi_min_eigenvalue(maps).tolist())
     disagreements = []
     for params, witness in zip(points, witnesses):

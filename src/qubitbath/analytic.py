@@ -13,9 +13,13 @@ s = disc * (t/4)**2 (a sinh-cardinal extended through negative argument),
 which removes the catastrophic cancellation the printed branches suffer
 near the critical boundary and makes c continuous in the parameters.
 One private evaluator, ``_kernel``, gives c and dc/dt in one pass over
-parameter points broadcast against times; :func:`coherence_factor_with_derivative`
-is its one-point read, and c, dc/dt and d|c|/dt read from that.  d|c|/dt is the
+parameter points broadcast against times, or over ragged batches whose lanes
+name their point by index; :func:`coherence_factor_with_derivative` is its
+one-point read, and c, dc/dt and d|c|/dt read from that.  d|c|/dt is the
 one increase signal: the trace distance grows exactly where it is positive.
+The kernel computes xi**2, kappa**2, the discriminant, the time limit and
+the branch (disc > 0) once per point; s, its clip, sinh and cosh or sin and
+cos, the envelope, c and dc are computed per lane.
 
 :func:`classify_regime` is the one place the regime is decided, with a
 band relative to kappa**2 and 64*xi**2 alone, so every verdict depends on
@@ -53,6 +57,10 @@ __all__ = [
 #: Relative width of the band classified as critical.
 REGIME_TOL = 1e-8
 
+#: Largest |closed-form c - propagated c| accepted: the analytic-numeric
+#: check's default tolerance, and the bound ``qubitbath evolve`` holds to.
+ORACLE_TOL = 1e-8
+
 #: Part of the closed-form measure the default blp horizon may leave to
 #: the geometric tail.
 BLP_REL_TAIL = 1e-6
@@ -88,17 +96,18 @@ def classify_regime(params: ModelParams) -> Regime:
     return Regime.OVERDAMPED if k2 > x2 else Regime.UNDERDAMPED
 
 
-def _sinhc_cosh_ext(s: np.ndarray, disc) -> tuple[np.ndarray, np.ndarray]:
+def _sinhc_cosh_ext(s: np.ndarray, pos) -> tuple[np.ndarray, np.ndarray]:
     """sinh(sqrt(s))/sqrt(s) and cosh(sqrt(s)), continued through s <= 0 as
     sin(sqrt(-s))/sqrt(-s) and cos(sqrt(-s)); outside the |s| < 1e-6 series
-    band every s = disc*(t/4)**2 has the sign of its lane's ``disc``, which picks the branch."""
+    band every s = disc*(t/4)**2 has the sign of its point's disc, so ``pos``
+    (disc > 0) picks the branch.  Where the points disagree ``pos`` is per
+    lane (broadcast against ``s``); where they agree only its value is read."""
     u = np.abs(s)
     small = u < 1e-6
     series = small.any()
     r = np.sqrt(u)
     if series:
         r[small] = 1.0  # keeps the division finite; the series overwrites it
-    pos = np.greater(disc, 0)
     if pos.all() or not pos.any():  # one branch for every lane, as for one point
         sinhc, cosh = (np.sinh(r) / r, np.cosh(r)) if pos.any() else (np.sin(r) / r, np.cos(r))
     else:  # each lane evaluates its own branch only; sinh is finite on the clipped overdamped ones
@@ -113,23 +122,34 @@ def _sinhc_cosh_ext(s: np.ndarray, disc) -> tuple[np.ndarray, np.ndarray]:
     return sinhc, cosh
 
 
-def _check_times(t, disc) -> tuple[np.ndarray, bool]:
+def _check_times(t, disc, owner=None) -> tuple[np.ndarray, bool]:
+    """``t`` as a float array, checked lane by lane: finite, >= 0 and at most the time limit of
+    its point, which is computed once per point of ``disc`` and read by index through ``owner``."""
     arr = np.asarray(t, dtype=float)
     if not np.isfinite(arr).all():
         raise ValidationError("time must be finite")
     if (arr < 0).any():
         raise ValidationError("time must be >= 0")
     limit = np.minimum(MAX_TIME, 4.0 * np.sqrt(_S_MAX / np.maximum(np.abs(disc), 1.0)))
+    if owner is not None:
+        limit = limit[owner]
     if (arr > limit).any():  # name the limit of a lane that exceeds it
         limit = np.broadcast_to(limit, arr.shape)[arr > limit].min()
         raise ValidationError(f"time must be <= {limit:.6g}: MAX_TIME = {MAX_TIME:g}, less where disc*(t/4)**2 overflows")
     return arr, arr.ndim == 0
 
 
-def _kernel(xi, kappa, t) -> tuple[np.ndarray, np.ndarray]:
-    """c and dc/dt, with ``xi`` and ``kappa`` broadcast against ``t`` (an array of the broadcast shape).
+def _kernel(xi, kappa, t, owner=None) -> tuple[np.ndarray, np.ndarray]:
+    """c and dc/dt at the times ``t`` (an array) of the points (``xi``, ``kappa``).
 
-    Every regime goes through the sinhc/cosh kernel of s = disc*(t/4)**2:
+    The points are broadcast against ``t``; or, with ``owner``, they are 1-d arrays and
+    each lane of ``t`` is a time of point ``owner`` (an index array broadcast against ``t``).
+    The per-point terms are computed once per point: xi**2, kappa**2, the discriminant
+    disc = kappa**2 - 64*xi**2, the time limit and the branch disc > 0; lanes read them by
+    broadcast or by index.  The rest is per lane: s = disc*(t/4)**2, the clip at _BIG_S,
+    sinh and cosh or sin and cos, the envelope, c and dc, and the checks on t.
+
+    Every regime goes through the sinhc/cosh kernel of s:
     c = exp(-kt/4) * (kt/4 * sinhc(s) + cosh(s)) and, in all regimes,
     dc/dt = -4*xi**2 * t * exp(-kt/4) * sinhc(s).  Where s > _BIG_S
     (overdamped, long times) sinh and cosh overflow; the kernel sees s
@@ -139,13 +159,18 @@ def _kernel(xi, kappa, t) -> tuple[np.ndarray, np.ndarray]:
     so each lane has the bits of its one-point call."""
     k, x2 = kappa, np.float_power(xi, 2.0)
     disc = np.float_power(k, 2.0) - 64.0 * x2
-    arr = np.atleast_1d(_check_times(t, disc)[0])
+    pos = np.greater(disc, 0)
+    arr = np.atleast_1d(_check_times(t, disc, owner)[0])
+    if owner is not None:  # each lane reads its point's terms
+        k, x2, disc = k[owner], x2[owner], disc[owner]
+        if pos.any() and not pos.all():
+            pos = pos[owner]
     s = disc * (arr / 4.0) ** 2
     big = s > _BIG_S
     long_time = big.any()
     if long_time:
         s[big] = _BIG_S
-    sinhc, cosh = _sinhc_cosh_ext(s, disc)
+    sinhc, cosh = _sinhc_cosh_ext(s, pos)
     kt4 = k * arr / 4.0
     envelope = np.exp(-kt4)
     c = envelope * (kt4 * sinhc + cosh)
@@ -203,6 +228,13 @@ def increase_intervals(params: ModelParams, n_max: int) -> np.ndarray:
     return np.column_stack((t_hi - delta, t_hi))
 
 
+def _first_window_ends(xi, kappa) -> np.ndarray:
+    """The t_hi = 4*pi/r of the first increase window of every underdamped point (``xi``, ``kappa``
+    arrays), in one array pass with the operations of :func:`increase_intervals` in their order,
+    so each is ``increase_intervals(params, 1)[0, 1]`` bit for bit."""
+    return (4.0 * math.pi) / np.sqrt(-(np.float_power(kappa, 2.0) - 64.0 * np.float_power(xi, 2.0)))
+
+
 def blp_analytic(params: ModelParams) -> float:
     """Closed-form trace-distance non-Markovianity measure.
 
@@ -217,6 +249,11 @@ def blp_analytic(params: ModelParams) -> float:
         return math.inf
     if classify_regime(params) is not Regime.UNDERDAMPED:
         return 0.0
+    return _underdamped_measure(params)
+
+
+def _underdamped_measure(params: ModelParams) -> float:
+    """The measure of an underdamped point, classified by the caller; infinite at kappa = 0."""
     x = params.kappa * math.pi / math.sqrt(-params.discriminant)
     return math.exp(-x) / -math.expm1(-x) if x else math.inf
 
@@ -235,7 +272,7 @@ def blp_tail_bound(params: ModelParams, n_intervals: int) -> float:
         return 0.0
     r = math.sqrt(-params.discriminant)
     q = math.exp(-params.kappa * math.pi / r)
-    return q**n_intervals * blp_analytic(params)
+    return q**n_intervals * _underdamped_measure(params)
 
 
 def default_blp_horizon(params: ModelParams) -> tuple[float, int]:

@@ -3,7 +3,7 @@
 Subcommands and the flags each one reads
 ----------------------------------------
 evolve     reduced Bloch trajectory plus analytic/numeric coherence factors,
-           exit 2 (no file) where they differ by more than acceptance.ORACLE_TOL
+           exit 2 (no file) where they differ by more than analytic.ORACLE_TOL
            --xi --kappa --t-max --dt --bloch --format --out
 contour    d|c|/dt on a (t, kappa) grid at fixed coupling
            --xi --kappa-range --t-max --dt --format --out
@@ -50,8 +50,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import ORACLE_TOL, run_acceptance
-from .analytic import abs_coherence_derivative, blp_analytic, coherence_factor
+from .analytic import ORACLE_TOL, abs_coherence_derivative, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import _blp_many, threshold_scan
@@ -464,6 +463,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: the other subcommands never load acceptance and oracles (about 825 lines)
+    from .acceptance import run_acceptance
+
     fmt = _data_format(args)
     results = run_acceptance(tol=args.tol, seed=args.seed)
     width = max(len(r.name) for r in results)

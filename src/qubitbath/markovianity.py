@@ -33,12 +33,12 @@ import numpy as np
 
 from .analytic import (
     Regime,
+    _first_window_ends,
     _kernel,
     blp_tail_bound,
     classify_regime,
     coherence_factor,
     default_blp_horizon,
-    increase_intervals,
 )
 from .errors import ValidationError
 from .lindblad import ModelParams
@@ -110,24 +110,39 @@ class DivisibilityWitness:
     horizon: float
 
 
-def _default_witness_horizon(params: ModelParams) -> float:
-    if classify_regime(params) is Regime.UNDERDAMPED:
-        return 1.5 * increase_intervals(params, 1)[0, 1]
-    return 80.0 / max(params.kappa, 8.0 * abs(params.xi), 1.0)
+def _parameters(points) -> tuple[np.ndarray, np.ndarray]:
+    """The xi and the kappa of every point, as two 1-d arrays."""
+    return np.array([p.xi for p in points], dtype=float), np.array([p.kappa for p in points], dtype=float)
 
 
-def _witness_many(points) -> list[DivisibilityWitness]:
+def _underdamped(points) -> np.ndarray:
+    """Whether each point is underdamped: :func:`classify_regime`, once per point."""
+    return np.array([classify_regime(p) is Regime.UNDERDAMPED for p in points], dtype=bool)
+
+
+def _witness_horizons(xi, kappa, underdamped) -> np.ndarray:
+    """The default witness horizon of every point, in one array pass: 1.5 times the end of the first
+    increase window where ``underdamped``, else 80/max(kappa, 8|xi|, 1)."""
+    horizons = 80.0 / np.maximum(np.maximum(kappa, 8.0 * np.abs(xi)), 1.0)
+    horizons[underdamped] = 1.5 * _first_window_ends(xi[underdamped], kappa[underdamped])
+    return horizons
+
+
+def _witness_many(points, underdamped=None) -> list[DivisibilityWitness]:
     """:func:`cp_divisibility_witness` of every point: per slice of their 401-time grids, one kernel
     call and one array pass over the (points, 400) sub-interval ratios; only the dataclass is per point.
+    The regimes (``underdamped``, computed here where not given) and the horizons are read once per point.
 
     An invalid sub-interval reads -inf, below every |r|, so the first row maximum is the first
     largest valid ratio; a row without one keeps the infinite minimum and no worst interval."""
-    horizons = [_default_witness_horizon(params) for params in points]
+    xi, kappa = _parameters(points)
+    if underdamped is None:
+        underdamped = _underdamped(points)
+    horizons = _witness_horizons(xi, kappa, underdamped)
     out = []
     for start, stop in _slices([401] * len(points)):
-        grids = np.linspace(0.0, np.array(horizons[start:stop]), 401, axis=-1)
-        xi, kappa = (np.array([[getattr(p, name)] for p in points[start:stop]]) for name in ("xi", "kappa"))
-        c = _kernel(xi, kappa, grids)[0]
+        grids = np.linspace(0.0, horizons[start:stop], 401, axis=-1)
+        c = _kernel(xi[start:stop, None], kappa[start:stop, None], grids)[0]
         resolved = np.abs(c) >= MAP_SINGULARITY_TOL
         valid = resolved[:, :-1] & resolved[:, 1:]
         ratios = np.full(valid.shape, -np.inf)
@@ -137,16 +152,16 @@ def _witness_many(points) -> list[DivisibilityWitness]:
         found = valid.any(axis=1)
         min_eigs = np.where(found, _choi_min_eigenvalue(ratios[rows, k]), math.inf).tolist()
         worst = [(lo, hi) if f else None for lo, hi, f in zip(grids[rows, k].tolist(), grids[rows, k + 1].tolist(), found)]
-        for params, horizon, min_eig, interval, n_skipped in zip(
-            points[start:stop], horizons[start:stop], min_eigs, worst, (~valid).sum(axis=1).tolist()
+        for horizon, under, min_eig, interval, n_skipped in zip(
+            horizons[start:stop].tolist(), underdamped[start:stop].tolist(), min_eigs, worst, (~valid).sum(axis=1).tolist()
         ):
             if min_eig < -CP_EIGENVALUE_TOL:
                 verdict = DivisibilityVerdict.NON_DIVISIBLE
-            elif classify_regime(params) is Regime.UNDERDAMPED:
+            elif under:
                 verdict = DivisibilityVerdict.INCONCLUSIVE
             else:
                 verdict = DivisibilityVerdict.DIVISIBLE
-            out.append(DivisibilityWitness(verdict, min_eig, interval, valid.shape[1], n_skipped, float(horizon)))
+            out.append(DivisibilityWitness(verdict, min_eig, interval, valid.shape[1], n_skipped, horizon))
     return out
 
 
@@ -190,22 +205,24 @@ def evolved_trace_distance(params: ModelParams, first: QubitState, second: Qubit
 # ---------------------------------------------------------------------------
 
 
-def _bisect(lo, hi, width: float, upper) -> np.ndarray:
+def _bisect(lo, hi, width, upper) -> np.ndarray:
     """Halve every bracket [lo[k], hi[k]] together; return their midpoints.
 
     ``upper(active, mid)`` gets the indices of the brackets still open and
     their midpoints, and says for each whether the midpoint becomes the
     bracket's upper end (else its lower end).  A bracket stops when its
-    width is at most ``width`` or its midpoint rounds onto an endpoint
-    (where one ulp exceeds ``width``); the others keep halving.
+    width is at most ``width`` (one for all, or one per bracket) or its
+    midpoint rounds onto an endpoint (where one ulp exceeds its width);
+    the others keep halving.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    width = np.broadcast_to(width, lo.shape)
     active = np.arange(lo.size)
     while True:
         a, b = lo[active], hi[active]
         mid = 0.5 * (a + b)
-        keep = (b - a > width) & (mid != a) & (mid != b)
+        keep = (b - a > width[active]) & (mid != a) & (mid != b)
         if not keep.any():
             return 0.5 * (lo + hi)
         active, mid = active[keep], mid[keep]
@@ -226,59 +243,67 @@ def _slices(sizes):
         yield start, len(sizes)
 
 
-def _increasing(xi, kappa, t) -> np.ndarray:
-    """Where d|c|/dt = sign(c) * dc/dt, the one increase signal, is positive."""
-    c, dc = _kernel(xi, kappa, t)
+def _increasing(xi, kappa, t, owner=None) -> np.ndarray:
+    """Where d|c|/dt = sign(c) * dc/dt, the one increase signal, is positive; ``owner`` as for the kernel."""
+    c, dc = _kernel(xi, kappa, t, owner)
     return np.sign(c) * dc > 0
 
 
-def _refine_crossings(xi, kappa, lo, hi, rising) -> np.ndarray:
-    """Bisect the sign change bracketed by [lo[k], hi[k]] of point (xi[k], kappa[k]) to 1e-10, every k
-    at once; ``rising[k]`` says whether the signal is positive at ``hi[k]``."""
-    return _bisect(lo, hi, 1e-10, lambda k, mid: _increasing(xi[k], kappa[k], mid) == rising[k])
+def _refine_crossings(xi, kappa, owner, lo, hi, rising) -> np.ndarray:
+    """Bisect the sign change bracketed by [lo[k], hi[k]] of point (xi[owner[k]], kappa[owner[k]]),
+    every k at once, to its point's width min(1e-10, 1e-9/|xi|); ``rising[k]`` says whether the
+    signal is positive at ``hi[k]``.  The width, computed as the equal 1e-9/max(|xi|, 10), and the
+    kernel's terms are per point, and the brackets read them by index."""
+    width = (1e-9 / np.maximum(np.abs(xi), 10.0))[owner]
+    return _bisect(lo, hi, width, lambda k, mid: _increasing(xi, kappa, mid, owner[k]) == rising[k])
 
 
 def _detect_many(points, horizons) -> list[np.ndarray]:
     """:func:`detect_increase_segments` of every (point, horizon) pair; all horizons are checked
-    before any grid is built, and one bisection refines the brackets of every slice."""
-    sizes = []
-    for params, horizon in zip(points, horizons):
-        if horizon <= 0:
+    before any grid is built, and one bisection refines the brackets of every slice.  Each point's
+    grid step, kernel terms and bisection width are computed once, in array passes over the points."""
+    xis, kappas = _parameters(points)
+    h = np.array(horizons, dtype=float)
+    disc = np.float_power(kappas, 2.0) - 64.0 * np.float_power(xis, 2.0)
+    oscillating = disc < 0  # 200 points per oscillation period, at most 0.01 apart
+    step = np.full(len(points), 0.01)
+    step[oscillating] = np.minimum(0.01, (8.0 * math.pi) / np.sqrt(-disc[oscillating]) / 200.0)
+    with np.errstate(over="ignore"):
+        span = h / step  # inf for an infinite horizon, or one beyond the float range
+    refused = (h <= 0) | ~(span <= MAX_SCAN_POINTS - 1)  # ceil(span) + 1 points; also refuses nan
+    if refused.any():  # the first refused point, in order
+        k = int(np.argmax(refused))
+        if h[k] <= 0:
             raise ValidationError("horizon must be positive")
-        disc = params.discriminant  # 200 points per oscillation period, at most 0.01 apart
-        step = min(0.01, 8.0 * math.pi / math.sqrt(-disc) / 200.0) if disc < 0 else 0.01
-        span = horizon / step  # inf for an infinite horizon, or one beyond the float range
-        if not span <= MAX_SCAN_POINTS - 1:  # ceil(span) + 1 points; also refuses nan
-            raise ValidationError(
-                f"scanning the trace distance up to t = {horizon:.6g} takes {span + 1:.3g} grid points, "
-                f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
-                "blp_tail_bound for the tail beyond a shorter horizon"
-            )
-        sizes.append(math.ceil(span) + 1)
-    xis, kappas = (np.array([getattr(p, name) for p in points]) for name in ("xi", "kappa"))
+        raise ValidationError(
+            f"scanning the trace distance up to t = {float(h[k]):.6g} takes {float(span[k]) + 1:.3g} grid points, "
+            f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
+            "blp_tail_bound for the tail beyond a shorter horizon"
+        )
+    sizes = (np.ceil(span).astype(int) + 1).tolist()
     found = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))]
     for start, stop in _slices(sizes):
         counts = np.array(sizes[start:stop])
         ends = np.cumsum(counts)
         if stop - start == 1:  # a grid alone is read with its point's scalars, as one point is: no grid-length copies
-            times, xi, kappa = np.linspace(0.0, horizons[start], sizes[start]), xis[start], kappas[start]
+            times = np.linspace(0.0, h[start], sizes[start])
+            positive = _increasing(xis[start], kappas[start], times)
         else:  # every point's np.linspace(0.0, h, n) in one vector, by linspace's own formula: k * (h/(n-1))
             # + 0.0, then h itself at k = n - 1 (n >= 2, and h/(n-1) is at least the grid step, so never 0)
-            h = np.array(horizons[start:stop], dtype=float)
             k = np.arange(ends[-1], dtype=float) - np.repeat(ends - counts, counts)
-            times = k * np.repeat(h / (counts - 1), counts) + 0.0
-            times[ends - 1] = h
-            xi, kappa = (np.repeat(a[start:stop], counts) for a in (xis, kappas))
-        positive = _increasing(xi, kappa, times)
+            times = k * np.repeat(h[start:stop] / (counts - 1), counts) + 0.0
+            times[ends - 1] = h[start:stop]
+            positive = _increasing(xis[start:stop], kappas[start:stop], times, np.repeat(np.arange(stop - start), counts))
         change = positive[1:] != positive[:-1]
         change[ends[:-1] - 1] = False  # from the last point of one grid to the first of the next
         idx = np.flatnonzero(change)
         found.append((times[idx], times[idx + 1], positive[idx + 1], start + np.searchsorted(ends[:-1], idx, "right")))
     lo, hi, rising, owner = (np.concatenate(column) for column in zip(*found))
-    edges = _refine_crossings(xis[owner], kappas[owner], lo, hi, rising)
+    held = np.flatnonzero(np.bincount(owner, minlength=len(points)))  # the points that own a bracket
+    edges = _refine_crossings(xis[held], kappas[held], np.searchsorted(held, owner), lo, hi, rising)
     bounds = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
     out = []
-    for horizon, first, last in zip(horizons, bounds, bounds[1:]):
+    for horizon, first, last in zip(h.tolist(), bounds, bounds[1:]):
         # sign changes alternate: drop a leading fall, close a trailing rise
         if first < last and not rising[first]:
             first += 1
@@ -337,22 +362,27 @@ class BlpResult:
     horizon: float
 
 
-def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
+def _blp_many(points, horizons, n_pairs: int, seed: int, underdamped=None) -> list[BlpResult]:
     """:func:`blp_numeric` of every (point, horizon) pair: one batched detection, one kernel call
-    for the window edges of all points and one draw of the pairs.  The optimal pair and each
-    random pair are summed over the windows of every point in one array pass: the points with w
-    windows are the rows of one (points, w) array, and a row sum adds in the order of
-    ``np.sum`` over one point's windows (pairwise from 8 windows on), so each point keeps the
-    bits of its one-point call."""
+    for the window edges of all points and one draw of the pairs.  A horizon of None is the
+    default of its point's regime (``underdamped``, computed here where not given).  The
+    optimal pair and each random pair are summed over the windows of every point in one array
+    pass: the points with w windows are the rows of one (points, w) array, and a row sum adds in
+    the order of ``np.sum`` over one point's windows (pairwise from 8 windows on), so each point
+    keeps the bits of its one-point call."""
     if not 0 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
-    horizons = [h if h is not None else default_blp_horizon(p)[0] if classify_regime(p) is Regime.UNDERDAMPED
-                else _default_witness_horizon(p) for p, h in zip(points, horizons)]
+    if underdamped is None:
+        underdamped = _underdamped(points)
+    xi, kappa = _parameters(points)
+    witness = _witness_horizons(xi, kappa, underdamped).tolist()
+    horizons = [h if h is not None else default_blp_horizon(p)[0] if under else w
+                for p, h, under, w in zip(points, horizons, underdamped.tolist(), witness)]
     all_segments = _detect_many(points, horizons)
     counts = np.array([len(segments) for segments in all_segments], dtype=int)
-    xi, kappa = (np.repeat([getattr(p, name) for p in points], counts)[:, None] for name in ("xi", "kappa"))
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
-    c_all = _kernel(xi, kappa, np.concatenate([np.empty((0, 2)), *all_segments]))[0]
+    owner = np.repeat(np.arange(len(points)), counts)[:, None]
+    c_all = _kernel(xi, kappa, np.concatenate([np.empty((0, 2)), *all_segments]), owner)[0]
     starts = np.cumsum(counts) - counts
     rows = []  # for each count w > 0: the points with w windows and their (points, w) window indices
     for w in sorted(set(counts.tolist()) - {0}):  # np.unique of integers imports numpy.ma: 1.6 MB of peak RSS

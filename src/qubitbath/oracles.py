@@ -349,7 +349,7 @@ def coherence_log_derivative(params: ModelParams, t: float) -> float:
     if s[0] > _BIG_S:
         # coth(sqrt(s)) = 1 to double precision at long times
         return -16.0 * x2 / (k + math.sqrt(disc))
-    sinhc, cosh = _sinhc_cosh_ext(s, disc)
+    sinhc, cosh = _sinhc_cosh_ext(s, np.greater(disc, 0))
     return float((-4.0 * x2 * tv * sinhc[0]) / ((k * tv / 4.0) * sinhc[0] + cosh[0]))
 
 

@@ -7,6 +7,7 @@ prints the per-criterion summary table.
 """
 
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_criteria_agreement_scans_in_batches(monkeypatch):
     # detection, 400 edge and 400 witness); batched it makes about 80
     passes = []
     kernel = markovianity._kernel
-    monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: passes.append(np.size(t)) or kernel(xi, kappa, t))
+    monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: passes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
     assert acceptance._check_criteria_agreement().passed
     assert len(passes) <= 100
     assert max(passes) <= markovianity._SLICE_POINTS
@@ -165,7 +166,21 @@ def test_verify_kernel_calls(monkeypatch):
     calls = []
     kernel = analytic._kernel
     for module in (analytic, markovianity, oracles, acceptance):
-        monkeypatch.setattr(module, "_kernel", lambda xi, kappa, t: calls.append(np.size(t)) or kernel(xi, kappa, t))
+        monkeypatch.setattr(module, "_kernel", lambda xi, kappa, t, *owner: calls.append(np.size(t)) or kernel(xi, kappa, t, *owner))
     assert all(r.passed for r in run_acceptance())
     assert len(calls) <= 125
     assert sum(calls) == 492_311
+
+
+def test_verify_computes_point_terms_once_per_point(monkeypatch):
+    # squares, discriminants and regimes per point, read by the lanes: when each lane computed its
+    # own, one run squared 527,319 values with float_power and decided the regime 2,892 times
+    squared, decided = [], []
+    power, classify = np.float_power, analytic.classify_regime
+    monkeypatch.setattr(np, "float_power", lambda x, *args: squared.append(np.size(x)) or power(x, *args))
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qubitbath") and vars(module).get("classify_regime") is classify:
+            monkeypatch.setattr(module, "classify_regime", lambda p: decided.append(p) or classify(p))
+    assert all(r.passed for r in run_acceptance())
+    assert sum(squared) <= 16_329
+    assert len(decided) <= 1_307

@@ -238,6 +238,103 @@ class TestBatchedKernel:
             _kernel(xi, np.zeros(2), np.array([1e120, 1e140]))
 
 
+def reference_kernel(xi, kappa, t):
+    """c and dc/dt with every term computed lane by lane: the kernel body from before the per-point
+    terms, with ``xi``, ``kappa`` and ``t`` broadcast together and each lane's branch read from its
+    own discriminant (the time checks are left to the callers, whose times are valid)."""
+    k, x2 = kappa, np.float_power(xi, 2.0)
+    disc = np.float_power(k, 2.0) - 64.0 * x2
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    s = disc * (arr / 4.0) ** 2
+    big = s > _BIG_S
+    long_time = big.any()
+    if long_time:
+        s[big] = _BIG_S
+    u = np.abs(s)
+    small = u < 1e-6
+    r = np.sqrt(u)
+    r[small] = 1.0
+    pos = np.greater(disc, 0)
+    if pos.all() or not pos.any():
+        sinhc, cosh = (np.sinh(r) / r, np.cosh(r)) if pos.any() else (np.sin(r) / r, np.cos(r))
+    else:
+        sinhc, cosh, pos = np.empty_like(r), np.empty_like(r), np.broadcast_to(pos, s.shape)
+        for lanes, sin, cos in ((pos, np.sinh, np.cosh), (~pos, np.sin, np.cos)):
+            part = r[lanes]
+            sinhc[lanes], cosh[lanes] = sin(part) / part, cos(part)
+    u = s[small]
+    sinhc[small] = 1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0))
+    cosh[small] = 1.0 + u / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0))
+    kt4 = k * arr / 4.0
+    envelope = np.exp(-kt4)
+    c = envelope * (kt4 * sinhc + cosh)
+    dc = -4.0 * x2 * arr * envelope * sinhc
+    if long_time:
+        tb, kb, x2b, db = (np.broadcast_to(a, s.shape)[big] if np.ndim(a) else a for a in (arr, k, x2, disc))
+        r = np.sqrt(db)
+        grow, decay = np.exp(-64.0 * x2b / (r + kb) * tb / 4.0), np.exp(-(r + kb) * tb / 4.0)
+        c[big] = 0.5 * ((1.0 + kb / r) * grow + (1.0 - kb / r) * decay)
+        dc[big] = -8.0 * x2b / r * (grow - decay)
+    return c, dc
+
+
+@st.composite
+def ragged_batch(draw):
+    """Points with |xi| log-uniform over 1e-30 to 1e30 and from every branch of the kernel, each with
+    0 to 12 lanes (the series band, the _BIG_S clip, the critical band), in a shuffled lane order."""
+    points, times = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        xi = (-1.0 if draw(st.booleans()) else 1.0) * 10.0 ** draw(st.floats(-30.0, 30.0))
+        branch = draw(st.sampled_from(["underdamped", "threshold", "overdamped", "xi0", "kappa0"]))
+        if branch == "underdamped":
+            kappa = 8.0 * abs(xi) * draw(st.floats(0.0, 0.99))
+        elif branch == "threshold":  # inside the REGIME_TOL band
+            kappa = 8.0 * abs(xi) * (1.0 + draw(st.sampled_from([-1e-9, 0.0, 1e-9])))
+        elif branch == "overdamped":
+            kappa = 8.0 * abs(xi) * draw(st.floats(1.01, 1e3))
+        elif branch == "xi0":
+            xi, kappa = 0.0, 10.0 ** draw(st.floats(-30.0, 30.0))
+        else:
+            kappa = 0.0
+        disc = abs(ModelParams(xi, kappa).discriminant)
+        unit = 4.0 / math.sqrt(disc) if disc else 1.0  # |s| = f**2, as in kernel_lane
+        f = st.one_of(st.just(0.0), st.floats(0.0, 9.9e-4), st.floats(0.0, 200.0))
+        times.append([min(v * unit, MAX_TIME) for v in draw(st.lists(f, max_size=12))])
+        points.append((xi, kappa))
+    owner = np.array([k for k, lanes in enumerate(times) for _ in lanes], dtype=int)
+    order = np.array(draw(st.permutations(range(owner.size))), dtype=int)
+    xi, kappa = (np.array(column) for column in zip(*points))
+    return xi, kappa, np.array([v for lanes in times for v in lanes])[order], owner[order]
+
+
+class TestPerPointKernel:
+    """Per-point terms read by index give every lane the bits of the lane-by-lane kernel."""
+
+    @given(ragged_batch())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_lane_kernel(self, batch):
+        xi, kappa, t, owner = batch
+        c, dc = _kernel(xi, kappa, t, owner)
+        ref_c, ref_dc = reference_kernel(xi[owner], kappa[owner], t)
+        assert [v.hex() for v in c.tolist()] == [v.hex() for v in ref_c.tolist()]
+        assert [v.hex() for v in dc.tolist()] == [v.hex() for v in ref_dc.tolist()]
+
+    def test_owner_broadcasts_against_rows(self):
+        # the batched measure reads both edges of each window through an owner column
+        xi, kappa = np.array([1.0, 0.5, 3.0]), np.array([4.0, 9.0, 0.0])
+        owner = np.array([[2], [0], [0], [1]])
+        times = np.array([[0.1, 0.2], [1.0, 2.0], [3.0, 40.0], [0.0, 500.0]])
+        c, dc = _kernel(xi, kappa, times, owner)
+        ref_c, ref_dc = reference_kernel(xi[owner], kappa[owner], times)
+        assert c.tobytes() == ref_c.tobytes() and dc.tobytes() == ref_dc.tobytes()
+
+    def test_time_limit_is_read_by_index(self):
+        xi = np.array([1e30, 1.0])  # limits about 5e123 and MAX_TIME
+        _kernel(xi, np.zeros(2), np.array([1e140, 1e120]), np.array([1, 0]))
+        with pytest.raises(ValidationError, match=r"time must be <= 5e\+123"):
+            _kernel(xi, np.zeros(2), np.array([1e140, 1e140]), np.array([1, 0]))
+
+
 def mp_coherence_with_derivative(xi, kappa, t):
     """c and dc/dt of the overdamped closed form, at 50 digits, from the exact binary inputs."""
     mp = pytest.importorskip("mpmath")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qubitbath.cli as cli
+from qubitbath import acceptance
 from qubitbath.acceptance import CheckResult
 from qubitbath.errors import NumericsError
 from qubitbath.markovianity import MAX_PAIRS, MAX_SCAN_POINTS
@@ -367,7 +368,7 @@ class TestVerify:
         ]
 
     def test_all_pass_exit_zero(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setattr(cli, "run_acceptance", lambda tol, seed: self._stub([True, True]))
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda tol, seed: self._stub([True, True]))
         out = tmp_path / "verify.csv"
         assert cli.main(["verify", "--out", str(out)]) == 0
         text = capsys.readouterr().out
@@ -376,7 +377,7 @@ class TestVerify:
         assert column(header, rows, "passed", int) == [1, 1]
 
     def test_failure_exit_three_and_named(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_acceptance", lambda tol, seed: self._stub([True, False]))
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda tol, seed: self._stub([True, False]))
         assert cli.main(["verify"]) == 3
         text = capsys.readouterr().out
         assert "check_1" in text and "FAIL" in text
@@ -388,7 +389,7 @@ class TestVerify:
             seen["tol"] = tol
             return self._stub([True])
 
-        monkeypatch.setattr(cli, "run_acceptance", fake)
+        monkeypatch.setattr(acceptance, "run_acceptance", fake)
         assert cli.main(["verify", "--tol", "1e-2"]) == 0
         assert seen["tol"] == pytest.approx(1e-2)
 
@@ -550,7 +551,7 @@ class TestFlagsPerSubcommand:
     @pytest.mark.parametrize("name", ["threshold", "verify"])
     def test_format_with_out_is_written(self, name, tmp_path, monkeypatch):
         fake = [CheckResult("fake", True, "ok", 0.5, 1.0)]
-        monkeypatch.setattr(cli, "run_acceptance", lambda tol, seed: fake)
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda tol, seed: fake)
         out = tmp_path / "data.json"
         assert cli.main([name, "--format", "json", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["records"]

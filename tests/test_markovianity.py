@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qubitbath import markovianity
 from qubitbath.analytic import (
     Regime,
+    _first_window_ends,
     blp_analytic,
     blp_tail_bound,
     classify_regime,
@@ -285,6 +286,14 @@ class TestScaleInvariance:
         assert cp_divisibility_witness(params).verdict is cp_divisibility_witness(unit).verdict
         assert blp_tail_bound(params, 0) == blp_analytic(params)
 
+    @pytest.mark.parametrize("xi", [1.0, 1e9])
+    def test_blp_gap_within_the_tail_bound_at_any_coupling(self, xi):
+        # the bisection stops at min(1e-10, 1e-9/|xi|): at an absolute 1e-10 the edges of
+        # windows 4/sqrt(-disc) ~ 1e-9 long at |xi| = 1e9 were off by 2.4e-2 of the measure
+        params = ModelParams(xi, 0.85 * 8.0 * xi)
+        result, analytic = blp_numeric(params, n_pairs=0), blp_analytic(params)
+        assert abs(result.value - analytic) <= result.tail_bound + 1e-8 * analytic
+
 
 class TestTraceDistance:
     def test_identical_states(self):
@@ -402,8 +411,8 @@ class TestRefineCrossing:
 
     @staticmethod
     def refine(params, lo, hi, rising):
-        n = len(lo)
-        return _refine_crossings(np.full(n, params.xi), np.full(n, params.kappa), np.array(lo), np.array(hi), np.array(rising))
+        owner = np.zeros(len(lo), dtype=int)  # every bracket belongs to the one point
+        return _refine_crossings(np.array([params.xi]), np.array([params.kappa]), owner, np.array(lo), np.array(hi), np.array(rising))
 
     def test_terminates_below_ulp_resolution(self):
         (t,) = self.refine(ModelParams(1.0, 4.0), [900000.1], [900000.11], [True])
@@ -423,7 +432,7 @@ class TestRefineCrossing:
         far = _far_zero(params, 9e5)
         sizes = []
         kernel = markovianity._kernel
-        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: sizes.append(t.size) or kernel(xi, kappa, t))
+        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
 
         def refine_counted(lo, hi):
             sizes.clear()
@@ -492,9 +501,9 @@ class TestBlpNumeric:
         shapes = []
         kernel = markovianity._kernel
 
-        def counted(xi, kappa, t):
+        def counted(xi, kappa, t, *owner):
             shapes.append(np.shape(t))
-            return kernel(xi, kappa, t)
+            return kernel(xi, kappa, t, *owner)
 
         monkeypatch.setattr(markovianity, "_kernel", counted)
         result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
@@ -614,14 +623,16 @@ class TestBatchedScans:
         horizons = [30.0] * 4
         sizes = []
         kernel = markovianity._kernel
-        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: sizes.append(t.size) or kernel(xi, kappa, t))
+        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
         self.same_detection(points, horizons)
         assert sizes[:2] == [6002, 6002]  # the two slice scans of the batched call
 
     def test_leading_fall_is_dropped(self, monkeypatch):
         # the real signal is 0 at t = 0; a stand-in kernel whose signal is
         # cos(xi*t) starts positive, so the first sign change is a fall
-        def cosine(xi, kappa, t):
+        def cosine(xi, kappa, t, owner=None):
+            if owner is not None:  # the per-point parameters, read lane by lane
+                xi, kappa = xi[owner], kappa[owner]
             return np.ones(np.shape(t)), np.cos(np.multiply(xi, t)) + 0.0 * kappa
 
         monkeypatch.setattr(markovianity, "_kernel", cosine)
@@ -678,9 +689,17 @@ class TestBatchedScans:
     def test_witness_grids_equal_the_per_point_linspaces(self):
         # one linspace over the horizons of verify's criteria grid gives every point its own 401 times
         xis, fractions = np.linspace(0.25, 2.0, 20).tolist(), np.linspace(0.0, 1.9, 20).tolist()
-        horizons = [markovianity._default_witness_horizon(ModelParams(xi, f * 8.0 * xi)) for xi in xis for f in fractions]
+        horizons = [reference_witness_horizon(ModelParams(xi, f * 8.0 * xi)) for xi in xis for f in fractions]
         grids = np.linspace(0.0, np.array(horizons), 401, axis=-1)
         assert np.array_equal(grids, np.array([np.linspace(0.0, horizon, 401) for horizon in horizons]))
+
+
+def reference_witness_horizon(params):
+    """The default witness horizon of one point, as the per-point route computed it before the
+    horizons became one array pass over the points."""
+    if classify_regime(params) is Regime.UNDERDAMPED:
+        return 1.5 * increase_intervals(params, 1)[0, 1]
+    return 80.0 / max(params.kappa, 8.0 * abs(params.xi), 1.0)
 
 
 def reference_witness(params, horizon, times, c):
@@ -707,7 +726,7 @@ def reference_witness(params, horizon, times, c):
 def reference_witnesses(points):
     out = []
     for params in points:
-        horizon = markovianity._default_witness_horizon(params)
+        horizon = reference_witness_horizon(params)
         times = np.linspace(0.0, horizon, 401)
         out.append(reference_witness(params, horizon, times, markovianity._kernel(params.xi, params.kappa, times)[0]))
     return out
@@ -718,6 +737,22 @@ witness_points = st.builds(
     lambda e, negative, f: ModelParams((-1.0 if negative else 1.0) * 10.0**e, f * 8.0 * 10.0**e),
     st.floats(-30.0, 30.0), st.booleans(), st.floats(0.0, 2.0),
 )
+
+
+class TestPerPointHorizons:
+    @given(witness_points)
+    @settings(max_examples=60, deadline=None)
+    def test_first_window_ends_equal_increase_intervals(self, params):
+        if classify_regime(params) is not Regime.UNDERDAMPED:
+            return
+        (end,) = _first_window_ends(np.array([params.xi]), np.array([params.kappa])).tolist()
+        assert end.hex() == increase_intervals(params, 1)[0, 1].hex()
+
+    def test_witness_horizons_equal_the_per_point_ones(self):
+        points = [ModelParams(xi, f * 8.0 * abs(xi)) for xi in (0.25, -1.3, 2e7, 1e-30) for f in np.linspace(0.0, 1.9, 20).tolist()]
+        xi, kappa = markovianity._parameters(points)
+        horizons = markovianity._witness_horizons(xi, kappa, markovianity._underdamped(points)).tolist()
+        assert [h.hex() for h in horizons] == [float(reference_witness_horizon(p)).hex() for p in points]
 
 
 class TestBatchedWitness:
