@@ -53,10 +53,10 @@ from .analytic import (
 )
 from .lindblad import ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import (
+    _SLICE_POINTS,
     DivisibilityVerdict,
     _blp_many,
     _parameters,
-    _slices,
     _underdamped,
     _witness_many,
     blp_numeric,
@@ -342,8 +342,9 @@ def _check_contour_sign_structure() -> tuple[bool, str]:
     kappas = np.linspace(0.0, 14.0, 57)
     times = np.linspace(0.0, 10.0, 1001)
     rows = []  # d|c|/dt = sign(c) * dc/dt of each row, one kernel call per slice of whole rows
-    for start, stop in _slices([times.size] * kappas.size):
-        c, dc = _kernel(xi, kappas[start:stop, None], np.broadcast_to(times, (stop - start, times.size)))
+    for start in range(0, kappas.size, _SLICE_POINTS // times.size):
+        block = kappas[start : start + _SLICE_POINTS // times.size, None]
+        c, dc = _kernel(xi, block, np.broadcast_to(times, (len(block), times.size)))
         rows.extend(np.sign(c) * dc)
     problems = []
     for kappa, values in zip(kappas, rows):

@@ -14,8 +14,8 @@ Two independent witnesses are implemented against the same dynamics:
   initial pairs.  Under diag(1, 1, c, c) a pair enters only through its
   Bloch difference, and the antipodal y-z pair, with distance |c|, is
   optimal.  The window edges are the sign changes of d|c|/dt on uniform
-  grids, scanned one kernel call per slice of whole grids and refined by one
-  bisection over every bracket of every point; c is then read once at the edges.
+  grids, scanned in windows of 8,192 points, one kernel call each, refined by
+  one bisection over every bracket of every point; c is then read once at the edges.
 
 Both flip at the same cooling rate, kappa = 8|xi|, where
 :func:`~qubitbath.analytic.classify_regime` leaves the underdamped regime;
@@ -60,14 +60,14 @@ MAP_SINGULARITY_TOL = 1e-12
 #: Threshold on negative Choi eigenvalues for the CP witness.
 CP_EIGENVALUE_TOL = 1e-10
 
-#: Most grid points :func:`detect_increase_segments` scans (80 MB per float array).
+#: Most grid points :func:`detect_increase_segments` scans: a bound on its time (1.2 s on a 2-core Xeon), not memory.
 MAX_SCAN_POINTS = 10_000_000
 
 #: Most random pairs :func:`blp_numeric` draws and holds (10,000: 0.17-0.20 s and a
 #: 1 MB tracemalloc peak for the 71 windows of xi = 1, kappa = 0.5, on a 2-core x86-64 Xeon).
 MAX_PAIRS = 10_000
 
-# Most grid points one kernel call of the batched scans reads; a longer grid is scanned alone.
+# Most points one kernel call of the batched scans reads: the scan holds one window of them at a time.
 _SLICE_POINTS = 8192
 
 
@@ -139,8 +139,9 @@ def _witness_many(points, underdamped=None) -> list[DivisibilityWitness]:
     if underdamped is None:
         underdamped = _underdamped(points)
     horizons = _witness_horizons(xi, kappa, underdamped)
-    out = []
-    for start, stop in _slices([401] * len(points)):
+    out, batch = [], _SLICE_POINTS // 401
+    for start in range(0, len(points), batch):
+        stop = start + batch
         grids = np.linspace(0.0, horizons[start:stop], 401, axis=-1)
         c = _kernel(xi[start:stop, None], kappa[start:stop, None], grids)[0]
         resolved = np.abs(c) >= MAP_SINGULARITY_TOL
@@ -231,18 +232,6 @@ def _bisect(lo, hi, width, upper) -> np.ndarray:
         lo[active[~up]] = mid[~up]
 
 
-def _slices(sizes):
-    """(start, stop) runs of consecutive items whose sizes sum to at most _SLICE_POINTS, or one larger item."""
-    start = total = 0
-    for k, size in enumerate(sizes):
-        if total + size > _SLICE_POINTS and k > start:
-            yield start, k
-            start, total = k, 0
-        total += size
-    if sizes:
-        yield start, len(sizes)
-
-
 def _increasing(xi, kappa, t, owner=None) -> np.ndarray:
     """Where d|c|/dt = sign(c) * dc/dt, the one increase signal, is positive; ``owner`` as for the kernel."""
     c, dc = _kernel(xi, kappa, t, owner)
@@ -260,14 +249,16 @@ def _refine_crossings(xi, kappa, owner, lo, hi, rising) -> np.ndarray:
 
 def _detect_many(points, horizons) -> list[np.ndarray]:
     """:func:`detect_increase_segments` of every (point, horizon) pair; all horizons are checked
-    before any grid is built, and one bisection refines the brackets of every slice.  Each point's
-    grid step, kernel terms and bisection width are computed once, in array passes over the points."""
+    before any grid is built, and one bisection refines the brackets of every point.  Each point's
+    grid step, kernel terms and bisection width are computed once, in array passes over the points.
+    The grids are laid end to end and read in windows of at most _SLICE_POINTS lanes: a window ends
+    at the last grid end that fits in it, and only a longer grid is split."""
     xis, kappas = _parameters(points)
     h = np.array(horizons, dtype=float)
     disc = np.float_power(kappas, 2.0) - 64.0 * np.float_power(xis, 2.0)
-    oscillating = disc < 0  # 200 points per oscillation period, at most 0.01 apart
-    step = np.full(len(points), 0.01)
-    step[oscillating] = np.minimum(0.01, (8.0 * math.pi) / np.sqrt(-disc[oscillating]) / 200.0)
+    oscillating = disc < 0  # 200 points per oscillation period, at most max(0.01, 0.0025/|xi|) apart
+    step = np.maximum(0.01, np.divide(0.0025, np.abs(xis), out=np.zeros(len(points)), where=xis != 0))
+    step[oscillating] = np.minimum(step[oscillating], (8.0 * math.pi) / np.sqrt(-disc[oscillating]) / 200.0)
     with np.errstate(over="ignore"):
         span = h / step  # inf for an infinite horizon, or one beyond the float range
     refused = (h <= 0) | ~(span <= MAX_SCAN_POINTS - 1)  # ceil(span) + 1 points; also refuses nan
@@ -280,24 +271,29 @@ def _detect_many(points, horizons) -> list[np.ndarray]:
             f"over the limit of {MAX_SCAN_POINTS}; use blp_analytic for the measure and "
             "blp_tail_bound for the tail beyond a shorter horizon"
         )
-    sizes = (np.ceil(span).astype(int) + 1).tolist()
+    sizes = np.ceil(span).astype(int) + 1
+    ends = np.cumsum(sizes)
+    starts, spacing = ends - sizes, h / (sizes - 1)  # n >= 2, and h/(n-1) is at least the grid step: never 0
     found = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))]
-    for start, stop in _slices(sizes):
-        counts = np.array(sizes[start:stop])
-        ends = np.cumsum(counts)
-        if stop - start == 1:  # a grid alone is read with its point's scalars, as one point is: no grid-length copies
-            times = np.linspace(0.0, h[start], sizes[start])
-            positive = _increasing(xis[start], kappas[start], times)
-        else:  # every point's np.linspace(0.0, h, n) in one vector, by linspace's own formula: k * (h/(n-1))
-            # + 0.0, then h itself at k = n - 1 (n >= 2, and h/(n-1) is at least the grid step, so never 0)
-            k = np.arange(ends[-1], dtype=float) - np.repeat(ends - counts, counts)
-            times = k * np.repeat(h[start:stop] / (counts - 1), counts) + 0.0
-            times[ends - 1] = h[start:stop]
-            positive = _increasing(xis[start:stop], kappas[start:stop], times, np.repeat(np.arange(stop - start), counts))
+    lane, first, carry = 0, 0, None  # carry: the last time and signal of a window that splits a grid
+    while first < len(points):
+        last = int(np.searchsorted(ends, lane + _SLICE_POINTS, "right"))  # grids first..last-1 end in the window
+        stop = int(ends[last - 1]) if last > first else lane + _SLICE_POINTS
+        grids = slice(first, max(last, first + 1))
+        local = np.minimum(ends[grids], stop) - lane  # where each grid's lanes end in the window
+        # one grid, or a piece of one, is read with its point's terms broadcast, as one point is
+        reps = np.diff(local, prepend=0) if last - first > 1 else 1
+        # every grid's np.linspace(0.0, h, n) by linspace's own formula: k * (h/(n-1)) + 0.0, then h at k = n - 1
+        times = (np.arange(lane, stop, dtype=float) - np.repeat(starts[grids], reps)) * np.repeat(spacing[grids], reps) + 0.0
+        times[local[: last - first] - 1] = h[first:last]
+        positive = _increasing(xis[grids], kappas[grids], times, np.repeat(np.arange(len(local)), reps))
         change = positive[1:] != positive[:-1]
-        change[ends[:-1] - 1] = False  # from the last point of one grid to the first of the next
+        change[local[:-1] - 1] = False  # from the last lane of one grid to the first of the next
         idx = np.flatnonzero(change)
-        found.append((times[idx], times[idx + 1], positive[idx + 1], start + np.searchsorted(ends[:-1], idx, "right")))
+        if carry is not None and carry[1] != positive[0]:  # a sign change between two windows
+            found.append(([carry[0]], times[:1], positive[:1], [first]))
+        found.append((times[idx], times[idx + 1], positive[idx + 1], first + np.searchsorted(local[:-1], idx, "right")))
+        lane, first, carry = stop, max(first, last), None if last > first else (times[-1], positive[-1])
     lo, hi, rising, owner = (np.concatenate(column) for column in zip(*found))
     held = np.flatnonzero(np.bincount(owner, minlength=len(points)))  # the points that own a bracket
     edges = _refine_crossings(xis[held], kappas[held], np.searchsorted(held, owner), lo, hi, rising)
@@ -319,11 +315,11 @@ def detect_increase_segments(params: ModelParams, horizon: float) -> np.ndarray:
 
     An (n, 2) array of (t_lo, t_hi) rows, as :func:`increase_intervals`
     gives them in closed form.  Sign changes of d|c|/dt are located on a
-    uniform grid (200 points per oscillation period) and refined by
-    bisection; windows are found until c underflows to 0.  A grid of more
-    than :data:`MAX_SCAN_POINTS` points is refused before it is built.  Its
-    batched form makes one kernel call per slice of whole grids and one per
-    halving for every bracket of every point."""
+    uniform grid (200 points per oscillation period, at most
+    max(0.01, 0.0025/|xi|) apart), read one kernel call per scan window of
+    at most 8,192 points, and refined by bisection; windows are found until
+    c underflows to 0.  A grid of more than :data:`MAX_SCAN_POINTS` points
+    is refused before any of it is built."""
     return _detect_many([params], [horizon])[0]
 
 

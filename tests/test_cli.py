@@ -224,15 +224,12 @@ class TestBlp:
             assert row[1:] == ["inf", "inf", "inf", "0"]
 
     def test_scan_over_point_budget_is_a_validation_error(self, tmp_path, monkeypatch, capsys):
-        linspace = np.linspace
-
-        def small_only(start, stop, num):
-            # the kappa sweep is a linspace too; only the scan grid is refused
-            assert num <= 1000, "grid allocated"
-            return linspace(start, stop, num)
+        def refuse(*args, **kwargs):
+            # the scan lays its grids end to end with np.cumsum before it reads the first window
+            raise AssertionError("grid allocated")
 
         out = tmp_path / "blp.csv"
-        monkeypatch.setattr(np, "linspace", small_only)
+        monkeypatch.setattr(np, "cumsum", refuse)
         assert cli.main(["blp", "--kappa-range", "0:2e-6:3", "--out", str(out)]) == 1
         assert "blp_tail_bound" in capsys.readouterr().err
         assert not out.exists()
@@ -288,14 +285,27 @@ class TestBlp:
         assert sorted(set(column(header, rows, "kappa"))) == [4.0, 6.0]
 
     def test_small_coupling_scan_is_refused_not_zero(self, capsys, tmp_path):
-        # kappa/(8|xi|) = 1/8 and 1/2 are underdamped at any scale; the scan
+        # kappa/(8|xi|) = 5e-5 and 1e-4 are underdamped at any scale; the scan
         # for the tail is too long and must say so rather than write 0
         out = tmp_path / "blp.csv"
-        argv = ["blp", "--xi", "1e-5", "--kappa-range", "1e-5:4e-5:2", "--pairs", "0"]
+        argv = ["blp", "--xi", "1e-5", "--kappa-range", "4e-9:8e-9:2", "--pairs", "0"]
         assert cli.main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"over the limit of {MAX_SCAN_POINTS}" in err
         assert not out.exists()
+
+    def test_small_coupling_scans_as_the_unit_coupling(self, tmp_path):
+        # the grid step is at most max(0.01, 0.0025/|xi|) apart, so xi = 1e-5 scans the kappa/xi
+        # ratios of xi = 1 on a grid of the same shape, where a cap of 0.01 took 1.12e9 points
+        tables = []
+        for xi, kappa_hi in (("1", "8"), ("1e-5", "8e-5")):
+            out = tmp_path / f"blp-{xi}.csv"
+            assert cli.main(["blp", "--xi", xi, "--kappa-range", f"0:{kappa_hi}:17", "--pairs", "0", "--out", str(out)]) == 0
+            header, rows = read_csv(out)
+            tables.append((column(header, rows, "intervals_used", int), column(header, rows, "blp_numeric")))
+        (counts, unit), (small_counts, small) = tables
+        assert small_counts == counts and max(counts) == 71
+        assert all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(small, unit))
 
     def test_window_count_beyond_the_float_range_is_refused(self, capsys, tmp_path):
         # at kappa = 1e-300 the default horizon's window count log(1e6)*r/(kappa*pi) is inf

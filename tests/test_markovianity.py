@@ -545,23 +545,24 @@ class TestBlpNumeric:
         assert a.random_values == b.random_values
 
     def test_scan_over_point_budget_raises_before_allocating(self, monkeypatch):
-        # kappa = 1e-6 asks for a 5.5e9-point grid (44 GB per float array)
+        # kappa = 1e-6 asks for a 5.5e9-point grid; the scan lays its grids end to end
+        # with np.cumsum before it reads the first window
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated")
 
-        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "cumsum", refuse)
         with pytest.raises(ValidationError, match="blp_analytic.*blp_tail_bound"):
             blp_numeric(ModelParams(1.0, 1e-6), n_pairs=0)
 
     def test_scan_budget_admits_kappa_1e_3(self, monkeypatch):
-        # 5.5e6 points: admitted, so the grid is built (and stopped right there)
+        # 5.5e6 points: admitted, so the grids are laid out (and stopped right there)
         class Admitted(Exception):
             pass
 
-        def admitted(start, stop, num):
-            raise Admitted(num)
+        def admitted(sizes):
+            raise Admitted(*sizes.tolist())
 
-        monkeypatch.setattr(np, "linspace", admitted)
+        monkeypatch.setattr(np, "cumsum", admitted)
         with pytest.raises(Admitted) as info:
             blp_numeric(ModelParams(1.0, 1e-3), n_pairs=0)
         assert 5_000_000 < info.value.args[0] <= markovianity.MAX_SCAN_POINTS
@@ -609,7 +610,7 @@ class TestBatchedScans:
             (ModelParams(1.0, 12.0), 5.0),  # overdamped: no crossing
             (ModelParams(1.0, 0.0), 10.0),  # kappa = 0 with an explicit horizon
             (trailing, 0.5 * (t_lo + t_hi)),  # a rise closed at the horizon
-            (ModelParams(0.5, 1.0), 120.0),  # 12,001 points: longer than one slice, scanned alone
+            (ModelParams(0.5, 1.0), 120.0),  # 12,001 points: longer than one window, split in two
             (ModelParams(2.0, 3.0), 15.0),
         ]
         batched = self.same_detection(*zip(*cases))
@@ -692,6 +693,95 @@ class TestBatchedScans:
         horizons = [reference_witness_horizon(ModelParams(xi, f * 8.0 * xi)) for xi in xis for f in fractions]
         grids = np.linspace(0.0, np.array(horizons), 401, axis=-1)
         assert np.array_equal(grids, np.array([np.linspace(0.0, horizon, 401) for horizon in horizons]))
+
+
+def reference_grid_size(params, horizon):
+    """The points of a point's scan grid: 200 per oscillation period, at most max(0.01, 0.0025/|xi|) apart."""
+    step = max(0.01, 0.0025 / abs(params.xi)) if params.xi else 0.01
+    if params.discriminant < 0:
+        step = min(step, 8.0 * math.pi / math.sqrt(-params.discriminant) / 200.0)
+    return math.ceil(horizon / step) + 1
+
+
+def reference_scan(points, horizons):
+    """The whole-grid scan that the windowed one replaced: each point's np.linspace grid, read in one
+    kernel call with its point's scalars, and its sign changes bisected and paired per point."""
+    out = []
+    for params, horizon in zip(points, horizons):
+        times = np.linspace(0.0, horizon, reference_grid_size(params, horizon))
+        positive = markovianity._increasing(params.xi, params.kappa, times)
+        idx = np.flatnonzero(positive[1:] != positive[:-1])
+        xi, kappa, owner = np.array([params.xi]), np.array([params.kappa]), np.zeros(idx.size, dtype=int)
+        edges = _refine_crossings(xi, kappa, owner, times[idx], times[idx + 1], positive[idx + 1])
+        if idx.size and not positive[idx[0] + 1]:  # a leading fall
+            edges = edges[1:]
+        if edges.size % 2:  # a trailing rise
+            edges = np.append(edges, horizon)
+        out.append(edges.reshape(-1, 2))
+    return out
+
+
+class TestWindowedScan:
+    """The windows of _detect_many against reference_scan, bit for bit."""
+
+    @staticmethod
+    def same_as_reference(points, horizons):
+        windowed = markovianity._detect_many(points, horizons)
+        reference = reference_scan(points, horizons)
+        assert [s.shape for s in windowed] == [s.shape for s in reference]
+        assert _hex(windowed) == _hex(reference)
+        return windowed
+
+    def test_grids_around_the_window_size(self):
+        # xi = 1 scans at the step 0.01: a horizon of (n - 1.5) * 0.01 is an n-point grid; one
+        # grid of S + 1 points leaves a window of one lane, and 12,001 points split in two
+        sizes = [markovianity._SLICE_POINTS + d for d in (-1, 0, 1)] + [12_001]
+        points = [ModelParams(1.0, kappa) for kappa in (0.5, 1.0, 2.0, 3.0)]
+        horizons = [(n - 1.5) * 0.01 for n in sizes]
+        assert [reference_grid_size(p, h) for p, h in zip(points, horizons)] == sizes
+        for p, h in zip(points, horizons):
+            assert len(self.same_as_reference([p], [h])) == 1
+        self.same_as_reference(points, horizons)
+
+    def test_a_bracket_across_a_window_edge(self):
+        # at kappa = 0.6 the signal of this 12,001-point grid changes sign between lanes S - 1 and S,
+        # the last lane of the first window and the first of the second
+        params, horizon, edge = ModelParams(1.0, 0.6), 119.995, markovianity._SLICE_POINTS
+        times = np.linspace(0.0, horizon, reference_grid_size(params, horizon))
+        positive = markovianity._increasing(params.xi, params.kappa, times)
+        assert times.size == 12_001 and positive[edge - 1] != positive[edge]
+        (segments,) = self.same_as_reference([params], [horizon])
+        assert np.any((segments > times[edge - 1]) & (segments < times[edge]))
+
+    @given(st.lists(st.tuples(st.sampled_from([1.0, -0.3, 0.1, 2.5]), st.floats(0.0, 1.5), st.floats(0.02, 150.0)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_ragged_batches(self, draws):
+        # grids from 3 to about 24,000 points, whole ones packed together and long ones split
+        points = [ModelParams(xi, f * 8.0 * abs(xi)) for xi, f, _ in draws]
+        self.same_as_reference(points, [horizon for _, _, horizon in draws])
+
+    def test_every_scan_call_reads_at_most_one_window(self, monkeypatch):
+        # the 12,001-point grid was read in one kernel call, and so was the 550,001-point one below
+        lanes, kernel = [], markovianity._kernel
+        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: lanes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+        monkeypatch.setattr(markovianity, "_refine_crossings", lambda xi, kappa, owner, lo, hi, rising: lo)
+        points, horizons = [ModelParams(1.0, 3.0), ModelParams(0.5, 1.0), ModelParams(1.0, 0.01)], [20.0, 120.0, 5500.0]
+        markovianity._detect_many(points, horizons)
+        assert max(lanes) <= markovianity._SLICE_POINTS
+        assert sum(lanes) == sum(reference_grid_size(p, h) for p, h in zip(points, horizons))  # no lane twice
+
+    def test_long_scan_memory(self):
+        # 550,001 points: the whole-grid scan held about 65 B per point (35.8 MB)
+        detect_increase_segments(ModelParams(1.0, 0.01), 10.0)
+        tracemalloc.start()
+        try:
+            segments = detect_increase_segments(ModelParams(1.0, 0.01), 5500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(segments) == 3501
+        assert peak < 4_000_000
 
 
 def reference_witness_horizon(params):
