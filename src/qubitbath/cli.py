@@ -405,9 +405,10 @@ def cmd_contour(args: argparse.Namespace) -> int:
     table = np.empty((steps, len(times), 3))
     table[:, :, 0] = times
     table[:, :, 1] = kappas[:, None]
-    for block, kappa in zip(table, kappas):  # a long time axis in pieces of _CHUNK_ROWS times
-        for piece in np.split(block, range(_CHUNK_ROWS, len(times), _CHUNK_ROWS)):
-            piece[:, 2] = abs_coherence_derivative(ModelParams(args.xi, float(kappa)), piece[:, 0])
+    for block, kappa in zip(table, kappas):
+        params = ModelParams(args.xi, float(kappa))
+        for begin in range(0, len(times), _CHUNK_ROWS):  # a long time axis in pieces of _CHUNK_ROWS times
+            block[begin : begin + _CHUNK_ROWS, 2] = abs_coherence_derivative(params, times[begin : begin + _CHUNK_ROWS])
     write_records(args.out, args.format, CONTOUR_COLUMNS, table.reshape(-1, 3))
     return EXIT_OK
 
