@@ -60,7 +60,7 @@ MAP_SINGULARITY_TOL = 1e-12
 #: Threshold on negative Choi eigenvalues for the CP witness.
 CP_EIGENVALUE_TOL = 1e-10
 
-#: Most grid points :func:`detect_increase_segments` scans: a bound on its time (1.2 s on a 2-core Xeon), not memory.
+#: Most grid points :func:`detect_increase_segments` scans: a bound on its time (0.8-1.1 s on a 2-core Xeon), not memory.
 MAX_SCAN_POINTS = 10_000_000
 
 #: Most random pairs :func:`blp_numeric` draws and holds (10,000: 0.17-0.20 s and a
