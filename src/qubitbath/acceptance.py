@@ -18,13 +18,17 @@ The checks read their points as array passes, not one point at a time: the
 criteria grid's witnesses, scans and measures go through the batched routes
 of :mod:`qubitbath.markovianity`, ``blp_closed_form`` makes one batched call
 for its four rates, ``contour_sign_structure`` reads its 57 rows one slice
-of whole rows per kernel call, and ``conservation`` builds its density
-matrices from the 4 nonzero Pauli terms of each entry, with no BLAS
-product.  One run makes 125 kernel calls for 492,311 lanes (261 when each
-check read its points one by one).  The kernel's per-point terms are
-computed once per point and read by the lanes: ``np.float_power`` squares
-16,329 values in one run (527,319 when every lane squared its own xi and
-kappa).  The criteria grid decides each point's regime once and reads its
+of whole rows per kernel call, and ``conservation`` reads each state's
+smallest eigenvalue in closed form: the eight diagonal and anti-diagonal
+Pauli terms make two 2x2 blocks (an X state), and Weyl's inequality bounds
+what the other eight can add.  One run calls ``np.linalg.eigvalsh`` once,
+for the generic Choi operators of ``criteria_agreement`` (41 times when
+``conservation`` took its minima from 40 stacks of 256 density matrices),
+and builds no (n, 4, 4) density matrix.  One run makes 125 kernel calls
+for 492,311 lanes (261 when each check read its points one by one).  The
+kernel's per-point terms are computed once per point and read by the lanes:
+``np.float_power`` squares 16,329 values in one run (527,319 when every
+lane squared its own xi and kappa).  The criteria grid decides each point's regime once and reads its
 horizons in array passes; one run decides a regime 1,307 times (2,892
 before), 862 of them in ``has_information_backflow`` and
 ``blp_tail_bound``, once per call.  The five oracle trajectories are freed
@@ -218,22 +222,43 @@ def _check_analytic_numeric_oracle(trajectories, tol: float) -> tuple[bool, str]
     return ok, f"max |closed form - propagated| = {worst:.3e} (tol {tol:g})"
 
 
-# Each entry (a, b) of kron(sigma_i, sigma_j) is nonzero for exactly 4 of the 16 k, with a
-# coefficient of 1, -1, 1j or -1j: the k of those terms in ascending order, and their coefficients.
-_RHO_TERMS = np.argsort(PAULIS_2Q == 0, axis=0, kind="stable")[:4]
-_RHO_COEFFS = np.take_along_axis(PAULIS_2Q, _RHO_TERMS, axis=0)
+# The eight Pauli products that are nonzero on the diagonal and the anti-diagonal alone (II, IZ, XX,
+# XY, YX, YY, ZI, ZZ) make an X state: a 2x2 block on {|00>, |11>} and one on {|01>, |10>} (Yu &
+# Eberly, Quantum Inf. Comput. 7, 459 (2007)).  Each of the others is nonzero off them alone.
+_X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+_OFF_X_TERMS = np.flatnonzero(PAULIS_2Q[:, ~_X_SHAPE].any(axis=1))
 
 
-def _density_matrices(traj) -> np.ndarray:
-    """The (n, 4, 4) density matrices sum_k traj[:, k] * PAULIS_2Q[k] of coherence 16-vectors.
+def _entry_terms(a: int, b: int, part) -> tuple[np.ndarray, np.ndarray]:
+    """The k of the nonzero terms of the real or imaginary ``part`` of entry (a, b) of
+    kron(sigma_i, sigma_j), ascending, and their coefficients, 1 or -1."""
+    coeffs = part(PAULIS_2Q[:, a, b])
+    terms = np.flatnonzero(coeffs)
+    return terms, coeffs[terms]
 
-    Each entry adds its 4 terms one at a time in ascending k, the order of the sum over k,
-    so the values are those of ``np.einsum("nk,kab->nab", traj, PAULIS_2Q)``, up to the sign
-    of an exact zero; one (n, 4, 4) term is alive at a time."""
-    rhos = traj[:, _RHO_TERMS[0]] * _RHO_COEFFS[0]
-    for terms, coeffs in zip(_RHO_TERMS[1:], _RHO_COEFFS[1:]):
-        rhos += traj[:, terms] * coeffs
-    return rhos
+
+#: the terms of p = rho_aa, q = rho_bb and the real and imaginary parts of w = rho_ab in the blocks
+#: {|a>, |b>} = {|00>, |11>} and {|01>, |10>}
+_X_BLOCKS = [
+    [_entry_terms(*entry) for entry in ((a, a, np.real), (b, b, np.real), (a, b, np.real), (a, b, np.imag))]
+    for a, b in ((0, 3), (1, 2))
+]
+
+
+def _min_eigenvalue_bound(traj) -> np.ndarray:
+    """A lower bound on the smallest eigenvalue of each density matrix sum_k traj[:, k] * PAULIS_2Q[k].
+
+    The X part's blocks [[p, w], [conj(w), q]] have the smaller eigenvalues
+    (p+q)/2 - sqrt(((p-q)/2)**2 + |w|**2).  The other eight terms form a part of Frobenius norm
+    2*sqrt(sum v_k**2), at least its largest |eigenvalue|, so by Weyl's inequality the smaller block
+    minimum less that norm is at most the smallest eigenvalue; exact where those terms are 0.
+    Every temporary is real and at most (n, 8)."""
+    lows = []
+    for block in _X_BLOCKS:
+        p, q, w_re, w_im = ((traj[:, terms] * coeffs).sum(axis=1) for terms, coeffs in block)
+        lows.append((p + q) / 2.0 - np.sqrt(((p - q) / 2.0) ** 2 + w_re**2 + w_im**2))
+    off = traj[:, _OFF_X_TERMS]
+    return np.minimum(*lows) - 2.0 * np.sqrt(np.square(off, out=off).sum(axis=1))
 
 
 @_timed(budget=10.0)
@@ -243,8 +268,7 @@ def _check_conservation(trajectories) -> tuple[bool, str]:
     for params, times, traj in trajectories:
         worst_trace = max(worst_trace, float(np.abs(traj[:, 0] - 0.25).max()))
         worst_x = max(worst_x, float(np.abs(4.0 * traj[:, 4] - 0.0).max()))
-        for rows in range(0, len(traj), 256):  # (256, 4, 4) temporaries: below glibc's mmap threshold
-            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(_density_matrices(traj[rows:rows + 256])).min()))
+        worst_eig = min(worst_eig, float(_min_eigenvalue_bound(traj).min()))
     ok = worst_trace <= 1e-12 and worst_eig >= -1e-10 and worst_x <= 1e-10
     return ok, (
         f"trace dev {worst_trace:.2e} (<=1e-12), min eig {worst_eig:.2e} "

@@ -133,8 +133,9 @@ def _check_times(t, disc, owner=None) -> tuple[np.ndarray, bool]:
     limit = np.minimum(MAX_TIME, 4.0 * np.sqrt(_S_MAX / np.maximum(np.abs(disc), 1.0)))
     if owner is not None:
         limit = limit[owner]
-    if (arr > limit).any():  # name the limit of a lane that exceeds it
-        limit = np.broadcast_to(limit, arr.shape)[arr > limit].min()
+    over = arr > limit
+    if over.any():  # name the limit of a lane that exceeds it
+        limit = np.broadcast_to(limit, over.shape)[over].min()
         raise ValidationError(f"time must be <= {limit:.6g}: MAX_TIME = {MAX_TIME:g}, less where disc*(t/4)**2 overflows")
     return arr, arr.ndim == 0
 

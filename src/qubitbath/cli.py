@@ -50,7 +50,7 @@ import sys
 
 import numpy as np
 
-from .analytic import ORACLE_TOL, abs_coherence_derivative, blp_analytic, coherence_factor
+from .analytic import ORACLE_TOL, _kernel, abs_coherence_derivative, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import _blp_many, threshold_scan
@@ -405,10 +405,22 @@ def cmd_contour(args: argparse.Namespace) -> int:
     table = np.empty((steps, len(times), 3))
     table[:, :, 0] = times
     table[:, :, 1] = kappas[:, None]
-    for block, kappa in zip(table, kappas):
-        params = ModelParams(args.xi, float(kappa))
-        for begin in range(0, len(times), _CHUNK_ROWS):  # a long time axis in pieces of _CHUNK_ROWS times
-            block[begin : begin + _CHUNK_ROWS, 2] = abs_coherence_derivative(params, times[begin : begin + _CHUNK_ROWS])
+    # one kernel call per window of at most _CHUNK_ROWS lanes: whole kappa rows, whose terms are
+    # broadcast against the shared time axis, or one row's long time axis in pieces
+    rows = max(_CHUNK_ROWS // len(times), 1)
+    for first in range(0, steps, rows):
+        block = kappas[first : first + rows]
+        for begin in range(0, len(times), _CHUNK_ROWS):
+            part = slice(begin, begin + _CHUNK_ROWS)
+            try:
+                for kappa in block.tolist():
+                    ModelParams(args.xi, kappa)
+                c, dc = _kernel(args.xi, block[:, None], times[part])
+            except ValidationError:  # raise the first refused row's error, as one row at a time does
+                for kappa in block.tolist():
+                    abs_coherence_derivative(ModelParams(args.xi, kappa), times[part])
+                raise
+            table[first : first + rows, part, 2] = np.sign(c) * dc
     write_records(args.out, args.format, CONTOUR_COLUMNS, table.reshape(-1, 3))
     return EXIT_OK
 

@@ -38,7 +38,7 @@ def test_all_criteria_are_present(results):
 #: SHA-256 of the nine "name<TAB>passed<TAB>detail" lines of run_acceptance(seed=0), in spec
 #: order and joined by newlines, computed with numpy 2.4.6 on CPython 3.11 (x86-64), as the
 #: output digests are; ``passed`` prints as True whether it is a bool or a numpy bool
-VERIFY_DETAILS_SHA256 = "ec05a04c5dec65953867c1f553527d8452f8e587126ab183bdebf9a678801cc1"
+VERIFY_DETAILS_SHA256 = "cd68789d2ce8eb3dd98264df34282214220840d1ff16717d5a41269b569e1503"
 
 
 def test_verify_details_are_pinned(results):
@@ -148,16 +148,93 @@ def test_criteria_agreement_memory():
     assert peak <= 2_000_000
 
 
-def test_density_matrices_equal_einsum():
-    # the oracle is the einsum over all 16 Pauli products; the route adds each entry's 4 nonzero
-    # terms in ascending k, so even mixed magnitudes, zeros and -0.0 give equal values
-    rng = np.random.default_rng(22)
-    traj = rng.standard_normal((3000, 16)) * 10.0 ** rng.uniform(-40.0, 40.0, (3000, 16))
-    traj[rng.random(traj.shape) < 0.2] = 0.0
-    traj[rng.random(traj.shape) < 0.1] = -0.0
-    trajectories = [traj] + [t for _, _, t in acceptance._oracle_trajectories()]
-    for traj in trajectories:
-        assert np.array_equal(acceptance._density_matrices(traj), np.einsum("nk,kab->nab", traj, PAULIS_2Q))
+def _eigvalsh_minima(coeffs):
+    # the generic route: every density matrix built by the einsum over all 16 Pauli products
+    return np.linalg.eigvalsh(np.einsum("nk,kab->nab", coeffs, PAULIS_2Q))[:, 0]
+
+
+def _coefficients(rhos):
+    # the coherence 16-vectors v_k = Tr(rho PAULIS_2Q[k]) / 4 of (n, 4, 4) Hermitian matrices
+    return np.einsum("nab,kba->nk", rhos, PAULIS_2Q).real / 4.0
+
+
+#: |closed form - eigvalsh| for unit-trace states: both routes round at a few eps of ||rho|| <= 1
+MIN_EIGENVALUE_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+def _x_states(rng, n):
+    # unit-trace X states: each 2x2 block [[p, w], [conj(w), q]] with |w|**2 = f*p*q, f in [0, 1];
+    # a fifth of the blocks pure (f = 1) and a fifth of the weights 0, so ranks 1 to 4 all occur
+    weights = rng.random((n, 4))
+    weights[rng.random((n, 4)) < 0.2] = 0.0
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    fraction = np.where(rng.random((n, 2)) < 0.2, 1.0, rng.random((n, 2)))
+    phase = np.exp(2j * np.pi * rng.random((n, 2)))
+    rhos = np.zeros((n, 4, 4), dtype=complex)
+    for block, (a, b) in enumerate(((0, 3), (1, 2))):
+        p, q = weights[:, 2 * block], weights[:, 2 * block + 1]
+        rhos[:, a, a], rhos[:, b, b] = p, q
+        rhos[:, a, b] = np.sqrt(fraction[:, block] * p * q) * phase[:, block]
+        rhos[:, b, a] = rhos[:, a, b].conj()
+    return rhos
+
+
+class TestMinimumEigenvalue:
+    """The closed-form X-state minimum less the Weyl bound, against eigvalsh of the einsum."""
+
+    def test_oracle_trajectories_match_eigvalsh(self):
+        # they fill coefficients 0, 3, 6, 9, 12 and 15 only: X states, so the bound is exact
+        for _, _, traj in acceptance._oracle_trajectories():
+            assert not traj[:, acceptance._OFF_X_TERMS].any()
+            gap = np.abs(acceptance._min_eigenvalue_bound(traj) - _eigvalsh_minima(traj))
+            assert gap.max() <= MIN_EIGENVALUE_ROUNDING
+
+    def test_x_states_match_eigvalsh(self):
+        rhos = _x_states(np.random.default_rng(25), 3000)
+        ranks = np.linalg.matrix_rank(rhos, tol=1e-12)
+        assert set(ranks.tolist()) == {1, 2, 3, 4}
+        coeffs = _coefficients(rhos)
+        minima = _eigvalsh_minima(coeffs)
+        assert np.abs(acceptance._min_eigenvalue_bound(coeffs) - minima).max() <= MIN_EIGENVALUE_ROUNDING
+        assert np.abs(minima[ranks < 4]).max() <= MIN_EIGENVALUE_ROUNDING  # the pure and rank-deficient ones
+
+    def test_is_a_lower_bound_with_other_terms(self):
+        # random states of every rank, with all 16 coefficients filled: never above the minimum
+        rng = np.random.default_rng(26)
+        rhos = []
+        for rank in (1, 2, 3, 4):
+            g = rng.standard_normal((1000, 4, rank)) + 1j * rng.standard_normal((1000, 4, rank))
+            rho = g @ g.conj().transpose(0, 2, 1)
+            rhos.append(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
+        coeffs = _coefficients(np.concatenate(rhos))
+        assert (coeffs != 0.0).all()
+        bound = acceptance._min_eigenvalue_bound(coeffs)
+        assert (bound <= _eigvalsh_minima(coeffs) + MIN_EIGENVALUE_ROUNDING).all()
+
+    def test_conservation_memory(self):
+        # real temporaries of at most (2000, 8) per trajectory; 40 eigvalsh stacks of 256
+        # density matrices peaked at 297 KB, so verify's peak RSS has no room to creep here
+        trajectories = acceptance._oracle_trajectories()
+        acceptance._check_conservation(trajectories)
+        tracemalloc.start()
+        try:
+            result = acceptance._check_conservation(trajectories)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak <= 512_000
+
+
+def test_verify_calls_eigvalsh_once(monkeypatch):
+    # the generic Choi operators of criteria_agreement, in one stack; conservation made 40 more calls
+    # when it took its minima from density matrices, 256 at a time
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: calls.append(np.shape(a)) or eigvalsh(a, *args, **kwargs))
+    assert all(r.passed for r in run_acceptance())
+    assert calls == [(400, 4, 4)]
 
 
 def test_verify_kernel_calls(monkeypatch):

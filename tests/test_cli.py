@@ -157,6 +157,41 @@ class TestContour:
         assert column(header, rows, "kappa") == [0, 0, 0, 1, 1, 1, 2, 2, 2]
         assert column(header, rows, "t") == [0, 0.5, 1.0] * 3
 
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # the README grid: 8 rows of 1,001 times per call, 18 calls where one per row made 141
+            (["--kappa-range", "0:14:141", "--t-max", "10", "--dt", "0.01"], 18),
+            # 10,001 times: each row in two pieces, one of 8,192 times and one of 1,809
+            (["--kappa-range", "4:8:2", "--t-max", "100", "--dt", "0.01"], 4),
+        ],
+    )
+    def test_kernel_calls_span_whole_rows(self, argv, calls, monkeypatch, tmp_path):
+        lanes = []
+        kernel = cli._kernel
+        monkeypatch.setattr(cli, "_kernel", lambda xi, kappa, t: lanes.append(np.size(kappa) * np.size(t)) or kernel(xi, kappa, t))
+        assert cli.main(["contour", *argv, "--out", str(tmp_path / "c.csv")]) == 0
+        header, rows = read_csv(tmp_path / "c.csv")
+        assert len(lanes) == calls
+        assert sum(lanes) == len(rows) and max(lanes) <= cli._CHUNK_ROWS
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            # every row is refused, the later ones at lower time limits
+            (["--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"], "4e+94"),
+            # the second row is refused for its time before the third for its rate
+            (["--kappa-range", "0:2e75:3", "--t-max", "1e80", "--dt", "1e79"], "4e+79"),
+        ],
+    )
+    def test_refusal_names_the_first_refused_row(self, argv, limit, capsys, tmp_path):
+        # the rows of one kernel call have their own time limits; the error is the first refused
+        # row's, as when each row was a call of its own
+        out = tmp_path / "c.csv"
+        assert cli.main(["contour", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: time must be <= {limit}: MAX_TIME")
+        assert not out.exists()
+
 
 class TestTimeAxis:
     def test_evolve_propagates_with_the_dt_it_writes(self, monkeypatch, tmp_path):

@@ -75,6 +75,15 @@ MUTATIONS = {
         "np.exp(-0.49 * kappa * arr)",
         {"bath_correlation": "max |numeric - exp(-kappa*tau/2)|"},
     ),
+    # the bath's IZ term scaled past 1 keeps the trace but not positivity: the oracle trajectories
+    # start at diag(-0.125, ...), and only the minimum eigenvalue sees it (coefficient 3 does not
+    # feed coefficient 12, so the propagated c stays right)
+    "initial-state-not-positive": (
+        "operator_space.py",
+        "[1, 0, 0, -1, x0,",
+        "[1, 0, 0, -1.5, x0,",
+        {"conservation": "min eig -1.25e-01 (>=-1e-10)"},
+    ),
     # the closed-form Choi minimum halved: the generic Choi operator of the worst interval disagrees
     "choi-minimum-halved": (
         "markovianity.py",
