@@ -28,11 +28,11 @@ and builds no (n, 4, 4) density matrix.  One run makes 125 kernel calls
 for 492,311 lanes (261 when each check read its points one by one).  The
 kernel's per-point terms are computed once per point and read by the lanes:
 ``np.float_power`` squares 16,329 values in one run (527,319 when every
-lane squared its own xi and kappa).  The criteria grid decides each point's regime once and reads its
-horizons in array passes; one run decides a regime 1,307 times (2,892
-before), 862 of them in ``has_information_backflow`` and
-``blp_tail_bound``, once per call.  The five oracle trajectories are freed
-after the two checks that read them.
+lane squared its own xi and kappa).  The criteria grid decides each point's
+regime once and reads its horizons in array passes; one run decides a
+regime 1,307 times (2,892 before), 862 of them in
+``has_information_backflow`` and ``blp_tail_bound``, once per call.  The
+five oracle trajectories are freed after the two checks that read them.
 """
 
 from __future__ import annotations

@@ -398,6 +398,21 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _abs_derivative_rows(xi: float, kappas: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """d|c|/dt of the kappa rows at the shared times, in one kernel call: each row's terms are
+    broadcast against the times.  Where a row is refused, the error is the first refused row's,
+    as with one call per row."""
+    try:
+        for kappa in kappas.tolist():
+            ModelParams(xi, kappa)
+        c, dc = _kernel(xi, kappas[:, None], times)
+    except ValidationError:
+        for kappa in kappas.tolist():
+            abs_coherence_derivative(ModelParams(xi, kappa), times)
+        raise
+    return np.sign(c) * dc
+
+
 def cmd_contour(args: argparse.Namespace) -> int:
     lo, hi, steps = _kappa_sweep(args)
     times = _time_axis(args.t_max, args.dt, steps).times()
@@ -405,22 +420,12 @@ def cmd_contour(args: argparse.Namespace) -> int:
     table = np.empty((steps, len(times), 3))
     table[:, :, 0] = times
     table[:, :, 1] = kappas[:, None]
-    # one kernel call per window of at most _CHUNK_ROWS lanes: whole kappa rows, whose terms are
-    # broadcast against the shared time axis, or one row's long time axis in pieces
+    # windows of at most _CHUNK_ROWS lanes: whole kappa rows, or one row's long time axis in pieces
     rows = max(_CHUNK_ROWS // len(times), 1)
     for first in range(0, steps, rows):
-        block = kappas[first : first + rows]
         for begin in range(0, len(times), _CHUNK_ROWS):
             part = slice(begin, begin + _CHUNK_ROWS)
-            try:
-                for kappa in block.tolist():
-                    ModelParams(args.xi, kappa)
-                c, dc = _kernel(args.xi, block[:, None], times[part])
-            except ValidationError:  # raise the first refused row's error, as one row at a time does
-                for kappa in block.tolist():
-                    abs_coherence_derivative(ModelParams(args.xi, kappa), times[part])
-                raise
-            table[first : first + rows, part, 2] = np.sign(c) * dc
+            table[first : first + rows, part, 2] = _abs_derivative_rows(args.xi, kappas[first : first + rows], times[part])
     write_records(args.out, args.format, CONTOUR_COLUMNS, table.reshape(-1, 3))
     return EXIT_OK
 
