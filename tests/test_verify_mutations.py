@@ -75,8 +75,8 @@ MUTATIONS = {
         "np.exp(-0.49 * kappa * arr)",
         {"bath_correlation": "max |numeric - exp(-kappa*tau/2)|"},
     ),
-    # the bath's IZ term scaled past 1 keeps the trace but not positivity: the oracle trajectories
-    # start at diag(-0.125, ...), and only the minimum eigenvalue sees it (coefficient 3 does not
+    # the bath's IZ term scaled past 1 keeps the trace but not positivity: the oracle states start
+    # with the eigenvalue -0.125, and only the minimum eigenvalue sees it (coefficient 3 does not
     # feed coefficient 12, so the propagated c stays right)
     "initial-state-not-positive": (
         "operator_space.py",
