@@ -224,7 +224,7 @@ def _check_analytic_numeric_oracle(trajectories, tol: float) -> tuple[bool, str]
 
 # The eight Pauli products that are nonzero on the diagonal and the anti-diagonal alone (II, IZ, XX,
 # XY, YX, YY, ZI, ZZ) make an X state: a 2x2 block on {|00>, |11>} and one on {|01>, |10>} (Yu &
-# Eberly, Quantum Inf. Comput. 7, 459 (2007)).  Each of the others is nonzero off them alone.
+# Eberly, Quantum Inf. Comput. 7, 459 (2007)).  The other eight are nonzero off those two lines alone.
 _X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 _OFF_X_TERMS = np.flatnonzero(PAULIS_2Q[:, ~_X_SHAPE].any(axis=1))
 

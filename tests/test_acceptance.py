@@ -213,8 +213,8 @@ class TestMinimumEigenvalue:
         assert (bound <= _eigvalsh_minima(coeffs) + MIN_EIGENVALUE_ROUNDING).all()
 
     def test_conservation_memory(self):
-        # real temporaries of at most (2000, 8) per trajectory; 40 eigvalsh stacks of 256
-        # density matrices peaked at 297 KB, so verify's peak RSS has no room to creep here
+        # real temporaries of at most (2000, 8) per trajectory (40 eigvalsh stacks of 256 density
+        # matrices peaked at 297 KB); a larger temporary would raise verify's peak RSS
         trajectories = acceptance._oracle_trajectories()
         acceptance._check_conservation(trajectories)
         tracemalloc.start()
