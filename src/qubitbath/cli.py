@@ -23,11 +23,12 @@ flag a subcommand does not read is a validation error there.
 
 Outputs are deterministic for a fixed configuration and seed: CSV with LF
 line endings and 17 significant digits, or JSON with a ``records`` list.
-Both are formatted and written in fixed chunks of rows, in one process: a
-chunk's float cells are printed in numpy (:mod:`qubitbath._floattext`),
-byte for byte as '%.17g' and float.__repr__ print them, and its bytes are
-picked from one grid of those cells and the fixed separators, keys and row
-joiners; the JSON is byte-identical to ``json.dumps(..., indent=1)``.  A CSV text
+Both are formatted and written in blocks of at most :data:`_CHUNK_ROWS`
+rows, in one process: a block's float cells are printed in numpy
+(:mod:`qubitbath._floattext`), byte for byte as '%.17g' and float.__repr__
+print them, and its bytes are picked from one grid of those cells and the
+fixed separators, keys and row joiners; the JSON is byte-identical to
+``json.dumps(..., indent=1)``.  A CSV text
 cell that holds a comma, a quote, CR or LF is quoted per RFC 4180.  An infinite
 value is written as the token ``inf`` in CSV and the string ``"infinite"``
 in JSON.  ``evolve`` and ``contour`` write the times k*dt up to --t-max
@@ -37,6 +38,18 @@ propagates in steps of --dt itself.  They write at most :data:`MAX_ROWS` rows
 validation error, as are more than :data:`MAX_ROWS` ``blp`` kappa steps
 and any step count in the ``lo:hi`` of ``threshold --kappa-range``.
 
+``evolve`` and ``contour`` hold no table: each block of rows is computed
+once the block before it is written, so a refusal can come after rows
+are out.  ``evolve`` checks each block of 8,192 rows against the closed
+form and, once one is refused, still propagates the rest, so that the
+error names the largest gap of the whole trajectory; ``contour`` refuses
+a kappa row in the kernel window that holds it.  A refused run leaves no
+--out file, and an existing one as it was.  On standard output nothing is
+printed unless the first block passes; a later refusal leaves printed the
+head and the rows before the refused block (evolve's before its first
+refused block, contour's before the refused row's window), in full or in
+part, as the output buffer flushed them.
+
 Exit codes: 0 success, 1 validation or I/O error, 2 numeric failure,
 3 acceptance failure.
 """
@@ -44,8 +57,11 @@ Exit codes: 0 success, 1 validation or I/O error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -136,16 +152,18 @@ _FLAGS = {
 
 
 #: Most rows ``evolve`` or ``contour`` may write; a larger request is a
-#: validation error raised before any array is allocated.  Formatting takes
-#: O(chunk) memory (:data:`_CHUNK_ROWS`); what grows with the rows is the
-#: table.  Peak RSS above the import, per row, at 100,001 and 400,001 rows:
-#: evolve CSV 107 and 74 B, evolve JSON 113 and 76 B, contour (one kappa
-#: step) 100 and 98 B.  An added evolve row costs about 65 B, so 10,000,000
-#: evolve rows need about 0.65 GB.
+#: validation error raised before any array is allocated.  The rows are
+#: computed and written a block of at most :data:`_CHUNK_ROWS` at a time and
+#: no table is held, so the limit bounds the time of a run, not its memory.
+#: Peak RSS and wall time at about 10,000,000 rows (CPython 3.11, numpy
+#: 2.4.6, 2-core x86-64 host): evolve JSON 36.8 MB and 32 s, evolve CSV
+#: 37.1 MB and 119 s, contour 33.7 MB and 12 s; at 100,001 rows 36.6, 36.4
+#: and 33.2 MB.
 MAX_ROWS = 10_000_000
 
-#: Rows formatted and written at a time by :func:`write_records`, and time
-#: steps per propagation in ``evolve``: their memory is bounded by this.
+#: Rows formatted and written at a time by :func:`write_records`, time steps
+#: per propagation in ``evolve`` and lanes per kernel call in ``contour``:
+#: their memory is bounded by this.
 _CHUNK_ROWS = 8192
 
 # ---------------------------------------------------------------------------
@@ -233,7 +251,15 @@ def _columns_text(chunk, floats: list[bool], fmt: str, repeats: list[bool] | Non
     return cells, decided
 
 
-def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int):
+def _reused(buffers: dict, key: str, shape: tuple[int, int], dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` at the start of ``buffers[key]``, which grows as needed."""
+    size = shape[0] * shape[1]
+    if key not in buffers or len(buffers[key]) < size:
+        buffers[key] = np.empty(size, dtype=dtype)
+    return buffers[key][:size].reshape(shape)
+
+
+def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int, buffers: dict):
     """The bytes of ``n_rows`` rows, ``glue[k]`` then the cells of column k on each, as uint8 arrays.
 
     The glue and the cells' words are laid side by side in a (rows, width)
@@ -241,7 +267,11 @@ def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int):
     padding before that glue, and a mask of the glue and of each cell's
     length picks the bytes; ``skip`` bytes of the first row's glue are left
     out.  The grid holds at most :data:`_CHUNK_ROWS` cells at a time, so
-    the rows go in slices of that many cells.
+    the rows go in slices of that many cells.  The grid and its mask are
+    views of ``buffers``, which every block of a table reuses: allocated
+    per slice, glibc handed their memory back to the OS after each block
+    and the next one faulted it in again, about 2,900 minor page faults
+    per README ``contour`` call against 240, and 7% of its time.
     """
     template, kept, at = bytearray(), bytearray(), []
     for g, (words, _, _) in zip(glue, cells):
@@ -256,9 +286,9 @@ def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int):
     step = max(_CHUNK_ROWS // len(cells), 1)
     for begin in range(0, n_rows, step):
         part = slice(begin, min(begin + step, n_rows))
-        grid = np.empty((part.stop - begin, len(template)), dtype=np.uint8)
+        grid = _reused(buffers, "grid", (part.stop - begin, len(template)), np.uint8)
         grid[:] = np.frombuffer(template, dtype=np.uint8)
-        keep = np.empty(grid.shape, dtype=bool)
+        keep = _reused(buffers, "keep", grid.shape, bool)
         keep[:] = np.frombuffer(kept, dtype=bool)
         if begin == 0:
             first = -len(glue[0]) % 8  # where the first glue starts
@@ -270,18 +300,38 @@ def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int):
         yield grid[keep]
 
 
-def _pieces(fmt: str, columns: list[str], rows: np.ndarray | list[list]):
-    """The UTF-8 bytes of a table: its head, the pieces of each :data:`_CHUNK_ROWS` rows, its tail.
+class _Table:
+    """A float table of ``n_rows`` rows that arrive as blocks of at most :data:`_CHUNK_ROWS` rows.
 
-    Whether a column prints as floats (every cell of a float ndarray, or a
-    float in every row) is decided once over the whole column, so a chunk
-    boundary cannot change how a cell is printed.  Each row of a chunk is
-    its cells with the fixed glue before each: the separators and JSON
-    keys, and before the first cell the end of the row before and the row
-    joiner, which the table's first row leaves out.
+    len() is the row count; iterating it runs ``blocks``, once.  A block
+    may be a view of a buffer that the next block refills.
     """
-    array = isinstance(rows, np.ndarray)
-    floats = [array or all(isinstance(row[k], float) for row in rows) for k in range(len(columns))]
+
+    def __init__(self, n_rows: int, blocks):
+        self.n_rows, self.blocks = n_rows, blocks
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def _pieces(fmt: str, columns: list[str], rows):
+    """The UTF-8 bytes of a table: its head, the pieces of each block of rows, its tail.
+
+    An ndarray or a list of rows goes in blocks of :data:`_CHUNK_ROWS` rows,
+    a sized iterable of float blocks (:class:`_Table`) in its own blocks.
+    Whether a column prints as floats (every cell of float blocks, or a
+    float in every row of a list) is decided once over the whole column, so
+    a block boundary cannot change how a cell is printed.  The first block is computed before the
+    head is yielded, so a table whose first block is refused yields nothing.
+    Each row of a block is its cells with the fixed glue before each: the
+    separators and JSON keys, and before the first cell the end of the row
+    before and the row joiner, which the table's first row leaves out.
+    """
+    listed = isinstance(rows, list)
+    floats = [not listed or all(isinstance(row[k], float) for row in rows) for k in range(len(columns))]
     if fmt == "csv":
         start, seps, end, joiner = "", [","] * (len(columns) - 1), "", "\n"
         head, tail = ",".join(map(_csv_text, columns)) + "\n", "\n"
@@ -292,38 +342,102 @@ def _pieces(fmt: str, columns: list[str], rows: np.ndarray | list[list]):
         if len(rows):  # open the empty records list up as indent=1 does a full one
             head, tail = head.removesuffix("[]\n}\n") + "[\n", "\n ]\n}\n"
     glue = [(end + joiner + start).encode(), *(sep.encode() for sep in seps)]
+    if listed or isinstance(rows, np.ndarray):
+        blocks = (rows[begin:begin + _CHUNK_ROWS] for begin in range(0, len(rows), _CHUNK_ROWS))
+    else:
+        blocks = iter(rows)
+    chunk = next(blocks, None)
     yield head.encode()
+    buffers = {}  # the byte grid and its mask, reused by every block
     repeats = None if len(rows) > _CHUNK_ROWS else [False] * len(columns)
-    for begin in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[begin:begin + _CHUNK_ROWS]
+    skip = len(end + joiner)
+    while chunk is not None:
         cells, repeats = _columns_text(chunk, floats, fmt, repeats)
-        yield from _chunk_pieces(cells, len(chunk), glue, 0 if begin else len(end + joiner))
-        del chunk, cells  # freed before the next chunk is built
+        n_rows = len(chunk)
+        del chunk  # its cells are copied; the producer may refill its buffer
+        yield from _chunk_pieces(cells, n_rows, glue, skip, buffers)
+        del cells  # freed before the next block is built
+        skip, chunk = 0, next(blocks, None)
     if len(rows):
         yield (end + tail).encode()
 
 
-def write_records(path: str | None, fmt: str, columns: list[str], rows: np.ndarray | list[list]):
+@contextlib.contextmanager
+def _output_file(path: str):
+    """A binary file for ``path`` that replaces it only once the whole table is written.
+
+    A regular file, or a path that does not exist yet, is written as a
+    temporary file in the same directory, which os.replace() moves onto it
+    at the end; on any exception the temporary file is deleted and ``path``
+    is left as it was.  A symbolic link's target is replaced, not the link.
+    A new file gets the mode open() would give it (0o666 less the umask),
+    an existing one keeps its own, and an existing file that cannot be
+    written is refused as open() refuses it.  Anything else, such as a
+    device or a FIFO (``/dev/null``), is written directly, as standard
+    output is: renaming onto it would replace the node itself.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    if mode is not None:  # refused here if it cannot be written; opened without truncating it
+        os.close(os.open(target, os.O_WRONLY))
+    directory, name = os.path.split(target)
+    while True:
+        temporary = os.path.join(directory, f".{name[:64]}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # named by the path asked for, as open() would name it
+            raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as handle:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def write_records(path: str | None, fmt: str, columns: list[str], rows):
     """Serialize a table to CSV (LF, UTF-8, 17 significant digits) or JSON.
 
-    ``rows`` is a 2-D float ndarray or a list of rows, one cell per column;
-    both go through the same route.  The text is formatted and written
-    :data:`_CHUNK_ROWS` rows at a time, so its memory is bounded by the
-    chunk, not by the table.  In a chunk, the float cells are printed in
-    numpy (:mod:`qubitbath._floattext`), each column that repeats its
-    values once per distinct value (:func:`_columns_text`), and the cells
-    and the fixed glue between them are laid out in a uint8 grid from
-    which a length mask picks the bytes (:func:`_chunk_pieces`); the JSON
-    reproduces ``json.dumps(..., indent=1)`` exactly.  Everything runs in
-    the calling process.  A file is written as those bytes; standard
-    output gets their text.
+    ``rows`` is a 2-D float ndarray, a list of rows with one cell per
+    column, or a sized iterable of 2-D float blocks (:class:`_Table`):
+    len() gives its row count, and iterating it yields blocks of at most
+    :data:`_CHUNK_ROWS` rows, each computed only when the one before is
+    written.  All three go through the same route, one block at a time
+    (an ndarray or a list in blocks of _CHUNK_ROWS rows), so the memory
+    of the text is bounded by the block, not by the table, and a _Table's
+    producer need never hold the table either.  In a block, the float
+    cells are printed in numpy (:mod:`qubitbath._floattext`), each column
+    that repeats its values once per distinct value (:func:`_columns_text`),
+    and the cells and the fixed glue between them are laid out in a uint8
+    grid from which a length mask picks the bytes (:func:`_chunk_pieces`);
+    the JSON reproduces ``json.dumps(..., indent=1)`` exactly, whatever the
+    block edges.  Everything runs in the calling process.
+
+    A file is written as those bytes (see :func:`_output_file`): where a
+    block's producer raises, a regular ``path`` is left as it was.
+    Standard output gets their text; nothing is printed before the first
+    block is computed, but a later block's error leaves the blocks before
+    it printed, in part or in full.
     """
     pieces = _pieces(fmt, columns, rows)
     try:
         if path is None:
             sys.stdout.writelines(str(piece, "utf-8") for piece in pieces)
         else:
-            with open(path, "wb") as handle:
+            with _output_file(path) as handle:
                 handle.writelines(pieces)
     finally:
         pieces.close()
@@ -367,34 +481,47 @@ BLP_COLUMNS = ["kappa", "blp_analytic", "blp_numeric", "abs_gap", "intervals_use
 THRESHOLD_COLUMNS = ["xi", "kappa_star", "abs_dev_from_8xi", "witness"]
 
 
+def _evolve_blocks(params: ModelParams, gen: np.ndarray, bloch: tuple[float, float, float], grid: TimeGrid):
+    """The rows of ``evolve``, one block per propagation chunk of :data:`_CHUNK_ROWS` steps.
+
+    Each block is checked before it is yielded: where c departs from the
+    closed form by more than ORACLE_TOL, the rest of the trajectory is still
+    propagated, unwritten, so that the error names the largest gap of the
+    whole trajectory.  The blocks are views of one buffer, refilled for the
+    next block.
+    """
+    # column 0 is the state whose Bloch vector is written, column 1 the probe whose c is checked
+    states = np.column_stack([initial_joint_vector(bloch), initial_joint_vector((0.0, 0.0, 1.0))])
+    buffer = np.empty((_CHUNK_ROWS, len(EVOLVE_COLUMNS)))
+    worst = 0.0
+    # each chunk propagates one step past its block, to the state the next chunk starts from,
+    # and since lindblad._BLOCK divides _CHUNK_ROWS its blocks of rows start where one
+    # trajectory's would: the same bits
+    for start in range(0, grid.num, _CHUNK_ROWS):
+        block = buffer[:min(_CHUNK_ROWS, grid.num - start)]
+        traj = expm_trajectory(gen, states, TimeGrid(grid.step, min(len(block) + 1, grid.num - start)))
+        block[:, 0] = times = grid.step * np.arange(start, start + len(block))
+        block[:, 1:4] = 4.0 * traj[:len(block), [4, 8, 12], 0]
+        block[:, 4] = coherence_factor(params, times)
+        block[:, 5] = 4.0 * traj[:len(block), 12, 1]
+        np.abs(block[:, 4] - block[:, 5], out=block[:, 6])
+        states = traj[-1].copy()  # not a view, which would hold this chunk's trajectory through the next
+        del traj
+        worst = max(worst, block[:, 6].max())
+        if worst <= ORACLE_TOL:
+            yield block
+    if worst > ORACLE_TOL:
+        raise NumericsError(f"propagated c departs from the closed form by {worst:.3e}, over the bound {ORACLE_TOL:g}")
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     if args.kappa is None:
         raise ValidationError("evolve requires --kappa")
     params = ModelParams(args.xi, args.kappa)
     gen = build_generator(params)
     grid = _time_axis(args.t_max, args.dt)
-    times = grid.times()
-    table = np.empty((grid.num, len(EVOLVE_COLUMNS)))
-    table[:, 0] = times
-    # column 0 is the state whose Bloch vector is written, column 1 the probe whose c is checked
-    states = np.column_stack([initial_joint_vector(args.bloch), initial_joint_vector((0.0, 0.0, 1.0))])
-    # _CHUNK_ROWS steps per propagation; neighbouring chunks share their edge row, so each
-    # starts from the last states of the one before, and since lindblad._BLOCK divides
-    # _CHUNK_ROWS its blocks of rows start where one trajectory's would: the same bits
-    for start in range(0, max(grid.num - 1, 1), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, grid.num - 1) + 1
-        traj = expm_trajectory(gen, states, TimeGrid(grid.step, stop - start))
-        block = table[start:stop]
-        block[:, 1:4] = 4.0 * traj[:, [4, 8, 12], 0]
-        block[:, 4] = coherence_factor(params, times[start:stop])
-        block[:, 5] = 4.0 * traj[:, 12, 1]
-        block[:, 6] = np.abs(block[:, 4] - block[:, 5])
-        states = traj[-1].copy()  # not a view, which would hold this chunk's trajectory through the next
-        del traj
-    gap = table[:, 6].max()
-    if gap > ORACLE_TOL:
-        raise NumericsError(f"propagated c departs from the closed form by {gap:.3e}, over the bound {ORACLE_TOL:g}")
-    write_records(args.out, args.format, EVOLVE_COLUMNS, table)
+    blocks = _evolve_blocks(params, gen, args.bloch, grid)
+    write_records(args.out, args.format, EVOLVE_COLUMNS, _Table(grid.num, blocks))
     return EXIT_OK
 
 
@@ -413,20 +540,30 @@ def _abs_derivative_rows(xi: float, kappas: np.ndarray, times: np.ndarray) -> np
     return np.sign(c) * dc
 
 
+def _contour_blocks(xi: float, kappas: np.ndarray, grid: TimeGrid):
+    """The rows of ``contour``, one block per kernel window of at most :data:`_CHUNK_ROWS` lanes:
+    whole kappa rows, or one row's long time axis in pieces.  A window's times are computed
+    with it, as :meth:`TimeGrid.times` computes them, and its block is a view of one buffer
+    that the next window refills, so no array grows with the row count."""
+    buffer = np.empty((_CHUNK_ROWS, len(CONTOUR_COLUMNS)))
+    rows = max(_CHUNK_ROWS // grid.num, 1)
+    for first in range(0, len(kappas), rows):
+        window = kappas[first:first + rows]
+        for begin in range(0, grid.num, _CHUNK_ROWS):
+            times = grid.step * np.arange(begin, min(begin + _CHUNK_ROWS, grid.num))
+            block = buffer[:len(window) * len(times)]
+            lanes = block.reshape(len(window), len(times), len(CONTOUR_COLUMNS))
+            lanes[:, :, 0] = times
+            lanes[:, :, 1] = window[:, None]
+            lanes[:, :, 2] = _abs_derivative_rows(xi, window, times)
+            yield block
+
+
 def cmd_contour(args: argparse.Namespace) -> int:
     lo, hi, steps = _kappa_sweep(args)
-    times = _time_axis(args.t_max, args.dt, steps).times()
-    kappas = np.linspace(lo, hi, steps)
-    table = np.empty((steps, len(times), 3))
-    table[:, :, 0] = times
-    table[:, :, 1] = kappas[:, None]
-    # windows of at most _CHUNK_ROWS lanes: whole kappa rows, or one row's long time axis in pieces
-    rows = max(_CHUNK_ROWS // len(times), 1)
-    for first in range(0, steps, rows):
-        for begin in range(0, len(times), _CHUNK_ROWS):
-            part = slice(begin, begin + _CHUNK_ROWS)
-            table[first : first + rows, part, 2] = _abs_derivative_rows(args.xi, kappas[first : first + rows], times[part])
-    write_records(args.out, args.format, CONTOUR_COLUMNS, table.reshape(-1, 3))
+    grid = _time_axis(args.t_max, args.dt, steps)
+    blocks = _contour_blocks(args.xi, np.linspace(lo, hi, steps), grid)
+    write_records(args.out, args.format, CONTOUR_COLUMNS, _Table(steps * grid.num, blocks))
     return EXIT_OK
 
 

@@ -117,8 +117,10 @@ class TestEvolve:
             assert not out.exists()
 
     def test_memory_per_row_is_bounded_by_the_table(self, tmp_path):
-        # the text is formatted in fixed chunks and the trajectory propagated in them, so
-        # the peak grows with the (rows, 7) table alone; formatting it whole cost about 1,200 B per row
+        # the trajectory is propagated, checked and formatted one block of rows at a time, and no
+        # table is built, so the peak does not grow with the rows: 6 B a row here, where the whole
+        # (rows, 7) table took 70 B and formatting it whole about 1,200 B.  10,001 rows would be too
+        # few: the peak steps up once, by about 0.3 MB, when a second block is as large as the first
         def peak_bytes(t_max):
             tracemalloc.start()
             try:
@@ -128,7 +130,38 @@ class TestEvolve:
             finally:
                 tracemalloc.stop()
 
-        assert (peak_bytes("20") - peak_bytes("10")) / 10_000 <= 200  # 20,001 and 10,001 rows
+        assert (peak_bytes("80") - peak_bytes("20")) / 60_000 <= 16  # 80,001 and 20,001 rows
+
+    @staticmethod
+    def skew_past_the_first_block(monkeypatch):
+        """Move c off the closed form by 1e-6 t after the first block of rows, most on the last row."""
+        closed_form = cli.coherence_factor
+        first_block_end = cli._CHUNK_ROWS * 0.002
+        monkeypatch.setattr(cli, "coherence_factor",
+                            lambda params, t: closed_form(params, t) + np.where(t >= first_block_end, 1e-6 * t, 0.0))
+
+    def test_refusal_after_the_first_block_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # 20,001 rows, three blocks: the first is written before the second is refused, and the
+        # gap named is the whole trajectory's largest, on its last row, as when it was checked whole
+        self.skew_past_the_first_block(monkeypatch)
+        argv = ["evolve", "--kappa", "4", "--t-max", "40", "--dt", "0.002"]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"t,x\n0,1\n")
+        for out in (new, old):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "numeric failure: propagated c departs from the closed form by 4.000e-05, over the bound 1e-08\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["old.csv"]  # no temporary file left either
+        assert old.read_bytes() == b"t,x\n0,1\n"
+
+    def test_refusal_on_stdout_leaves_the_blocks_before_it(self, capsys, monkeypatch):
+        argv = ["evolve", "--kappa", "4", "--t-max", "40", "--dt", "0.002"]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        self.skew_past_the_first_block(monkeypatch)
+        assert cli.main(argv) == 2
+        printed = capsys.readouterr().out
+        assert whole.startswith(printed) and printed.count("\n") <= 1 + cli._CHUNK_ROWS
 
 
 class TestContour:
@@ -191,6 +224,41 @@ class TestContour:
         assert cli.main(["contour", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: time must be <= {limit}: MAX_TIME")
         assert not out.exists()
+
+    def test_refusal_after_the_first_window_leaves_no_file(self, tmp_path, capsys):
+        # 5,001 times a row, so each kappa row is a window of its own: the first row is written
+        # before the second is refused for its time
+        argv = ["contour", "--kappa-range", "0:2e75:3", "--t-max", "5e79", "--dt", "1e76"]
+        error = "error: time must be <= 4e+79: MAX_TIME = 1e+150, less where disc*(t/4)**2 overflows\n"
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"t,kappa\n0,1\n")
+        for out in (new, old):
+            assert cli.main(argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err == error
+        assert [path.name for path in tmp_path.iterdir()] == ["old.csv"]  # no temporary file left either
+        assert old.read_bytes() == b"t,kappa\n0,1\n"
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == error
+        assert captured.out.count("\n") <= 1 + 5_001  # the head and at most the first row's times
+
+    def test_refusal_of_the_first_window_prints_nothing(self, capsys):
+        assert cli.main(["contour", "--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_memory_per_row_is_flat(self, tmp_path):
+        # the rows are evaluated and formatted one kernel window at a time, and no table is built:
+        # 0.02 B a row here, where the whole (rows, 3) table took 28 B
+        def peak_bytes(t_max):
+            tracemalloc.start()
+            try:
+                argv = ["contour", "--kappa-range", "4:8:2", "--t-max", t_max, "--dt", "0.001"]
+                assert cli.main(argv + ["--out", str(tmp_path / "contour.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak_bytes("80") - peak_bytes("20")) / 120_000 <= 1  # 160,002 and 40,002 rows
 
 
 class TestTimeAxis:

@@ -373,9 +373,10 @@ class TestExpmTrajectory:
     def test_evolve_chunks_equal_one_trajectory(self, monkeypatch):
         # cmd_evolve propagates _CHUNK_ROWS steps at a time, each chunk from the last state
         # of the one before; the 20,001 rows span three chunks, and the blocks of rows line
-        # up with one call's because _BLOCK divides _CHUNK_ROWS
+        # up with one call's because _BLOCK divides _CHUNK_ROWS; the streamed blocks are views of
+        # one buffer that the next block refills, so each is copied as it arrives
         tables = []
-        monkeypatch.setattr(cli, "write_records", lambda *args: tables.append(args[3].copy()))
+        monkeypatch.setattr(cli, "write_records", lambda *args: tables.append(np.concatenate([block.copy() for block in args[3]])))
         argv = ["evolve", "--xi", "1", "--kappa", "4", "--bloch=0.3,-0.2,0.5", "--t-max", "40", "--dt", "0.002"]
         assert cli.main(argv) == 0
         (table,) = tables

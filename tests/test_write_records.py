@@ -123,6 +123,7 @@ def test_zero_rows(fmt):
     expected = ORACLES[fmt](columns, []).encode("utf-8")
     assert written(fmt, columns, []) == expected
     assert written(fmt, columns, np.empty((0, 2))) == expected
+    assert written(fmt, columns, cli._Table(0, [])) == expected
 
 
 C = cli._CHUNK_ROWS
@@ -348,3 +349,75 @@ def test_a_full_device_is_an_io_error(capsys, alarm):
     assert cli.main(["contour", "--out", "/dev/full"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No space left on device" in err
+
+
+def streamed(table, sizes):
+    """``table`` as a cli._Table of blocks of the given sizes, each a view of one buffer that the
+    next block refills, as evolve's and contour's producers refill theirs."""
+    buffer = np.empty((max(sizes), table.shape[1]))
+
+    def blocks():
+        begin = 0
+        for size in sizes:
+            block = buffer[:size]
+            block[:] = table[begin:begin + size]
+            begin += size
+            yield block
+
+    return cli._Table(len(table), blocks())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", PARALLEL_ROWS)
+@pytest.mark.parametrize("layout", ["floats", "repeats"])
+def test_blocks_write_the_bytes_of_the_table(layout, n_rows, fmt, tmp_path, monkeypatch):
+    # blocks of 1 to SMALL rows, whose edges are not the chunk edges of the table: what a block
+    # edge changes is which values are printed once per distinct value, not the text
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL)
+    columns, table = TABLES[layout](n_rows)
+    sizes = []
+    while sum(sizes) < n_rows:
+        sizes.append(min(len(sizes) % SMALL + 1, n_rows - sum(sizes)))
+    path = tmp_path / "out"
+    cli.write_records(str(path), fmt, columns, table)
+    expected = path.read_bytes()
+    cli.write_records(str(path), fmt, columns, streamed(table, sizes))
+    assert path.read_bytes() == expected
+
+
+def test_a_new_file_gets_the_mode_open_gives_it(tmp_path):
+    columns, table = edge_table(3)
+    umask = os.umask(0o027)
+    try:
+        cli.write_records(str(tmp_path / "new.csv"), "csv", columns, table)
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o640
+
+
+def test_an_existing_file_keeps_its_mode_and_a_link_its_target(tmp_path):
+    columns, table = edge_table(3)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n")
+    target.chmod(0o604)
+    link.symlink_to(target)
+    cli.write_records(str(link), "csv", columns, table)
+    assert link.is_symlink() and target.stat().st_mode & 0o777 == 0o604
+    assert target.read_bytes() == oracle_csv(columns, table.tolist()).encode("utf-8")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_a_fifo_is_written_directly(tmp_path, alarm):
+    # renaming a finished file onto a FIFO or a device such as /dev/null would replace the node
+    import threading
+
+    columns, table = edge_table(3)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    cli.write_records(str(fifo), "csv", columns, table)
+    reader.join()
+    assert received == [oracle_csv(columns, table.tolist()).encode("utf-8")]
+    assert fifo.is_fifo()
