@@ -251,44 +251,52 @@ def _columns_text(chunk, floats: list[bool], fmt: str, repeats: list[bool] | Non
     return cells, decided
 
 
-def _reused(buffers: dict, key: str, shape: tuple[int, int], dtype) -> np.ndarray:
-    """An uninitialised array of ``shape`` at the start of ``buffers[key]``, which grows as needed."""
-    size = shape[0] * shape[1]
-    if key not in buffers or len(buffers[key]) < size:
-        buffers[key] = np.empty(size, dtype=dtype)
-    return buffers[key][:size].reshape(shape)
+def _grid(store: list, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """An uninitialised (rows, width) uint8 grid and bool mask, both in the one buffer ``store[0]``,
+    which is reused and grows as needed."""
+    if store[0].size < 2 * rows * width:
+        store[0] = np.empty(2 * rows * width, dtype=np.uint8)
+    grid, keep = store[0][:2 * rows * width].reshape(2, rows, width)
+    return grid, keep.view(bool)
 
 
-def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int, buffers: dict):
-    """The bytes of ``n_rows`` rows, ``glue[k]`` then the cells of column k on each, as uint8 arrays.
+def _row_template(glue: list[bytes], widths: list[int]) -> tuple[bytearray, bytearray, list[int]]:
+    """A row's bytes before its cells go in: ``glue[k]``, then ``widths[k]`` words for cell k.
 
-    The glue and the cells' words are laid side by side in a (rows, width)
-    uint8 grid, each cell at a multiple of 8 bytes after its glue and the
-    padding before that glue, and a mask of the glue and of each cell's
-    length picks the bytes; ``skip`` bytes of the first row's glue are left
-    out.  The grid holds at most :data:`_CHUNK_ROWS` cells at a time, so
-    the rows go in slices of that many cells.  The grid and its mask are
-    views of ``buffers``, which every block of a table reuses: allocated
-    per slice, glibc handed their memory back to the OS after each block
-    and the next one faulted it in again, about 2,900 minor page faults
-    per README ``contour`` call against 240, and 7% of its time.
+    Each cell starts at a multiple of 8 bytes, after its glue and the
+    padding before that glue.  Also the mask of the glue bytes, and the
+    word offset of each cell.
     """
     template, kept, at = bytearray(), bytearray(), []
-    for g, (words, _, _) in zip(glue, cells):
+    for g, width in zip(glue, widths):
         pad = -(len(template) + len(g)) % 8
         template += bytes(pad) + g
         kept += bytes(pad) + b"\1" * len(g)
         at.append(len(template) // 8)
-        template += bytes(8 * len(words))
-        kept += bytes(8 * len(words))
+        template += bytes(8 * width)
+        kept += bytes(8 * width)
+    return template, kept, at
+
+
+def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int, store: list):
+    """The bytes of ``n_rows`` rows, ``glue[k]`` then the cells of column k on each, as uint8 arrays.
+
+    The glue and the cells' words are laid side by side in a (rows, width)
+    uint8 grid (:func:`_row_template`), and a mask of the glue and of each
+    cell's length picks the bytes; ``skip`` bytes of the first row's glue
+    are left out.  The grid holds at most :data:`_CHUNK_ROWS` cells at a
+    time, so the rows go in slices of that many cells.  The grid and its
+    mask are views of the buffer in ``store`` (:func:`_grid`), which every
+    block of a table reuses.
+    """
+    template, kept, at = _row_template(glue, [len(words) for words, _, _ in cells])
     masks = {len(words): (np.arange(8 * len(words)) < np.arange(8 * len(words) + 1)[:, None]).view(np.uint64)
              for words, _, _ in cells}
     step = max(_CHUNK_ROWS // len(cells), 1)
     for begin in range(0, n_rows, step):
         part = slice(begin, min(begin + step, n_rows))
-        grid = _reused(buffers, "grid", (part.stop - begin, len(template)), np.uint8)
+        grid, keep = _grid(store, part.stop - begin, len(template))
         grid[:] = np.frombuffer(template, dtype=np.uint8)
-        keep = _reused(buffers, "keep", grid.shape, bool)
         keep[:] = np.frombuffer(kept, dtype=bool)
         if begin == 0:
             first = -len(glue[0]) % 8  # where the first glue starts
@@ -346,16 +354,24 @@ def _pieces(fmt: str, columns: list[str], rows):
         blocks = (rows[begin:begin + _CHUNK_ROWS] for begin in range(0, len(rows), _CHUNK_ROWS))
     else:
         blocks = iter(rows)
+    # the grid and mask of _chunk_pieces are one buffer that every block reuses.  A float cell
+    # is 3 words, so a float table's buffer is allocated here, before the first block is computed.
+    # Measured with glibc: allocated after the first block, among the producer's freed temporaries,
+    # it cost about 1,250 minor page faults per evolve-json call (1 here) and 1.4 MB more peak RSS;
+    # as two buffers, or two arrays per slice, the heap was trimmed and faulted in again on every
+    # block of the README contour (about 3,200 and 2,900 faults per call, 260 here)
+    store = [np.empty(0, dtype=np.uint8)]
+    if not listed:
+        _grid(store, max(_CHUNK_ROWS // len(columns), 1), len(_row_template(glue, [3] * len(columns))[0]))
     chunk = next(blocks, None)
     yield head.encode()
-    buffers = {}  # the byte grid and its mask, reused by every block
     repeats = None if len(rows) > _CHUNK_ROWS else [False] * len(columns)
     skip = len(end + joiner)
     while chunk is not None:
         cells, repeats = _columns_text(chunk, floats, fmt, repeats)
         n_rows = len(chunk)
         del chunk  # its cells are copied; the producer may refill its buffer
-        yield from _chunk_pieces(cells, n_rows, glue, skip, buffers)
+        yield from _chunk_pieces(cells, n_rows, glue, skip, store)
         del cells  # freed before the next block is built
         skip, chunk = 0, next(blocks, None)
     if len(rows):
