@@ -392,15 +392,18 @@ def _output_file(path: str):
     device or a FIFO (``/dev/null``), is written directly, as standard
     output is: renaming onto it would replace the node itself.
     """
+    target = path
     try:
-        mode = os.stat(path).st_mode
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
+            target = os.path.realpath(path)
+            mode = os.stat(path).st_mode
     except OSError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as handle:
             yield handle
         return
-    target = os.path.realpath(path)
     if mode is not None:  # refused here if it cannot be written; opened without truncating it
         os.close(os.open(target, os.O_WRONLY))
     directory, name = os.path.split(target)

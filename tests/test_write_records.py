@@ -405,6 +405,9 @@ def test_an_existing_file_keeps_its_mode_and_a_link_its_target(tmp_path):
     assert link.is_symlink() and target.stat().st_mode & 0o777 == 0o604
     assert target.read_bytes() == oracle_csv(columns, table.tolist()).encode("utf-8")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+    target.unlink()  # a dangling link's target is created, as open() creates it
+    cli.write_records(str(link), "csv", columns, table)
+    assert link.is_symlink() and target.read_bytes() == oracle_csv(columns, table.tolist()).encode("utf-8")
 
 
 def test_a_fifo_is_written_directly(tmp_path, alarm):
