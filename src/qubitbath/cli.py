@@ -156,8 +156,8 @@ _FLAGS = {
 #: computed and written a block of at most :data:`_CHUNK_ROWS` at a time and
 #: no table is held, so the limit bounds the time of a run, not its memory.
 #: Peak RSS and wall time at about 10,000,000 rows (CPython 3.11, numpy
-#: 2.4.6, 2-core x86-64 host): evolve JSON 36.8 MB and 32 s, evolve CSV
-#: 37.1 MB and 119 s, contour 33.7 MB and 12 s; at 100,001 rows 36.6, 36.4
+#: 2.4.6, 2-core x86-64 host): evolve JSON 35.4 MB and 34 s, evolve CSV
+#: 37.1 MB and 106 s, contour 33.9 MB and 8 s; at 100,001 rows 35.6, 35.4
 #: and 33.2 MB.
 MAX_ROWS = 10_000_000
 
