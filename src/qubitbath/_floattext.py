@@ -31,7 +31,10 @@ which the fixed cost of the numpy sequence (about 0.2 ms) exceeds
 CPython's.  The tables are built from Python integers on first use, not
 at import.  Each value's text comes back as 24 bytes (the length of
 ``'-2.2250738585072014e-308'``, the longest) in three little-endian
-``uint64`` words, with its length.
+``uint64`` words, with its length.  The bytes past the length are NUL,
+and no text holds a NUL, on every route (numpy digits, CPython's text,
+the zeros): ``cli.write_records`` picks a float cell's bytes as the ones
+that are not NUL, without the lengths.
 """
 
 from __future__ import annotations

@@ -185,14 +185,14 @@ def _text_cells(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray, None]:
     return np.array(texts, dtype=f"S{8 * width}").view(np.uint64).reshape(len(texts), width).T, lengths, None
 
 
-def _float_cells(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """The text of float cells as (3, n) uint64 words and lengths: '%.17g' in CSV, float.__repr__ in JSON.
+def _float_cells(values: np.ndarray, fmt: str) -> np.ndarray:
+    """The text of float cells as (3, n) uint64 words, NUL past each text: '%.17g' in CSV, float.__repr__ in JSON.
 
     The values come folded (-0.0 as 0.0, and in CSV -inf as inf); the JSON
-    tokens for +-inf and NaN replace repr's.  They are printed in slices of
-    half a chunk's rows: the formatter holds about 150 bytes a value, and
-    slices of :data:`_CHUNK_ROWS` // 2 values keep that near 0.6 MB where
-    whole-chunk slices took 1.2 MB (and peak RSS on the README contour
+    tokens for +-inf and NaN, NUL-padded too, replace repr's.  They are printed
+    in slices of half a chunk's rows: the formatter holds about 150 bytes a
+    value, and slices of :data:`_CHUNK_ROWS` // 2 values keep that near 0.6 MB
+    where whole-chunk slices took 1.2 MB (and peak RSS on the README contour
     rose by 0.8 MB), at the same speed.
     """
     # imported here, on the first table: compiling the module without cached bytecode
@@ -200,55 +200,59 @@ def _float_cells(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     from ._floattext import float_text
 
     words = np.empty((3, len(values)), dtype=np.uint64)
-    lengths = np.empty(len(values), dtype=np.intp)
     for begin in range(0, len(values), _CHUNK_ROWS // 2):
         part = slice(begin, begin + _CHUNK_ROWS // 2)
-        words[:, part], lengths[part] = float_text(values[part], shortest=fmt == "json")
+        words[:, part] = float_text(values[part], shortest=fmt == "json")[0]
     if fmt == "json":
         for lanes, token in ((np.flatnonzero(np.isinf(values)), _INF_JSON), (np.flatnonzero(np.isnan(values)), b"NaN")):
             words[:, lanes] = np.frombuffer(token.ljust(8 * len(words), b"\0"), dtype=np.uint64)[:, None]
-            lengths[lanes] = len(token)
-    return words, lengths
+    return words
 
 
-def _columns_text(chunk, floats: list[bool], fmt: str, repeats: list[bool] | None):
+def _columns_text(chunk, floats: list[bool], fmt: str, repeats: list | None):
     """The cells of one chunk of rows, column by column: (w, n) uint64 words, lengths and row indices.
 
     The float cells of all float columns go through :func:`_float_cells` in
-    one pass.  A float column that repeats its values prints each distinct
-    value once (np.unique), and its row indices map them to its rows; other
-    columns have None there, for cell k on row k.  ``repeats`` says which
-    float columns repeat.  Where it is None, the chunk is the first of a
-    table of several chunks and decides it: a column repeats where that
-    chunk holds at most half as many distinct values as rows.  That picks
-    contour's t and kappa columns and evolve's conserved x; on evolve's
-    other columns, and on tables of one chunk, np.unique's sort costs more
-    than it saves.  Other cells are rendered one by one: str() with quoting
-    in CSV, json.dumps() in JSON.
+    one pass, and have no lengths (None): their words are NUL past the text.
+    A float column that repeats its values prints each distinct value once
+    (np.unique), and its row indices map them to its rows; other columns
+    have None there, for cell k on row k.  ``repeats`` holds per float
+    column False, or the distinct values, row indices and words of its last
+    chunk (copies), which a chunk whose column equals them reuses, so that
+    contour's time axis is sorted and printed once.  Where it is None, the
+    chunk is the first of a table of several chunks and decides it: a
+    column repeats where that chunk holds at most half as many distinct
+    values as rows, as contour's t and kappa and evolve's conserved x do;
+    elsewhere np.unique's sort costs more than it saves.  Other cells are
+    rendered one by one: str() with quoting in CSV, json.dumps() in JSON.
     """
     columns = list(chunk.T) if isinstance(chunk, np.ndarray) else [list(c) for c in zip(*chunk)]
-    printed, decided = [], []  # per float column: the values to print and their row indices
+    decided, printed = [], []  # per float column: False or [distinct values, rows, words]; the values it prints
     for values in (values for values, is_float in zip(columns, floats) if is_float):
-        folded = np.asarray(values, dtype=float) + 0.0
+        folded = np.asarray(values, dtype=float) + 0.0  # a copy
         if fmt == "csv":
             folded[np.isinf(folded)] = np.inf  # '%.17g' % inf is the token "inf"
-        if repeats is None or repeats[len(decided)]:
+        last = None if repeats is None else repeats[len(decided)]
+        if last and np.array_equal(last[0][last[1]], folded):  # never where it holds NaN, which equals nothing
+            decided.append(last), printed.append(last[0][:0])
+            continue
+        if last is not False:
             distinct, inverse = np.unique(folded, return_inverse=True)
-        decided.append(2 * len(distinct) <= len(folded) if repeats is None else repeats[len(decided)])
-        printed.append((distinct, inverse) if decided[-1] else (folded, None))
-    words, lengths = _float_cells(np.concatenate([values for values, _ in printed] or [np.empty(0)]), fmt)
-    cells, offset, floats_printed = [], 0, iter(printed)
-    for values, is_float in zip(columns, floats):
-        if is_float:
-            lanes, rows = next(floats_printed)
-            part = slice(offset, offset + len(lanes))
-            offset = part.stop
-            cells.append((words[:, part], lengths[part], rows))
-        elif fmt == "csv":
-            cells.append(_text_cells([_csv_text(str(v)).encode() for v in values]))
-        else:
-            cells.append(_text_cells([json.dumps(v).encode() for v in values]))
-    return cells, decided
+        if last is False or (last is None and 2 * len(distinct) > len(folded)):
+            decided.append(False), printed.append(folded)
+        else:  # kept for the next chunk, so its row indices in the narrowest type that holds them
+            decided.append([distinct, inverse.astype(np.min_scalar_type(len(distinct))), None])
+            printed.append(distinct)
+    words, offset = _float_cells(np.concatenate(printed or [np.empty(0)]), fmt), 0
+    for k, (values, memo) in enumerate(zip(printed, decided)):
+        part, offset = words[:, offset:offset + len(values)], offset + len(values)
+        if memo and memo[2] is None:
+            memo[2] = part.copy()
+        printed[k] = (memo[2], None, memo[1]) if memo else (part, None, None)
+    printed = iter(printed)
+    return [next(printed) if is_float else _text_cells(
+        [(_csv_text(str(v)) if fmt == "csv" else json.dumps(v)).encode() for v in values]
+    ) for values, is_float in zip(columns, floats)], decided
 
 
 def _grid(store: list, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,51 +264,47 @@ def _grid(store: list, rows: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, keep.view(bool)
 
 
-def _row_template(glue: list[bytes], widths: list[int]) -> tuple[bytearray, bytearray, list[int]]:
+def _row_template(glue: list[bytes], widths: list[int]) -> tuple[bytearray, list[int]]:
     """A row's bytes before its cells go in: ``glue[k]``, then ``widths[k]`` words for cell k.
 
-    Each cell starts at a multiple of 8 bytes, after its glue and the
-    padding before that glue.  Also the mask of the glue bytes, and the
-    word offset of each cell.
+    Each cell starts at a multiple of 8 bytes, after its glue and the NUL
+    padding before it; the cells' words are NUL too.  Also each cell's word offset.
     """
-    template, kept, at = bytearray(), bytearray(), []
+    template, at = bytearray(), []
     for g, width in zip(glue, widths):
-        pad = -(len(template) + len(g)) % 8
-        template += bytes(pad) + g
-        kept += bytes(pad) + b"\1" * len(g)
+        template += bytes(-(len(template) + len(g)) % 8) + g
         at.append(len(template) // 8)
         template += bytes(8 * width)
-        kept += bytes(8 * width)
-    return template, kept, at
+    return template, at
 
 
 def _chunk_pieces(cells, n_rows: int, glue: list[bytes], skip: int, store: list):
     """The bytes of ``n_rows`` rows, ``glue[k]`` then the cells of column k on each, as uint8 arrays.
 
     The glue and the cells' words are laid side by side in a (rows, width)
-    uint8 grid (:func:`_row_template`), and a mask of the glue and of each
-    cell's length picks the bytes; ``skip`` bytes of the first row's glue
-    are left out.  The grid holds at most :data:`_CHUNK_ROWS` cells at a
-    time, so the rows go in slices of that many cells.  The grid and its
-    mask are views of the buffer in ``store`` (:func:`_grid`), which every
-    block of a table reuses.
+    uint8 grid (:func:`_row_template`), and its bytes other than NUL are
+    picked: glue holds no NUL, and a float cell's words are NUL past its
+    text; a text cell, which may hold NUL, is picked by its length.
+    ``skip`` bytes of the first row's glue are left out.  The grid holds at
+    most :data:`_CHUNK_ROWS` cells at a time, so the rows go in slices of
+    that many cells.  The grid and its mask are views of the buffer in
+    ``store`` (:func:`_grid`), which every block of a table reuses.
     """
-    template, kept, at = _row_template(glue, [len(words) for words, _, _ in cells])
-    masks = {len(words): (np.arange(8 * len(words)) < np.arange(8 * len(words) + 1)[:, None]).view(np.uint64)
-             for words, _, _ in cells}
+    template, at = _row_template(glue, [len(words) for words, _, _ in cells])
     step = max(_CHUNK_ROWS // len(cells), 1)
     for begin in range(0, n_rows, step):
         part = slice(begin, min(begin + step, n_rows))
         grid, keep = _grid(store, part.stop - begin, len(template))
         grid[:] = np.frombuffer(template, dtype=np.uint8)
-        keep[:] = np.frombuffer(kept, dtype=bool)
+        for k, (words, _, rows) in zip(at, cells):
+            grid.view(np.uint64)[:, k:k + len(words)] = words[:, part if rows is None else rows[part]].T
+        np.not_equal(grid, 0, out=keep)
+        for k, (words, lengths, _) in zip(at, cells):
+            if lengths is not None:
+                keep[:, 8 * k:8 * (k + len(words))] = np.arange(8 * len(words)) < lengths[part, None]
         if begin == 0:
             first = -len(glue[0]) % 8  # where the first glue starts
             keep[0, first:first + skip] = False
-        for k, (words, lengths, rows) in zip(at, cells):
-            cell = part if rows is None else rows[part]
-            grid.view(np.uint64)[:, k:k + len(words)] = words[:, cell].T
-            keep.view(np.uint64)[:, k:k + len(words)] = np.take(masks[len(words)], lengths[cell], axis=0)
         yield grid[keep]
 
 
@@ -354,12 +354,11 @@ def _pieces(fmt: str, columns: list[str], rows):
         blocks = (rows[begin:begin + _CHUNK_ROWS] for begin in range(0, len(rows), _CHUNK_ROWS))
     else:
         blocks = iter(rows)
-    # the grid and mask of _chunk_pieces are one buffer that every block reuses.  A float cell
-    # is 3 words, so a float table's buffer is allocated here, before the first block is computed.
-    # Measured with glibc: allocated after the first block, among the producer's freed temporaries,
-    # it cost about 1,250 minor page faults per evolve-json call (1 here) and 1.4 MB more peak RSS;
-    # as two buffers, or two arrays per slice, the heap was trimmed and faulted in again on every
-    # block of the README contour (about 3,200 and 2,900 faults per call, 260 here)
+    # the grid and mask of _chunk_pieces are one buffer that every block reuses; a float table's
+    # (3 words a cell) is allocated here, before the first block.  With glibc, allocated after it,
+    # among the producer's freed temporaries, it cost about 1,250 minor page faults per evolve-json
+    # call and 1.4 MB more peak RSS; as two buffers, or two arrays per slice, about 3,000 faults
+    # per README contour call, as the heap was trimmed and faulted in again on every block
     store = [np.empty(0, dtype=np.uint8)]
     if not listed:
         _grid(store, max(_CHUNK_ROWS // len(columns), 1), len(_row_template(glue, [3] * len(columns))[0]))
@@ -438,12 +437,13 @@ def write_records(path: str | None, fmt: str, columns: list[str], rows):
     (an ndarray or a list in blocks of _CHUNK_ROWS rows), so the memory
     of the text is bounded by the block, not by the table, and a _Table's
     producer need never hold the table either.  In a block, the float
-    cells are printed in numpy (:mod:`qubitbath._floattext`), each column
-    that repeats its values once per distinct value (:func:`_columns_text`),
-    and the cells and the fixed glue between them are laid out in a uint8
-    grid from which a length mask picks the bytes (:func:`_chunk_pieces`);
-    the JSON reproduces ``json.dumps(..., indent=1)`` exactly, whatever the
-    block edges.  Everything runs in the calling process.
+    cells are printed in numpy (:mod:`qubitbath._floattext`), a column that
+    repeats its values once per distinct value and not at all where it
+    equals the block before (:func:`_columns_text`), and the cells and the
+    fixed glue between them are laid out in a uint8 grid, whose bytes
+    other than NUL padding are picked (:func:`_chunk_pieces`); the JSON
+    reproduces ``json.dumps(..., indent=1)`` exactly, whatever the block
+    edges.  Everything runs in the calling process.
 
     A file is written as those bytes (see :func:`_output_file`): where a
     block's producer raises, a regular ``path`` is left as it was.

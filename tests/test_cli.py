@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -246,6 +247,29 @@ class TestContour:
     def test_refusal_of_the_first_window_prints_nothing(self, capsys):
         assert cli.main(["contour", "--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("chunk_rows", [3_003, 500])
+    def test_readme_grid_in_other_blocks_writes_its_digest(self, chunk_rows, monkeypatch, tmp_path):
+        # 3,003: blocks of three whole kappa rows that repeat the time axis; 500: each row's 1,001
+        # times in blocks of 500, 500 and 1, so the kappa column repeats the block before instead
+        from test_output_hashes import FILE_OUTPUTS
+
+        argv, digest = FILE_OUTPUTS["contour-csv"]
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        assert cli.main(argv + ["--out", str(tmp_path / "c.csv")]) == 0
+        assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == digest
+
+    def test_readme_grid_prints_its_time_axis_twice(self, monkeypatch, tmp_path):
+        # 141 kappa rows of 1,001 times in 18 blocks of 8 rows (the last of 5): d|c|/dt prints
+        # every row's value, kappa its 8 or 5 values a block, and the time axis prints in the
+        # first block and the shorter last one, where it printed in all 18 (159,300 values)
+        import qubitbath._floattext as floattext
+
+        printed, float_text = [], floattext.float_text
+        monkeypatch.setattr(floattext, "float_text", lambda values, shortest: printed.append(len(values)) or float_text(values, shortest))
+        argv = ["contour", "--xi", "1", "--kappa-range", "0:14:141", "--t-max", "10", "--dt", "0.01"]
+        assert cli.main(argv + ["--out", str(tmp_path / "c.csv")]) == 0
+        assert sum(printed) <= 143_284  # 141 * 1,001 + 141 + 2 * 1,001
 
     def test_memory_per_row_is_flat(self, tmp_path):
         # the rows are evaluated and formatted one kernel window at a time, and no table is built:

@@ -200,13 +200,25 @@ def texts(words, lengths):
     return [bytes(row[:n]).decode() for row, n in zip(raw, lengths.tolist())]
 
 
+def assert_nul_past_lengths(words, lengths):
+    """Each text's words hold no NUL before its length and only NUL after it: write_records picks
+    a float cell's bytes as those that are not NUL."""
+    raw = np.ascontiguousarray(words.T).view(np.uint8).reshape(len(lengths), floattext.WIDTH)
+    past = np.arange(floattext.WIDTH) >= lengths[:, None]
+    assert not raw[past].any()
+    assert raw[~past].all()
+
+
 def assert_prints_as_python(values):
     values = np.asarray(values, dtype=float)
     for shortest, oracle in ORACLE_TEXT.items():
         expected = [oracle(v) for v in values.tolist()]
         words, lengths = floattext._numpy_text(values, shortest)  # every lane through numpy, however few
         assert texts(words, lengths) == expected
-        assert texts(*floattext.float_text(values, shortest)) == expected
+        assert_nul_past_lengths(words, lengths)
+        words, lengths = floattext.float_text(values, shortest)
+        assert texts(words, lengths) == expected
+        assert_nul_past_lengths(words, lengths)
 
 
 BIT_PATTERNS = st.one_of(
@@ -241,6 +253,36 @@ def test_float_text_matches_python_on_edges():
     # 5e-324 prints through CPython in '%.17g' (a quotient of few digits), 0.5 and 8.0 in
     # repr (exact digits cut), 1e300, inf and nan in both (2**50 and above)
     assert_prints_as_python(EDGE_FLOATS + [-v for v in EDGE_FLOATS])
+
+
+NUL_CASES = [0.0, -0.0, 5e-324, -1e-310, 2.225073858507201e-308, 2.0**50, -(2.0**53) - 2, 1e300, -1.7976931348623157e308,
+             math.inf, -math.inf, math.nan, 0.5, -8.0, 0.1, 1e16, 2.0**-25, 123456789.123]
+
+
+@pytest.mark.parametrize("shortest", [True, False])
+@pytest.mark.parametrize("n_values", [len(NUL_CASES), floattext._NUMPY_LANES - 1, floattext._NUMPY_LANES, 4_096])
+def test_float_text_is_nul_past_its_length(n_values, shortest):
+    # -0.0, subnormals, values of 2**50 and above, inf and nan among random bit patterns; passes of
+    # fewer than _NUMPY_LANES values print through CPython, longer ones through numpy
+    bits = np.random.default_rng(n_values).integers(0, 2**64, n_values, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values[:len(NUL_CASES)] = NUL_CASES
+    words, lengths = floattext.float_text(values, shortest)
+    assert_nul_past_lengths(words, lengths)
+    assert texts(words, lengths) == list(map(ORACLE_TEXT[shortest], values.tolist()))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_values", [len(NUL_CASES), 4_096])
+def test_float_cells_are_nul_past_their_text(n_values, fmt):
+    # the cells come folded: -0.0 as 0.0, and in CSV -inf as inf; in JSON the tokens for +-inf
+    # and NaN replace repr's text and its padding
+    values = np.resize(NUL_CASES, n_values) + 0.0
+    if fmt == "csv":
+        values[np.isinf(values)] = math.inf
+    cell = "%.17g".__mod__ if fmt == "csv" else lambda v: json.dumps("infinite" if math.isinf(v) else v)
+    padded = b"".join(cell(v).encode().ljust(floattext.WIDTH, b"\0") for v in values.tolist())
+    assert np.ascontiguousarray(cli._float_cells(values, fmt).T).tobytes() == padded
 
 
 def test_a_short_pass_prints_through_python(monkeypatch):
@@ -299,7 +341,7 @@ PARALLEL_ROWS = [1, SMALL + 3, 2 * SMALL + 1, 4 * SMALL + 1]
 
 # The two tests below are named for the forked writer that formatted chunks in
 # other processes before the numpy float text; their ids are kept.  They now check
-# that small chunks (one pass, glue and masks per chunk, and the repeated-value
+# that small chunks (one pass, one byte grid per chunk, and the repeated-value
 # decision of the first chunk) write the bytes of one chunk.
 
 
@@ -383,6 +425,35 @@ def test_blocks_write_the_bytes_of_the_table(layout, n_rows, fmt, tmp_path, monk
     expected = path.read_bytes()
     cli.write_records(str(path), fmt, columns, streamed(table, sizes))
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "case, sizes, prints",
+    [
+        ("same", [12] * 4, 1),  # every block holds the same times: printed in the first only
+        ("shorter last", [12] * 4 + [8], 2),  # and again in the last, whose column is shorter
+        ("changed", [12] * 4, 3),  # one time differs in block 2: printed in blocks 1, 2 and 3
+        ("nan", [12] * 4, 4),  # NaN equals nothing, so a column that holds it is printed in every block
+    ],
+)
+def test_a_repeating_column_is_printed_again_only_where_it_changes(case, sizes, prints, fmt, tmp_path, monkeypatch):
+    # contour's layout in small: rows of 4 times and one kappa each, 3 rows a block, the blocks
+    # refilled in one buffer; t and kappa repeat their values in the first block
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 12)
+    k = np.arange(sum(sizes))
+    t = 0.1 * (k % 4)
+    if case == "changed":
+        t[17] = 7.0
+    if case == "nan":
+        t[k % 4 == 3] = math.nan
+    columns, table = ["t", "kappa", "d_abs_c_dt"], np.stack([t, 0.5 * (k // 4), np.sin(k + 1.0)], 1)
+    passes, float_text = [], floattext.float_text
+    monkeypatch.setattr(floattext, "float_text", lambda values, shortest: passes.append(values.copy()) or float_text(values, shortest))
+    path = tmp_path / "out"
+    cli.write_records(str(path), fmt, columns, streamed(table, sizes))
+    assert path.read_bytes() == ORACLES[fmt](columns, table.tolist()).encode("utf-8")
+    assert sum(np.count_nonzero(values == 0.1) for values in passes) == prints  # only t holds 0.1
 
 
 def test_a_new_file_gets_the_mode_open_gives_it(tmp_path):
