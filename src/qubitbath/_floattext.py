@@ -31,10 +31,10 @@ which the fixed cost of the numpy sequence (about 0.2 ms) exceeds
 CPython's.  The tables are built from Python integers on first use, not
 at import.  Each value's text comes back as 24 bytes (the length of
 ``'-2.2250738585072014e-308'``, the longest) in three little-endian
-``uint64`` words, with its length.  The bytes past the length are NUL,
-and no text holds a NUL, on every route (numpy digits, CPython's text,
-the zeros): ``cli.write_records`` picks a float cell's bytes as the ones
-that are not NUL, without the lengths.
+``uint64`` words.  The bytes past the text are NUL, and no text holds a
+NUL, on every route (numpy digits, CPython's text, the zeros), so a text
+is the words' non-NUL prefix: ``cli.write_records`` picks a float cell's
+bytes as the ones that are not NUL.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ def _tables() -> dict:
     For the layout: ``masks`` and ``points`` (3, 25), the words whose first
     b bytes are ones and the words holding "." at byte b (none at b = 24);
     ``fronts`` (12,), "-" where negative and then the first 0 to 5 bytes of
-    "0.000", at 6 * negative + lead; ``exps`` and ``exp_lens``, "e-05" and
-    its length for each decimal exponent from -324 to 308.
+    "0.000", at 6 * negative + lead; ``exps``, "e-05" for each exponent -324 to 308.
     """
     limbs = np.zeros((5, _BIG), dtype=np.uint64)
     e10 = np.zeros(_BIG, dtype=np.int64)
@@ -105,8 +104,7 @@ def _tables() -> dict:
     return dict(limbs=limbs, e10=e10, exact=exact, up=up, down=down,
                 masks=np.array(ones, dtype=np.uint64), points=np.array(points, dtype=np.uint64),
               fronts=np.array(fronts, dtype=np.uint64),
-              exps=np.array([int.from_bytes(x.encode(), "little") for x in exps], dtype=np.uint64),
-              exp_lens=np.array([len(x) for x in exps]))
+              exps=np.array([int.from_bytes(x.encode(), "little") for x in exps], dtype=np.uint64))
 
 
 def _mulshift(m: np.ndarray, mul: np.ndarray):
@@ -235,7 +233,7 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
 
 
 def _layout(t, digits, nd, exp10, negative, shortest: bool):
-    """(3, n) words and lengths of the text of 17 digits, the count that prints, and the decimal exponent.
+    """(3, n) words of the text of 17 digits, the count that prints, and the decimal exponent, NUL past it.
 
     ``digits`` is overwritten.
     """
@@ -276,12 +274,11 @@ def _layout(t, digits, nd, exp10, negative, shortest: bool):
     end = front + shown + dotted
     del shown, point, dotted, lead_len, front
     # "e", the exponent's sign and at least two of its digits
-    which = np.where(expform, exp10 - _EXP_MIN, 0)
-    tail = np.take(t["exps"], which) * expform
+    tail = np.take(t["exps"], np.where(expform, exp10 - _EXP_MIN, 0)) * expform
     np.multiply(end, 8, out=bits, casting="unsafe")
     for w in range(3):
         words[w] |= (tail << (bits - _U(64 * w))) | (tail >> (_U(64 * w) - bits))  # wrapped counts give 0
-    return words, end + np.take(t["exp_lens"], which) * expform
+    return words
 
 
 def _pack(texts: list[str]) -> np.ndarray:
@@ -290,14 +287,13 @@ def _pack(texts: list[str]) -> np.ndarray:
     return raw.view(np.uint64).reshape(-1, 3).T
 
 
-def _python_text(values: list[float], shortest: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(3, n) words and lengths of values printed by CPython."""
-    texts = list(map(repr if shortest else "%.17g".__mod__, values))
-    return _pack(texts), np.array([len(text) for text in texts], dtype=np.intp)
+def _python_text(values: list[float], shortest: bool) -> np.ndarray:
+    """(3, n) words of values printed by CPython."""
+    return _pack(list(map(repr if shortest else "%.17g".__mod__, values)))
 
 
-def float_text(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Text of a 1-D float64 array, by ``repr`` (``shortest``) or ``'%.17g'``: (3, n) words and (n,) lengths.
+def float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """Text of a 1-D float64 array, by ``repr`` (``shortest``) or ``'%.17g'``: (3, n) words, NUL past each text.
 
     ``words[k]`` holds bytes 8k to 8k + 7 of each value's text.
     """
@@ -307,8 +303,8 @@ def float_text(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarr
     return _numpy_text(values, shortest)
 
 
-def _numpy_text(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(3, n) words and lengths of a contiguous float64 array, the digits computed in numpy."""
+def _numpy_text(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """(3, n) words of a contiguous float64 array, the digits computed in numpy."""
     t = _tables()
     bits = values.view(np.uint64)
     negative = (bits >> _63).astype(np.intp)
@@ -325,12 +321,11 @@ def _numpy_text(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndar
     else:
         digits, nd, exp10, python = _g17_digits(t, m2, be, np.take(t["e10"], be))
     del m2, frac
-    words, length = _layout(t, digits, nd, exp10, negative, shortest)
+    words = _layout(t, digits, nd, exp10, negative, shortest)
     lanes = np.flatnonzero(zero)
     if lanes.size:
         words[:, lanes] = _pack(_ZEROS[shortest])[:, negative[lanes]]
-        length[lanes] = negative[lanes] + (3 if shortest else 1)
     lanes = np.flatnonzero(python | big)
     if lanes.size:
-        words[:, lanes], length[lanes] = _python_text(values[lanes].tolist(), shortest)
-    return words, length
+        words[:, lanes] = _python_text(values[lanes].tolist(), shortest)
+    return words

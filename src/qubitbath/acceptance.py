@@ -17,8 +17,9 @@ the route ``evolve`` uses.
 The checks read their points as array passes, not one point at a time: the
 criteria grid's witnesses, scans and measures go through the batched routes
 of :mod:`qubitbath.markovianity`, ``blp_closed_form`` makes one batched call
-for its four rates, ``contour_sign_structure`` reads its 57 rows one slice
-of whole rows per kernel call, and ``conservation`` reads each state's
+for its four rates, ``contour_sign_structure`` judges the windows of whole
+rows that ``contour`` writes, by the one route of d|c|/dt in analytic, and
+``conservation`` reads each state's
 smallest eigenvalue in closed form: the eight diagonal and anti-diagonal
 Pauli terms make two 2x2 blocks (an X state), and Weyl's inequality bounds
 what the other eight can add.  One run calls ``np.linalg.eigvalsh`` once,
@@ -47,8 +48,8 @@ import numpy as np
 from .analytic import (
     BLP_REL_TAIL,
     ORACLE_TOL,
+    _abs_derivative_windows,
     _first_window_ends,
-    _kernel,
     bath_correlation,
     blp_analytic,
     coherence_factor,
@@ -362,27 +363,22 @@ def _check_bath_correlation() -> tuple[bool, str]:
 
 @_timed(budget=10.0)
 def _check_contour_sign_structure() -> tuple[bool, str]:
-    xi = 1.0
-    kappas = np.linspace(0.0, 14.0, 57)
-    times = np.linspace(0.0, 10.0, 1001)
-    rows = []  # d|c|/dt = sign(c) * dc/dt of each row, one kernel call per slice of whole rows
-    for start in range(0, kappas.size, _SLICE_POINTS // times.size):
-        block = kappas[start : start + _SLICE_POINTS // times.size, None]
-        c, dc = _kernel(xi, block, np.broadcast_to(times, (len(block), times.size)))
-        rows.extend(np.sign(c) * dc)
-    problems = []
-    for kappa, values in zip(kappas, rows):
-        params = ModelParams(xi, float(kappa))
-        if not has_information_backflow(params):
-            if values.max() > 1e-12:
-                problems.append(f"kappa={kappa:g}: positive value {values.max():.2e}")
-            continue
-        for n, (t_lo, t_hi) in enumerate(increase_intervals(params, 50).tolist(), start=1):
-            if t_hi > times[-1]:
-                break
-            inside = (times > t_lo) & (times < t_hi)
-            if not np.any(values[inside] > 0.0):
-                problems.append(f"kappa={kappa:g}: no positive value in window {n}")
+    xi, problems = 1.0, []
+    # the windows contour writes, each of whole rows of the 1,001 times k * 0.01
+    windows = _abs_derivative_windows(xi, np.linspace(0.0, 14.0, 57), TimeGrid(0.01, 1001), _SLICE_POINTS)
+    for kappas, times, rows in windows:
+        for kappa, values in zip(kappas.tolist(), rows):
+            params = ModelParams(xi, kappa)
+            if not has_information_backflow(params):
+                if values.max() > 1e-12:
+                    problems.append(f"kappa={kappa:g}: positive value {values.max():.2e}")
+                continue
+            for n, (t_lo, t_hi) in enumerate(increase_intervals(params, 50).tolist(), start=1):
+                if t_hi > times[-1]:
+                    break
+                inside = (times > t_lo) & (times < t_hi)
+                if not np.any(values[inside] > 0.0):
+                    problems.append(f"kappa={kappa:g}: no positive value in window {n}")
     ok = not problems
     detail = "sign structure matches on all 57 rows" if ok else problems[0]
     return ok, detail

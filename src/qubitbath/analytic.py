@@ -15,8 +15,10 @@ near the critical boundary and makes c continuous in the parameters.
 One private evaluator, ``_kernel``, gives c and dc/dt in one pass over
 parameter points broadcast against times, or over ragged batches whose lanes
 name their point by index; :func:`coherence_factor_with_derivative` is its
-one-point read, and c, dc/dt and d|c|/dt read from that.  d|c|/dt is the
-one increase signal: the trace distance grows exactly where it is positive.
+one-point read, and c and dc/dt read from that.  d|c|/dt = sign(c) * dc/dt
+is the one increase signal, positive exactly where the trace distance grows;
+``_abs_derivative`` is its one route, which the detector, ``contour`` and
+verify read, the last two through one window loop over kappa rows.
 The kernel computes xi**2, kappa**2, the discriminant, the time limit and
 the branch (disc > 0) once per point; s, its clip, sinh and cosh or sin and
 cos, the envelope, c and dc are computed per lane.
@@ -38,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateModelError, RegimeError, ValidationError
-from .lindblad import ModelParams
+from .lindblad import ModelParams, TimeGrid
 
 __all__ = [
     "Regime",
@@ -134,8 +136,8 @@ def _check_times(t, disc, owner=None) -> tuple[np.ndarray, bool]:
     if owner is not None:
         limit = limit[owner]
     over = arr > limit
-    if over.any():  # name the limit of a lane that exceeds it
-        limit = np.broadcast_to(limit, over.shape)[over].min()
+    if over.any():  # name the limit of the first lane, in C order, that exceeds its own
+        limit = np.broadcast_to(limit, over.shape)[over][0]
         raise ValidationError(f"time must be <= {limit:.6g}: MAX_TIME = {MAX_TIME:g}, less where disc*(t/4)**2 overflows")
     return arr, arr.ndim == 0
 
@@ -198,14 +200,40 @@ def coherence_factor(params: ModelParams, t):
     return coherence_factor_with_derivative(params, t)[0]
 
 
+def _abs_derivative(xi, kappa, t, owner=None) -> np.ndarray:
+    """d|c|/dt = sign(c) * dc/dt over the lanes of :func:`_kernel`, which takes the same arguments."""
+    c, dc = _kernel(xi, kappa, t, owner)
+    return np.sign(c) * dc
+
+
+def _abs_derivative_windows(xi: float, kappas: np.ndarray, grid: TimeGrid, lanes: int):
+    """d|c|/dt of the rows (xi, kappas[k]) at the times k * grid.step, one kernel call per window: the
+    whole rows that fit in ``lanes`` lanes, or a piece of a longer row.  Yields each window's kappas,
+    times and (rows, times) values.  A row refused by ModelParams is named after the rows before it in
+    its window, and a time refusal names the first lane over its limit: the first refused row's error."""
+    rows = max(lanes // grid.num, 1)
+    for first in range(0, len(kappas), rows):
+        window = kappas[first:first + rows]
+        for begin in range(0, grid.num, lanes):
+            times = grid.step * np.arange(begin, min(begin + lanes, grid.num))
+            for n, kappa in enumerate(window.tolist()):
+                try:
+                    ModelParams(xi, kappa)
+                except ValidationError:
+                    if n:  # the rows before it, where one refused for its time is named first
+                        _kernel(xi, window[:n, None], times)
+                    raise
+            yield window, times, _abs_derivative(xi, window[:, None], times)
+
+
 def abs_coherence_derivative(params: ModelParams, t):
     """d|c|/dt, i.e. sign(c(t)) * c'(t); same sign as c'(t)/c(t).
 
     Finite for every valid t, and 0 where c is exactly 0: unlike the
     logarithmic derivative it has no pole at the zeros of c.
     """
-    c, dc = coherence_factor_with_derivative(params, t)
-    return np.sign(c) * dc
+    out = _abs_derivative(params.xi, params.kappa, t)
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def increase_intervals(params: ModelParams, n_max: int) -> np.ndarray:

@@ -42,9 +42,10 @@ and any step count in the ``lo:hi`` of ``threshold --kappa-range``.
 once the block before it is written, so a refusal can come after rows
 are out.  ``evolve`` checks each block of 8,192 rows against the closed
 form and, once one is refused, still propagates the rest, so that the
-error names the largest gap of the whole trajectory; ``contour`` refuses
-a kappa row in the kernel window that holds it.  A refused run leaves no
---out file, and an existing one as it was.  On standard output nothing is
+error names the largest gap of the whole trajectory; ``contour`` reads
+d|c|/dt by its one route (analytic's window loop) and refuses a kappa row
+in the window that holds it.  A refused run leaves no --out file, and an
+existing one as it was.  On standard output nothing is
 printed unless the first block passes; a later refusal leaves printed the
 head and the rows before the refused block (evolve's before its first
 refused block, contour's before the refused row's window), in full or in
@@ -66,7 +67,7 @@ import sys
 
 import numpy as np
 
-from .analytic import ORACLE_TOL, _kernel, abs_coherence_derivative, blp_analytic, coherence_factor
+from .analytic import ORACLE_TOL, _abs_derivative_windows, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import _blp_many, threshold_scan
@@ -202,7 +203,7 @@ def _float_cells(values: np.ndarray, fmt: str) -> np.ndarray:
     words = np.empty((3, len(values)), dtype=np.uint64)
     for begin in range(0, len(values), _CHUNK_ROWS // 2):
         part = slice(begin, begin + _CHUNK_ROWS // 2)
-        words[:, part] = float_text(values[part], shortest=fmt == "json")[0]
+        words[:, part] = float_text(values[part], shortest=fmt == "json")
     if fmt == "json":
         for lanes, token in ((np.flatnonzero(np.isinf(values)), _INF_JSON), (np.flatnonzero(np.isnan(values)), b"NaN")):
             words[:, lanes] = np.frombuffer(token.ljust(8 * len(words), b"\0"), dtype=np.uint64)[:, None]
@@ -544,38 +545,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _abs_derivative_rows(xi: float, kappas: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """d|c|/dt of the kappa rows at the shared times, in one kernel call: each row's terms are
-    broadcast against the times.  Where a row is refused, the error is the first refused row's,
-    as with one call per row."""
-    try:
-        for kappa in kappas.tolist():
-            ModelParams(xi, kappa)
-        c, dc = _kernel(xi, kappas[:, None], times)
-    except ValidationError:
-        for kappa in kappas.tolist():
-            abs_coherence_derivative(ModelParams(xi, kappa), times)
-        raise
-    return np.sign(c) * dc
-
-
 def _contour_blocks(xi: float, kappas: np.ndarray, grid: TimeGrid):
-    """The rows of ``contour``, one block per kernel window of at most :data:`_CHUNK_ROWS` lanes:
-    whole kappa rows, or one row's long time axis in pieces.  A window's times are computed
-    with it, as :meth:`TimeGrid.times` computes them, and its block is a view of one buffer
-    that the next window refills, so no array grows with the row count."""
+    """The rows of ``contour``, one block per window of :data:`_CHUNK_ROWS` lanes of ``analytic._abs_derivative_windows``,
+    each a view of one buffer that the next window refills, so no array grows with the row count."""
     buffer = np.empty((_CHUNK_ROWS, len(CONTOUR_COLUMNS)))
-    rows = max(_CHUNK_ROWS // grid.num, 1)
-    for first in range(0, len(kappas), rows):
-        window = kappas[first:first + rows]
-        for begin in range(0, grid.num, _CHUNK_ROWS):
-            times = grid.step * np.arange(begin, min(begin + _CHUNK_ROWS, grid.num))
-            block = buffer[:len(window) * len(times)]
-            lanes = block.reshape(len(window), len(times), len(CONTOUR_COLUMNS))
-            lanes[:, :, 0] = times
-            lanes[:, :, 1] = window[:, None]
-            lanes[:, :, 2] = _abs_derivative_rows(xi, window, times)
-            yield block
+    for window, times, values in _abs_derivative_windows(xi, kappas, grid, _CHUNK_ROWS):
+        lanes = buffer[:values.size].reshape(*values.shape, len(CONTOUR_COLUMNS))
+        lanes[:, :, 0], lanes[:, :, 1], lanes[:, :, 2] = times, window[:, None], values
+        yield buffer[:values.size]
 
 
 def cmd_contour(args: argparse.Namespace) -> int:

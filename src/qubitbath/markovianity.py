@@ -13,9 +13,10 @@ Two independent witnesses are implemented against the same dynamics:
   the numerically detected windows where it grows, maximized over
   initial pairs.  Under diag(1, 1, c, c) a pair enters only through its
   Bloch difference, and the antipodal y-z pair, with distance |c|, is
-  optimal.  The window edges are the sign changes of d|c|/dt on uniform
-  grids, scanned in windows of 8,192 points, one kernel call each, refined by
-  one bisection over every bracket of every point; c is then read once at the edges.
+  optimal.  The window edges are the sign changes of d|c|/dt (by its one route,
+  ``analytic._abs_derivative``) on uniform grids, scanned in windows of 8,192 points,
+  one kernel call each, refined by one bisection over every bracket of every point;
+  c is then read once at the edges.
 
 Both flip at the same cooling rate, kappa = 8|xi|, where
 :func:`~qubitbath.analytic.classify_regime` leaves the underdamped regime;
@@ -33,6 +34,7 @@ import numpy as np
 
 from .analytic import (
     Regime,
+    _abs_derivative,
     _first_window_ends,
     _kernel,
     blp_tail_bound,
@@ -233,9 +235,8 @@ def _bisect(lo, hi, width, upper) -> np.ndarray:
 
 
 def _increasing(xi, kappa, t, owner=None) -> np.ndarray:
-    """Where d|c|/dt = sign(c) * dc/dt, the one increase signal, is positive; ``owner`` as for the kernel."""
-    c, dc = _kernel(xi, kappa, t, owner)
-    return np.sign(c) * dc > 0
+    """Where d|c|/dt, the one increase signal (``analytic._abs_derivative``), is positive; ``owner`` as for the kernel."""
+    return _abs_derivative(xi, kappa, t, owner) > 0
 
 
 def _refine_crossings(xi, kappa, owner, lo, hi, rising) -> np.ndarray:

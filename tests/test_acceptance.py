@@ -115,8 +115,9 @@ def test_criteria_agreement_scans_in_batches(monkeypatch):
     # one point at a time, markovianity made 6,600 kernel passes here (5,800
     # detection, 400 edge and 400 witness); batched it makes about 80
     passes = []
-    kernel = markovianity._kernel
-    monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: passes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+    kernel = analytic._kernel
+    for module in (analytic, markovianity):  # the scan's signal is analytic's, the witness and the edges markovianity's
+        monkeypatch.setattr(module, "_kernel", lambda xi, kappa, t, *owner: passes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
     assert acceptance._check_criteria_agreement().passed
     assert len(passes) <= 100
     assert max(passes) <= markovianity._SLICE_POINTS
@@ -242,8 +243,14 @@ def test_verify_kernel_calls(monkeypatch):
     # read its points one by one, 125 with the array passes, for the same 492,311 lanes
     calls = []
     kernel = analytic._kernel
-    for module in (analytic, markovianity, oracles, acceptance):
-        monkeypatch.setattr(module, "_kernel", lambda xi, kappa, t, *owner: calls.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+
+    def counted(*args):  # the lanes each call evaluates
+        c, dc = kernel(*args)
+        calls.append(c.size)
+        return c, dc
+
+    for module in (analytic, markovianity, oracles):
+        monkeypatch.setattr(module, "_kernel", counted)
     assert all(r.passed for r in run_acceptance())
     assert len(calls) <= 125
     assert sum(calls) == 492_311

@@ -327,6 +327,9 @@ class TestPerPointKernel:
         _kernel(xi, np.zeros(2), np.array([1e140, 1e120]), np.array([1, 0]))
         with pytest.raises(ValidationError, match=r"time must be <= 5e\+123"):
             _kernel(xi, np.zeros(2), np.array([1e140, 1e140]), np.array([1, 0]))
+        # both lanes over their limits: the first lane's is named, though the second's is smaller
+        with pytest.raises(ValidationError, match=r"time must be <= 1e\+150:"):
+            _kernel(xi, np.zeros(2), np.array([1e151, 1e140]), np.array([1, 0]))
 
 
 def mp_coherence_with_derivative(xi, kappa, t):

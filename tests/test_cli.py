@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qubitbath.cli as cli
-from qubitbath import acceptance
+from qubitbath import acceptance, analytic
 from qubitbath.acceptance import CheckResult
 from qubitbath.errors import NumericsError
 from qubitbath.markovianity import MAX_PAIRS, MAX_SCAN_POINTS
@@ -202,9 +202,14 @@ class TestContour:
         ],
     )
     def test_kernel_calls_span_whole_rows(self, argv, calls, monkeypatch, tmp_path):
-        lanes = []
-        kernel = cli._kernel
-        monkeypatch.setattr(cli, "_kernel", lambda xi, kappa, t: lanes.append(np.size(kappa) * np.size(t)) or kernel(xi, kappa, t))
+        lanes, kernel = [], analytic._kernel
+
+        def counted(*args):  # the lanes each call evaluates
+            c, dc = kernel(*args)
+            lanes.append(c.size)
+            return c, dc
+
+        monkeypatch.setattr(analytic, "_kernel", counted)
         assert cli.main(["contour", *argv, "--out", str(tmp_path / "c.csv")]) == 0
         header, rows = read_csv(tmp_path / "c.csv")
         assert len(lanes) == calls
@@ -226,6 +231,23 @@ class TestContour:
         assert cli.main(["contour", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: time must be <= {limit}: MAX_TIME")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # every row of the one window is refused for its time
+            (["--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"], 1),
+            # the third row is refused for its rate, and the first two are evaluated: the second's time is named
+            (["--kappa-range", "0:2e75:3", "--t-max", "1e80", "--dt", "1e79"], 1),
+            # a window per row: the first is written, the second refused for its time
+            (["--kappa-range", "0:2e75:3", "--t-max", "5e79", "--dt", "1e76"], 2),
+        ],
+    )
+    def test_refusal_runs_no_second_kernel_pass(self, argv, calls, monkeypatch, tmp_path):
+        made, kernel = [], analytic._kernel
+        monkeypatch.setattr(analytic, "_kernel", lambda *args: made.append(args) or kernel(*args))
+        assert cli.main(["contour", *argv, "--out", str(tmp_path / "c.csv")]) == 1
+        assert len(made) == calls
 
     def test_refusal_after_the_first_window_leaves_no_file(self, tmp_path, capsys):
         # 5,001 times a row, so each kappa row is a window of its own: the first row is written

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qubitbath import markovianity
+from qubitbath import analytic, markovianity
 from qubitbath.analytic import (
     Regime,
     _first_window_ends,
@@ -431,8 +431,8 @@ class TestRefineCrossing:
         near = increase_intervals(params, 1)[0, 0]
         far = _far_zero(params, 9e5)
         sizes = []
-        kernel = markovianity._kernel
-        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
+        kernel = analytic._kernel
+        monkeypatch.setattr(analytic, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
 
         def refine_counted(lo, hi):
             sizes.clear()
@@ -499,13 +499,14 @@ class TestBlpNumeric:
 
     def test_reads_the_kernel_once_for_all_pairs(self, monkeypatch):
         shapes = []
-        kernel = markovianity._kernel
+        kernel = analytic._kernel
 
         def counted(xi, kappa, t, *owner):
             shapes.append(np.shape(t))
             return kernel(xi, kappa, t, *owner)
 
-        monkeypatch.setattr(markovianity, "_kernel", counted)
+        for module in (analytic, markovianity):  # the detector's signal is analytic's, the edges markovianity's
+            monkeypatch.setattr(module, "_kernel", counted)
         result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
         # the detector's calls read 1-d grids and midpoints; c at both edges of every window is one call
         assert [s for s in shapes if len(s) != 1] == [(len(result.segments), 2)]
@@ -623,8 +624,8 @@ class TestBatchedScans:
         points = [ModelParams(1.0, kappa) for kappa in (1.0, 2.0, 4.0, 6.0)]
         horizons = [30.0] * 4
         sizes = []
-        kernel = markovianity._kernel
-        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
+        kernel = analytic._kernel
+        monkeypatch.setattr(analytic, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
         self.same_detection(points, horizons)
         assert sizes[:2] == [6002, 6002]  # the two slice scans of the batched call
 
@@ -636,7 +637,7 @@ class TestBatchedScans:
                 xi, kappa = xi[owner], kappa[owner]
             return np.ones(np.shape(t)), np.cos(np.multiply(xi, t)) + 0.0 * kappa
 
-        monkeypatch.setattr(markovianity, "_kernel", cosine)
+        monkeypatch.setattr(analytic, "_kernel", cosine)
         points = [ModelParams(1.0, 12.0), ModelParams(2.0, 20.0)]
         batched = self.same_detection(points, [10.0, 10.0])
         assert batched[0][0, 0] == pytest.approx(1.5 * math.pi, abs=1e-9)
@@ -763,8 +764,8 @@ class TestWindowedScan:
 
     def test_every_scan_call_reads_at_most_one_window(self, monkeypatch):
         # the 12,001-point grid was read in one kernel call, and so was the 550,001-point one below
-        lanes, kernel = [], markovianity._kernel
-        monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: lanes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+        lanes, kernel = [], analytic._kernel
+        monkeypatch.setattr(analytic, "_kernel", lambda xi, kappa, t, *owner: lanes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
         monkeypatch.setattr(markovianity, "_refine_crossings", lambda xi, kappa, owner, lo, hi, rising: lo)
         points, horizons = [ModelParams(1.0, 3.0), ModelParams(0.5, 1.0), ModelParams(1.0, 0.01)], [20.0, 120.0, 5500.0]
         markovianity._detect_many(points, horizons)

@@ -195,15 +195,21 @@ def test_csv_text_cells_read_back(table):
 ORACLE_TEXT = {True: repr, False: "%.17g".__mod__}
 
 
-def texts(words, lengths):
-    raw = np.ascontiguousarray(words.T).view(np.uint8).reshape(len(lengths), floattext.WIDTH)
-    return [bytes(row[:n]).decode() for row, n in zip(raw, lengths.tolist())]
+def raw_bytes(words):
+    return np.ascontiguousarray(words.T).view(np.uint8).reshape(-1, floattext.WIDTH)
 
 
-def assert_nul_past_lengths(words, lengths):
-    """Each text's words hold no NUL before its length and only NUL after it: write_records picks
-    a float cell's bytes as those that are not NUL."""
-    raw = np.ascontiguousarray(words.T).view(np.uint8).reshape(len(lengths), floattext.WIDTH)
+def texts(words):
+    """Each value's text: the non-NUL prefix of its 24 bytes."""
+    return [bytes(row).split(b"\0", 1)[0].decode() for row in raw_bytes(words)]
+
+
+def assert_nul_past_lengths(words):
+    """Each text's words hold no NUL before its length and only NUL after it, its length read as
+    that of its non-NUL prefix: write_records picks a float cell's bytes as those that are not NUL."""
+    raw = raw_bytes(words)
+    nul = raw == 0
+    lengths = np.where(nul.any(axis=1), nul.argmax(axis=1), floattext.WIDTH)
     past = np.arange(floattext.WIDTH) >= lengths[:, None]
     assert not raw[past].any()
     assert raw[~past].all()
@@ -213,12 +219,12 @@ def assert_prints_as_python(values):
     values = np.asarray(values, dtype=float)
     for shortest, oracle in ORACLE_TEXT.items():
         expected = [oracle(v) for v in values.tolist()]
-        words, lengths = floattext._numpy_text(values, shortest)  # every lane through numpy, however few
-        assert texts(words, lengths) == expected
-        assert_nul_past_lengths(words, lengths)
-        words, lengths = floattext.float_text(values, shortest)
-        assert texts(words, lengths) == expected
-        assert_nul_past_lengths(words, lengths)
+        words = floattext._numpy_text(values, shortest)  # every lane through numpy, however few
+        assert texts(words) == expected
+        assert_nul_past_lengths(words)
+        words = floattext.float_text(values, shortest)
+        assert texts(words) == expected
+        assert_nul_past_lengths(words)
 
 
 BIT_PATTERNS = st.one_of(
@@ -267,9 +273,9 @@ def test_float_text_is_nul_past_its_length(n_values, shortest):
     bits = np.random.default_rng(n_values).integers(0, 2**64, n_values, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     values[:len(NUL_CASES)] = NUL_CASES
-    words, lengths = floattext.float_text(values, shortest)
-    assert_nul_past_lengths(words, lengths)
-    assert texts(words, lengths) == list(map(ORACLE_TEXT[shortest], values.tolist()))
+    words = floattext.float_text(values, shortest)
+    assert_nul_past_lengths(words)
+    assert texts(words) == list(map(ORACLE_TEXT[shortest], values.tolist()))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -289,7 +295,7 @@ def test_a_short_pass_prints_through_python(monkeypatch):
     printed = []
     monkeypatch.setattr(floattext, "_numpy_text", lambda *args: printed.append(args))
     values = np.linspace(-3.0, 7.0, floattext._NUMPY_LANES - 1)
-    assert texts(*floattext.float_text(values, True)) == list(map(repr, values.tolist()))
+    assert texts(floattext.float_text(values, True)) == list(map(repr, values.tolist()))
     assert printed == []
 
 
