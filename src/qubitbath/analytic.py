@@ -16,12 +16,15 @@ One private evaluator, ``_kernel``, gives c and dc/dt in one pass over
 parameter points broadcast against times, or over ragged batches whose lanes
 name their point by index; :func:`coherence_factor_with_derivative` is its
 one-point read, and c and dc/dt read from that.  d|c|/dt = sign(c) * dc/dt
-is the one increase signal, positive exactly where the trace distance grows;
-``_abs_derivative`` is its one route, which the detector, ``contour`` and
-verify read, the last two through one window loop over kappa rows.
-The kernel computes xi**2, kappa**2, the discriminant, the time limit and
-the branch (disc > 0) once per point; s, its clip, sinh and cosh or sin and
-cos, the envelope, c and dc are computed per lane.
+is positive exactly where the trace distance grows.  ``_abs_derivative`` is
+the one route of its value, which ``contour`` and verify read through one
+window loop over kappa rows.  ``_increasing`` is the one route of its sign,
+which the detector reads: c and dc/dt share the envelope exp(-kappa*t/4), so
+the sign is that of -sinhc * (kappa*t/4 * sinhc + cosh), which costs no exp
+and does not underflow where c does.  The two routes share the kernel's terms
+before the envelope.  xi**2, kappa**2, the discriminant, the time limit and
+the branch (disc > 0) are computed once per point; s, its clip, sinh and cosh
+or sin and cos, the envelope, c and dc are computed per lane.
 
 :func:`classify_regime` is the one place the regime is decided, with a
 band relative to kappa**2 and 64*xi**2 alone, so every verdict depends on
@@ -142,15 +145,45 @@ def _check_times(t, disc, owner=None) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _kernel(xi, kappa, t, owner=None) -> tuple[np.ndarray, np.ndarray]:
-    """c and dc/dt at the times ``t`` (an array) of the points (``xi``, ``kappa``).
+def _point_terms(xi, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi**2, the discriminant disc = kappa**2 - 64*xi**2 and the branch disc > 0 of the points
+    (``xi``, ``kappa``), once per point; float_power is the pow of ModelParams' ``**``."""
+    x2 = np.float_power(xi, 2.0)
+    disc = np.float_power(kappa, 2.0) - 64.0 * x2
+    return x2, disc, np.greater(disc, 0)
 
-    The points are broadcast against ``t``; or, with ``owner``, they are 1-d arrays and
-    each lane of ``t`` is a time of point ``owner`` (an index array broadcast against ``t``).
-    The per-point terms are computed once per point: xi**2, kappa**2, the discriminant
-    disc = kappa**2 - 64*xi**2, the time limit and the branch disc > 0; lanes read them by
-    broadcast or by index.  The rest is per lane: s = disc*(t/4)**2, the clip at _BIG_S,
-    sinh and cosh or sin and cos, the envelope, c and dc, and the checks on t.
+
+def _gathered(xi, kappa, t, owner=None) -> tuple[np.ndarray, ...]:
+    """The checked times ``t`` as an array and the kappa, xi**2, disc and branch of their lanes
+    (:func:`_point_terms`).  The points (``xi``, ``kappa``) are broadcast against ``t``; or, with
+    ``owner``, they are 1-d arrays and each lane of ``t`` is a time of point ``owner`` (an index array
+    broadcast against ``t``).  The time limit is computed once per point too; the branch is read by
+    index only where the points disagree on it."""
+    x2, disc, pos = _point_terms(xi, kappa)
+    arr = np.atleast_1d(_check_times(t, disc, owner)[0])
+    if owner is not None:  # each lane reads its point's terms
+        kappa, x2, disc = kappa[owner], x2[owner], disc[owner]
+        if pos.any() and not pos.all():
+            pos = pos[owner]
+    return arr, kappa, x2, disc, pos
+
+
+def _lane_terms(kappa, disc, pos, t) -> tuple[np.ndarray, ...]:
+    """The per-lane terms before the envelope at the times ``t`` (an array, already checked) of lanes
+    with ``kappa``, ``disc`` and branch ``pos``, per lane or broadcast: where s = disc*(t/4)**2 exceeds
+    _BIG_S (s is clipped to it there), sinhc(s), cosh(s) and kappa*t/4."""
+    s = disc * (t / 4.0) ** 2
+    big = s > _BIG_S
+    if big.any():
+        s[big] = _BIG_S
+    sinhc, cosh = _sinhc_cosh_ext(s, pos)
+    return big, sinhc, cosh, kappa * t / 4.0
+
+
+def _kernel(xi, kappa, t, owner=None) -> tuple[np.ndarray, np.ndarray]:
+    """c and dc/dt at the times ``t`` (an array) of the points (``xi``, ``kappa``), which the lanes
+    read as :func:`_gathered` says.  The rest is per lane: s = disc*(t/4)**2, the clip at _BIG_S,
+    sinh and cosh or sin and cos (:func:`_lane_terms`), the envelope, c and dc.
 
     Every regime goes through the sinhc/cosh kernel of s:
     c = exp(-kt/4) * (kt/4 * sinhc(s) + cosh(s)) and, in all regimes,
@@ -158,28 +191,14 @@ def _kernel(xi, kappa, t, owner=None) -> tuple[np.ndarray, np.ndarray]:
     (overdamped, long times) sinh and cosh overflow; the kernel sees s
     clipped to _BIG_S there, and both values are replaced by their forms
     with the decaying exponentials written out, r = sqrt(disc).  All of it is
-    decided lane by lane, and float_power is the pow of ModelParams' ``**``,
-    so each lane has the bits of its one-point call."""
-    k, x2 = kappa, np.float_power(xi, 2.0)
-    disc = np.float_power(k, 2.0) - 64.0 * x2
-    pos = np.greater(disc, 0)
-    arr = np.atleast_1d(_check_times(t, disc, owner)[0])
-    if owner is not None:  # each lane reads its point's terms
-        k, x2, disc = k[owner], x2[owner], disc[owner]
-        if pos.any() and not pos.all():
-            pos = pos[owner]
-    s = disc * (arr / 4.0) ** 2
-    big = s > _BIG_S
-    long_time = big.any()
-    if long_time:
-        s[big] = _BIG_S
-    sinhc, cosh = _sinhc_cosh_ext(s, pos)
-    kt4 = k * arr / 4.0
+    decided lane by lane, so each lane has the bits of its one-point call."""
+    arr, k, x2, disc, pos = _gathered(xi, kappa, t, owner)
+    big, sinhc, cosh, kt4 = _lane_terms(k, disc, pos, arr)
     envelope = np.exp(-kt4)
     c = envelope * (kt4 * sinhc + cosh)
     dc = -4.0 * x2 * arr * envelope * sinhc
-    if long_time:  # one point's parameters stay scalars; batched ones are picked lane by lane
-        tb, kb, x2b, db = (np.broadcast_to(a, s.shape)[big] if np.ndim(a) else a for a in (arr, k, x2, disc))
+    if big.any():  # one point's parameters stay scalars; batched ones are picked lane by lane
+        tb, kb, x2b, db = (np.broadcast_to(a, big.shape)[big] if np.ndim(a) else a for a in (arr, k, x2, disc))
         r = np.sqrt(db)
         # r - kappa = -64 xi**2 / (r + kappa) exactly; the difference itself cancels to a
         # relative error of about eps*kappa**2/(32 xi**2) where kappa >> 8|xi|
@@ -204,6 +223,25 @@ def _abs_derivative(xi, kappa, t, owner=None) -> np.ndarray:
     """d|c|/dt = sign(c) * dc/dt over the lanes of :func:`_kernel`, which takes the same arguments."""
     c, dc = _kernel(xi, kappa, t, owner)
     return np.sign(c) * dc
+
+
+def _increasing_lanes(kappa, disc, pos, t) -> np.ndarray:
+    """Where d|c|/dt > 0 at the checked times ``t`` of lanes with ``kappa``, ``disc`` and branch ``pos``
+    (as :func:`_lane_terms` reads them): c and dc/dt share the positive envelope exp(-kappa*t/4), and
+    dc/dt has the sign of -sinhc(s), so for t > 0 and xi != 0 the sign of sign(c) * dc/dt is that of
+    -sinhc * (kappa*t/4 * sinhc + cosh).  That sign costs no exp and does not underflow where c does.
+    At t = 0 (s = 0, so sinhc = cosh = 1) and at xi = 0 (disc >= 0: sinhc, cosh > 0) it is False, as is
+    d|c|/dt > 0; so is it on a clipped lane, overdamped, where c > 0 falls."""
+    _, sinhc, cosh, kt4 = _lane_terms(kappa, disc, pos, t)
+    return sinhc * (kt4 * sinhc + cosh) < 0
+
+
+def _increasing(xi, kappa, t, owner=None) -> np.ndarray:
+    """Where d|c|/dt is positive, the trace distance grows: :func:`_increasing_lanes` over the lanes
+    of :func:`_kernel`, which takes the same arguments.  It equals ``_abs_derivative(...) > 0`` lane
+    for lane wherever neither c nor dc/dt underflows to 0."""
+    arr, k, _, disc, pos = _gathered(xi, kappa, t, owner)
+    return _increasing_lanes(k, disc, pos, arr)
 
 
 def _abs_derivative_windows(xi: float, kappas: np.ndarray, grid: TimeGrid, lanes: int):

@@ -115,9 +115,11 @@ def test_criteria_agreement_scans_in_batches(monkeypatch):
     # one point at a time, markovianity made 6,600 kernel passes here (5,800
     # detection, 400 edge and 400 witness); batched it makes about 80
     passes = []
-    kernel = analytic._kernel
-    for module in (analytic, markovianity):  # the scan's signal is analytic's, the witness and the edges markovianity's
-        monkeypatch.setattr(module, "_kernel", lambda xi, kappa, t, *owner: passes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+    kernel, sign = analytic._kernel, analytic._increasing_lanes
+    # the scan's sign is analytic's, the bisection's, the witness and the edges markovianity's
+    monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t, *owner: passes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+    for module in (analytic, markovianity):
+        monkeypatch.setattr(module, "_increasing_lanes", lambda kappa, disc, pos, t: passes.append(np.size(t)) or sign(kappa, disc, pos, t))
     assert acceptance._check_criteria_agreement().passed
     assert len(passes) <= 100
     assert max(passes) <= markovianity._SLICE_POINTS
@@ -239,18 +241,26 @@ def test_verify_calls_eigvalsh_once(monkeypatch):
 
 
 def test_verify_kernel_calls(monkeypatch):
-    # every module that binds the kernel counts into one list: 261 calls per run when each check
-    # read its points one by one, 125 with the array passes, for the same 492,311 lanes
+    # every module that binds the kernel or the detector's increase sign counts into one list: 261
+    # calls per run when each check read its points one by one, 125 with the array passes, for the
+    # same 492,311 lanes
     calls = []
-    kernel = analytic._kernel
+    kernel, sign = analytic._kernel, analytic._increasing_lanes
 
     def counted(*args):  # the lanes each call evaluates
         c, dc = kernel(*args)
         calls.append(c.size)
         return c, dc
 
+    def counted_sign(*args):
+        rising = sign(*args)
+        calls.append(rising.size)
+        return rising
+
     for module in (analytic, markovianity, oracles):
         monkeypatch.setattr(module, "_kernel", counted)
+    for module in (analytic, markovianity):
+        monkeypatch.setattr(module, "_increasing_lanes", counted_sign)
     assert all(r.passed for r in run_acceptance())
     assert len(calls) <= 125
     assert sum(calls) == 492_311

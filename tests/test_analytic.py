@@ -10,6 +10,8 @@ from qubitbath.analytic import (
     MAX_TIME,
     REGIME_TOL,
     Regime,
+    _abs_derivative,
+    _increasing,
     _kernel,
     abs_coherence_derivative,
     bath_correlation,
@@ -330,6 +332,53 @@ class TestPerPointKernel:
         # both lanes over their limits: the first lane's is named, though the second's is smaller
         with pytest.raises(ValidationError, match=r"time must be <= 1e\+150:"):
             _kernel(xi, np.zeros(2), np.array([1e151, 1e140]), np.array([1, 0]))
+
+
+class TestIncreaseSign:
+    """The detector's envelope-free sign against the value route's d|c|/dt > 0."""
+
+    @staticmethod
+    def same_where_resolved(xi, kappa, t, owner=None):
+        """_increasing equals _abs_derivative > 0 on every lane where neither c nor dc is 0, and is False
+        where t = 0 or xi = 0; returns the sign and the mask of resolved lanes."""
+        c, dc = _kernel(xi, kappa, t, owner)
+        rising = _increasing(xi, kappa, t, owner)
+        resolved = (c != 0) & (dc != 0)
+        assert rising.shape == c.shape
+        assert np.array_equal(rising[resolved], (_abs_derivative(xi, kappa, t, owner) > 0)[resolved])
+        lane_xi = np.broadcast_to(xi if owner is None else xi[owner], c.shape)
+        assert not rising[(np.broadcast_to(t, c.shape) == 0) | (lane_xi == 0)].any()
+        return rising, resolved
+
+    @given(ragged_batch())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_value_route_on_ragged_batches(self, batch):
+        self.same_where_resolved(*batch)
+
+    def test_every_branch_in_one_batch(self):
+        # underdamped, critical, overdamped and xi = 0 points in one mixed-regime batch; per point the
+        # times 0, one in the series band (|s| < 1e-6), a spread over several periods and, overdamped,
+        # past the _BIG_S clip
+        xi = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+        kappa = np.array([4.0, 8.0, 12.0, 2.0, 0.0])
+        times = np.concatenate([[0.0, 1e-4], np.linspace(0.05, 40.0, 400)])
+        disc = kappa**2 - 64.0 * xi**2
+        assert (disc[None, :] * (times[:, None] / 4.0) ** 2 > _BIG_S).any()
+        assert (np.abs(disc[None, :]) * (1e-4 / 4.0) ** 2 < 1e-6).all()
+        for args in ((xi[:, None], kappa[:, None], times),  # points broadcast against times
+                     (xi, kappa, np.tile(times, 5), np.repeat(np.arange(5), times.size))):  # read by index
+            rising, resolved = self.same_where_resolved(*args)
+            assert rising.any() and resolved.sum() == 4 * (times.size - 1)  # all but t = 0 and xi = 0
+
+    def test_windows_past_the_underflow_of_c(self):
+        # c and dc/dt are exactly 0 here, so sign(c) * dc/dt is 0; the sign still rises in every window
+        params = ModelParams(1.0, 4.0)
+        windows = increase_intervals(params, 1102)[500:]
+        inside, outside = windows.mean(axis=1), windows[:, 1] + 0.5
+        assert np.all(coherence_factor(params, inside) == 0.0)
+        assert np.all(abs_coherence_derivative(params, inside) == 0.0)
+        assert _increasing(params.xi, params.kappa, inside).all()
+        assert not _increasing(params.xi, params.kappa, outside).any()
 
 
 def mp_coherence_with_derivative(xi, kappa, t):

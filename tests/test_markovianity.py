@@ -384,6 +384,17 @@ class TestIncreaseDetection:
         assert detected.shape == (1263, 2)
         assert np.abs(detected - increase_intervals(params, 1263)).max() <= 1e-8
 
+    def test_windows_found_past_the_underflow_of_c(self):
+        # c underflows to 0 from t ~ 745, where a detector reading sign(c) * dc/dt stopped at 411
+        # windows; the envelope-free sign finds every window up to the horizon
+        params = ModelParams(1.0, 4.0)
+        result = blp_numeric(params, horizon=2000.0, n_pairs=0)
+        predicted = increase_intervals(params, 1103)
+        assert predicted[-2, 1] < 2000.0 < predicted[-1, 0]  # 1,102 windows close before the horizon
+        assert coherence_factor(params, 800.0) == 0.0
+        assert result.segments.shape == (1102, 2)
+        assert np.abs(result.segments - predicted[:-1]).max() <= 1e-9
+
     @given(st.floats(0.25, 4.0), st.floats(0.05, 0.95))
     @settings(max_examples=50)
     def test_three_windows_match_closed_form(self, xi, fraction):
@@ -431,8 +442,8 @@ class TestRefineCrossing:
         near = increase_intervals(params, 1)[0, 0]
         far = _far_zero(params, 9e5)
         sizes = []
-        kernel = analytic._kernel
-        monkeypatch.setattr(analytic, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
+        sign = markovianity._increasing_lanes  # the bisection's one call per halving
+        monkeypatch.setattr(markovianity, "_increasing_lanes", lambda kappa, disc, pos, t: sizes.append(t.size) or sign(kappa, disc, pos, t))
 
         def refine_counted(lo, hi):
             sizes.clear()
@@ -448,6 +459,32 @@ class TestRefineCrossing:
         assert both_sizes == [2] * len(far_sizes) + [1] * (len(near_sizes) - len(far_sizes))
         assert t_near == pytest.approx(near, abs=1e-9)
         assert t_far == pytest.approx(far, abs=1e-6)
+
+
+    def test_halvings_stay_inside_their_scanned_brackets(self, monkeypatch):
+        # every midpoint lies inside a bracket whose ends the scan checked, so a halving checks no time
+        brackets, halvings, checks = [], [], []
+        bisect, check = markovianity._bisect, analytic._check_times
+
+        def spied(lo, hi, width, upper):
+            def counted(active, mid):
+                checked = len(checks)
+                up = upper(active, mid)
+                halvings.append((active, mid, len(checks) - checked))
+                return up
+
+            brackets.append((np.array(lo), np.array(hi)))
+            return bisect(lo, hi, width, counted)
+
+        monkeypatch.setattr(markovianity, "_bisect", spied)
+        monkeypatch.setattr(analytic, "_check_times", lambda *args: checks.append(args) or check(*args))
+        points = [ModelParams(1.0, float(kappa)) for kappa in np.linspace(0.0, 8.0, 17)] + [ModelParams(1.0, 4.0)]
+        markovianity._detect_many(points, [30.0] * 17 + [2000.0])
+        ((lo, hi),) = brackets
+        assert len(lo) > 1102 and len(halvings) > 20
+        for active, mid, checked in halvings:
+            assert checked == 0
+            assert np.all((lo[active] < mid) & (mid < hi[active]))
 
 
 class TestBlpNumeric:
@@ -505,10 +542,10 @@ class TestBlpNumeric:
             shapes.append(np.shape(t))
             return kernel(xi, kappa, t, *owner)
 
-        for module in (analytic, markovianity):  # the detector's signal is analytic's, the edges markovianity's
+        for module in (analytic, markovianity):  # the edges are markovianity's; the detector reads the increase sign
             monkeypatch.setattr(module, "_kernel", counted)
         result = blp_numeric(ModelParams(1.0, 4.0), n_pairs=16)
-        # the detector's calls read 1-d grids and midpoints; c at both edges of every window is one call
+        # c at both edges of every window is one call
         assert [s for s in shapes if len(s) != 1] == [(len(result.segments), 2)]
 
     def test_segments_are_the_read_only_detector_array(self):
@@ -624,20 +661,19 @@ class TestBatchedScans:
         points = [ModelParams(1.0, kappa) for kappa in (1.0, 2.0, 4.0, 6.0)]
         horizons = [30.0] * 4
         sizes = []
-        kernel = analytic._kernel
-        monkeypatch.setattr(analytic, "_kernel", lambda xi, kappa, t, *owner: sizes.append(t.size) or kernel(xi, kappa, t, *owner))
+        sign = analytic._increasing_lanes  # the scan's one call per slice
+        monkeypatch.setattr(analytic, "_increasing_lanes", lambda kappa, disc, pos, t: sizes.append(t.size) or sign(kappa, disc, pos, t))
         self.same_detection(points, horizons)
         assert sizes[:2] == [6002, 6002]  # the two slice scans of the batched call
 
     def test_leading_fall_is_dropped(self, monkeypatch):
-        # the real signal is 0 at t = 0; a stand-in kernel whose signal is
+        # the real signal is 0 at t = 0; a stand-in sign whose signal is
         # cos(xi*t) starts positive, so the first sign change is a fall
-        def cosine(xi, kappa, t, owner=None):
-            if owner is not None:  # the per-point parameters, read lane by lane
-                xi, kappa = xi[owner], kappa[owner]
-            return np.ones(np.shape(t)), np.cos(np.multiply(xi, t)) + 0.0 * kappa
+        def cosine(kappa, disc, pos, t):  # each lane's xi from its kappa and disc = kappa**2 - 64*xi**2
+            return np.cos(np.sqrt((kappa * kappa - disc) / 64.0) * t) > 0
 
-        monkeypatch.setattr(analytic, "_kernel", cosine)
+        for module in (analytic, markovianity):  # the scan's sign is analytic's, the bisection's markovianity's
+            monkeypatch.setattr(module, "_increasing_lanes", cosine)
         points = [ModelParams(1.0, 12.0), ModelParams(2.0, 20.0)]
         batched = self.same_detection(points, [10.0, 10.0])
         assert batched[0][0, 0] == pytest.approx(1.5 * math.pi, abs=1e-9)
@@ -764,8 +800,8 @@ class TestWindowedScan:
 
     def test_every_scan_call_reads_at_most_one_window(self, monkeypatch):
         # the 12,001-point grid was read in one kernel call, and so was the 550,001-point one below
-        lanes, kernel = [], analytic._kernel
-        monkeypatch.setattr(analytic, "_kernel", lambda xi, kappa, t, *owner: lanes.append(np.size(t)) or kernel(xi, kappa, t, *owner))
+        lanes, sign = [], analytic._increasing_lanes
+        monkeypatch.setattr(analytic, "_increasing_lanes", lambda kappa, disc, pos, t: lanes.append(np.size(t)) or sign(kappa, disc, pos, t))
         monkeypatch.setattr(markovianity, "_refine_crossings", lambda xi, kappa, owner, lo, hi, rising: lo)
         points, horizons = [ModelParams(1.0, 3.0), ModelParams(0.5, 1.0), ModelParams(1.0, 0.01)], [20.0, 120.0, 5500.0]
         markovianity._detect_many(points, horizons)

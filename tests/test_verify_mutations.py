@@ -84,6 +84,18 @@ MUTATIONS = {
         "[1, 0, 0, -1.5, x0,",
         {"conservation": "min eig -1.25e-01 (>=-1e-10)"},
     ),
+    # the detector's increase sign flipped: it finds the windows where the trace distance falls, so the
+    # numeric measure sums decreases and disagrees with the closed form and the other two criteria;
+    # contour_sign_structure reads the value route, d|c|/dt itself, and stays green
+    "increase-sign-flipped": (
+        "analytic.py",
+        "return sinhc * (kt4 * sinhc + cosh) < 0",
+        "return sinhc * (kt4 * sinhc + cosh) > 0",
+        {
+            "blp_closed_form": "max |numeric - analytic| = 8.004e-01",
+            "criteria_agreement": "200 disagreements, first: (0.25, 0.0, 'rate=False cp=False blp=True')",
+        },
+    ),
     # the closed-form Choi minimum halved: the generic Choi operator of the worst interval disagrees
     "choi-minimum-halved": (
         "markovianity.py",
