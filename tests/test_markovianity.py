@@ -460,7 +460,6 @@ class TestRefineCrossing:
         assert t_near == pytest.approx(near, abs=1e-9)
         assert t_far == pytest.approx(far, abs=1e-6)
 
-
     def test_halvings_stay_inside_their_scanned_brackets(self, monkeypatch):
         # every midpoint lies inside a bracket whose ends the scan checked, so a halving checks no time
         brackets, halvings, checks = [], [], []
