@@ -23,17 +23,15 @@ rows that ``contour`` writes, by the one route of d|c|/dt in analytic, and
 smallest eigenvalue in closed form: the eight diagonal and anti-diagonal
 Pauli terms make two 2x2 blocks (an X state), and Weyl's inequality bounds
 what the other eight can add.  One run calls ``np.linalg.eigvalsh`` once,
-for the generic Choi operators of ``criteria_agreement`` (41 times when
-``conservation`` took its minima from 40 stacks of 256 density matrices),
-and builds no (n, 4, 4) density matrix.  One run makes 125 kernel calls
-for 492,311 lanes (261 when each check read its points one by one).  The
-kernel's per-point terms are computed once per point and read by the lanes:
-``np.float_power`` squares 16,329 values in one run (527,319 when every
-lane squared its own xi and kappa).  The criteria grid decides each point's
-regime once and reads its horizons in array passes; one run decides a
-regime 1,307 times (2,892 before), 862 of them in
-``has_information_backflow`` and ``blp_tail_bound``, once per call.  The
-five oracle trajectories are freed after the two checks that read them.
+for the generic Choi operators of ``criteria_agreement``, and builds no
+(n, 4, 4) density matrix.  One run makes 37 ``_kernel`` calls (228,721
+lanes) and 88 increase-sign calls (263,590 lanes); ``np.float_power``
+squares 5,721 values, as the kernel's terms are computed once per point.
+The batched witness and measure each decide their points' regimes once a
+call; one run decides 2,107, 862 of them in ``has_information_backflow``
+and ``blp_tail_bound``.  The tests pin these as bounds: at most 125 calls
+of the two for exactly 492,311 lanes, 5,721 squares and 2,107 regimes.
+The five oracle trajectories are freed after the two checks that read them.
 """
 
 from __future__ import annotations
@@ -312,15 +310,15 @@ def _check_criteria_agreement() -> tuple[bool, str]:
     xis = np.linspace(0.25, 2.0, 20)
     fractions = np.linspace(0.0, 1.9, 20)
     points = [ModelParams(xi, f * 8.0 * xi) for xi in xis.tolist() for f in fractions.tolist()]
-    underdamped = _underdamped(points)  # each point's regime, decided once
-    witnesses = _witness_many(points, underdamped)
+    witnesses = _witness_many(points)
     keep = [k for k, w in enumerate(witnesses) if w.verdict is not DivisibilityVerdict.INCONCLUSIVE]
-    conclusive, under = [points[k] for k in keep], underdamped[keep]
+    conclusive = [points[k] for k in keep]
+    under = _underdamped(conclusive)
     # the first window decides; the regime, not the rate verdict under test, says so
     xi, kappa = _parameters(conclusive)
     ends = iter(_first_window_ends(xi[under], kappa[under]).tolist())
     horizons = [1.25 * next(ends) if u else None for u in under.tolist()]
-    blp = iter(_blp_many(conclusive, horizons, n_pairs=0, seed=0, underdamped=under))
+    blp = iter(_blp_many(conclusive, horizons, n_pairs=0, seed=0))
     # the closed-form Choi minima against the generic Choi operators of the worst intervals'
     # maps: one kernel pass builds the maps, one eigvalsh over the stack gives the minima
     maps = _intermediate_maps(conclusive, [witnesses[k].worst_interval for k in keep])

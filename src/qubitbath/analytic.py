@@ -247,20 +247,17 @@ def _increasing(xi, kappa, t, owner=None) -> np.ndarray:
 def _abs_derivative_windows(xi: float, kappas: np.ndarray, grid: TimeGrid, lanes: int):
     """d|c|/dt of the rows (xi, kappas[k]) at the times k * grid.step, one kernel call per window: the
     whole rows that fit in ``lanes`` lanes, or a piece of a longer row.  Yields each window's kappas,
-    times and (rows, times) values.  A row refused by ModelParams is named after the rows before it in
-    its window, and a time refusal names the first lane over its limit: the first refused row's error."""
+    times and (rows, times) values.  ``kappas`` ascend, and every refusal is decided before the first
+    window at their two ends, smaller first: for kappa >= 0 disc = kappa**2 - 64*xi**2 rises with kappa,
+    so the rate bound and the tightest time limit (the largest |disc|) are both reached at an end."""
+    last = grid.step * (grid.num - 1)
+    for kappa in (kappas[0], kappas[-1]):
+        _check_times(last, ModelParams(xi, float(kappa)).discriminant)
     rows = max(lanes // grid.num, 1)
     for first in range(0, len(kappas), rows):
         window = kappas[first:first + rows]
         for begin in range(0, grid.num, lanes):
             times = grid.step * np.arange(begin, min(begin + lanes, grid.num))
-            for n, kappa in enumerate(window.tolist()):
-                try:
-                    ModelParams(xi, kappa)
-                except ValidationError:
-                    if n:  # the rows before it, where one refused for its time is named first
-                        _kernel(xi, window[:n, None], times)
-                    raise
             yield window, times, _abs_derivative(xi, window[:, None], times)
 
 
@@ -298,8 +295,8 @@ def increase_intervals(params: ModelParams, n_max: int) -> np.ndarray:
 def _first_window_ends(xi, kappa) -> np.ndarray:
     """The t_hi = 4*pi/r of the first increase window of every underdamped point (``xi``, ``kappa``
     arrays), in one array pass with the operations of :func:`increase_intervals` in their order,
-    so each is ``increase_intervals(params, 1)[0, 1]`` bit for bit."""
-    return (4.0 * math.pi) / np.sqrt(-(np.float_power(kappa, 2.0) - 64.0 * np.float_power(xi, 2.0)))
+    so each is ``increase_intervals(params, 1)[0, 1]`` bit for bit; disc is :func:`_point_terms`'."""
+    return (4.0 * math.pi) / np.sqrt(-_point_terms(xi, kappa)[1])
 
 
 def blp_analytic(params: ModelParams) -> float:

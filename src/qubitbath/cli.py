@@ -38,18 +38,17 @@ propagates in steps of --dt itself.  They write at most :data:`MAX_ROWS` rows
 validation error, as are more than :data:`MAX_ROWS` ``blp`` kappa steps
 and any step count in the ``lo:hi`` of ``threshold --kappa-range``.
 
-``evolve`` and ``contour`` hold no table: each block of rows is computed
-once the block before it is written, so a refusal can come after rows
-are out.  ``evolve`` checks each block of 8,192 rows against the closed
-form and, once one is refused, still propagates the rest, so that the
-error names the largest gap of the whole trajectory; ``contour`` reads
-d|c|/dt by its one route (analytic's window loop) and refuses a kappa row
-in the window that holds it.  A refused run leaves no --out file, and an
-existing one as it was.  On standard output nothing is
-printed unless the first block passes; a later refusal leaves printed the
-head and the rows before the refused block (evolve's before its first
-refused block, contour's before the refused row's window), in full or in
-part, as the output buffer flushed them.
+``evolve`` and ``contour`` refuse every input before their first row:
+``evolve`` checks the closed form's time limit at its last time before it
+propagates, ``contour`` the rates and time limits of its two kappa ends
+before the window loop that reads d|c|/dt (analytic's one route).  Neither
+holds a table: each block of rows is computed once the block before it is
+written.  So the one refusal that can follow written rows is evolve's
+numeric one (exit 2), which still propagates the rest once a block is
+refused, so that the error names the largest gap of the whole trajectory.
+A refused run leaves no --out file, and an existing one as it was.  On
+standard output it leaves printed the head and the blocks before the first
+refused one, in full or in part, as the output buffer flushed them.
 
 Exit codes: 0 success, 1 validation or I/O error, 2 numeric failure,
 3 acceptance failure.
@@ -67,7 +66,7 @@ import sys
 
 import numpy as np
 
-from .analytic import ORACLE_TOL, _abs_derivative_windows, blp_analytic, coherence_factor
+from .analytic import ORACLE_TOL, _abs_derivative_windows, _check_times, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
 from .markovianity import _blp_many, threshold_scan
@@ -538,9 +537,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.kappa is None:
         raise ValidationError("evolve requires --kappa")
     params = ModelParams(args.xi, args.kappa)
-    gen = build_generator(params)
     grid = _time_axis(args.t_max, args.dt)
-    blocks = _evolve_blocks(params, gen, args.bloch, grid)
+    _check_times(grid.step * (grid.num - 1), params.discriminant)  # the closed form's limit, before any propagation
+    blocks = _evolve_blocks(params, build_generator(params), args.bloch, grid)
     write_records(args.out, args.format, EVOLVE_COLUMNS, _Table(grid.num, blocks))
     return EXIT_OK
 

@@ -23,8 +23,7 @@ carries its state and probe through it as two columns, and ``verify`` its
 oracle trajectories and the cooled bath qubit's 4x4 generator.  The
 adaptive Dormand-Prince 5(4) integrator and the exponential at each time
 that cross-check it live in :mod:`qubitbath.oracles`.  All functions here
-are pure; generators are frozen after construction and safe to share
-between workers.
+are pure; generators are read-only after construction.
 """
 
 from __future__ import annotations

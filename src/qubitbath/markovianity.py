@@ -136,16 +136,15 @@ def _witness_horizons(xi, kappa, underdamped) -> np.ndarray:
     return horizons
 
 
-def _witness_many(points, underdamped=None) -> list[DivisibilityWitness]:
+def _witness_many(points) -> list[DivisibilityWitness]:
     """:func:`cp_divisibility_witness` of every point: per slice of their 401-time grids, one kernel
     call and one array pass over the (points, 400) sub-interval ratios; only the dataclass is per point.
-    The regimes (``underdamped``, computed here where not given) and the horizons are read once per point.
+    The regimes and the horizons are read once per point.
 
     An invalid sub-interval reads -inf, below every |r|, so the first row maximum is the first
     largest valid ratio; a row without one keeps the infinite minimum and no worst interval."""
     xi, kappa = _parameters(points)
-    if underdamped is None:
-        underdamped = _underdamped(points)
+    underdamped = _underdamped(points)
     horizons = _witness_horizons(xi, kappa, underdamped)
     out, batch = [], _SLICE_POINTS // 401
     for start in range(0, len(points), batch):
@@ -366,18 +365,16 @@ class BlpResult:
     horizon: float
 
 
-def _blp_many(points, horizons, n_pairs: int, seed: int, underdamped=None) -> list[BlpResult]:
+def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
     """:func:`blp_numeric` of every (point, horizon) pair: one batched detection, one kernel call
     for the window edges of all points and one draw of the pairs.  A horizon of None is the
-    default of its point's regime (``underdamped``, computed here where not given).  The
-    optimal pair and each random pair are summed over the windows of every point in one array
-    pass: the points with w windows are the rows of one (points, w) array, and a row sum adds in
-    the order of ``np.sum`` over one point's windows (pairwise from 8 windows on), so each point
-    keeps the bits of its one-point call."""
+    default of its point's regime.  The optimal pair and each random pair are summed over the
+    windows of every point in one array pass: the points with w windows are the rows of one
+    (points, w) array, and a row sum adds in the order of ``np.sum`` over one point's windows
+    (pairwise from 8 windows on), so each point keeps the bits of its one-point call."""
     if not 0 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
-    if underdamped is None:
-        underdamped = _underdamped(points)
+    underdamped = _underdamped(points)
     xi, kappa = _parameters(points)
     witness = _witness_horizons(xi, kappa, underdamped).tolist()
     horizons = [h if h is not None else default_blp_horizon(p)[0] if under else w

@@ -156,6 +156,15 @@ class TestEvolve:
         assert [path.name for path in tmp_path.iterdir()] == ["old.csv"]  # no temporary file left either
         assert old.read_bytes() == b"t,x\n0,1\n"
 
+    def test_time_refusal_comes_before_any_propagation(self, capsys, monkeypatch):
+        # 200,001 rows, of which the last 100,000 lie above MAX_TIME: nothing is propagated or printed
+        propagated = []
+        monkeypatch.setattr(cli, "expm_trajectory", lambda *args: propagated.append(args))
+        assert cli.main(["evolve", "--kappa", "4", "--t-max", "2e150", "--dt", "1e145"]) == 1
+        error = "error: time must be <= 1e+150: MAX_TIME = 1e+150, less where disc*(t/4)**2 overflows\n"
+        assert capsys.readouterr() == ("", error)
+        assert propagated == []
+
     def test_refusal_on_stdout_leaves_the_blocks_before_it(self, capsys, monkeypatch):
         argv = ["evolve", "--kappa", "4", "--t-max", "40", "--dt", "0.002"]
         assert cli.main(argv) == 0
@@ -216,43 +225,43 @@ class TestContour:
         assert sum(lanes) == len(rows) and max(lanes) <= cli._CHUNK_ROWS
 
     @pytest.mark.parametrize(
-        "argv, limit",
+        "argv, error",
         [
-            # every row is refused, the later ones at lower time limits
-            (["--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"], "4e+94"),
-            # the second row is refused for its time before the third for its rate
-            (["--kappa-range", "0:2e75:3", "--t-max", "1e80", "--dt", "1e79"], "4e+79"),
+            # every row is refused for its time; the smaller end, checked first, has the highest limit
+            pytest.param(["--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"],
+                         "time must be <= 4e+94: MAX_TIME = 1e+150, less where disc*(t/4)**2 overflows",
+                         id="smaller-end-time"),
+            # the smaller end passes, and the larger is refused for its rate before its time (4e+79)
+            pytest.param(["--kappa-range", "0:2e75:3", "--t-max", "1e80", "--dt", "1e79"],
+                         "kappa and 8|xi| must be <= MAX_RATE = 1e+75", id="larger-end-rate"),
         ],
     )
-    def test_refusal_names_the_first_refused_row(self, argv, limit, capsys, tmp_path):
-        # the rows of one kernel call have their own time limits; the error is the first refused
-        # row's, as when each row was a call of its own
+    def test_refusal_names_the_first_refused_row(self, argv, error, capsys, tmp_path):
+        # only the two ends of the sweep are checked: |disc| and the rate are largest at one of them
         out = tmp_path / "c.csv"
         assert cli.main(["contour", *argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: time must be <= {limit}: MAX_TIME")
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, calls",
+        "argv",
         [
-            # every row of the one window is refused for its time
-            (["--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"], 1),
-            # the third row is refused for its rate, and the first two are evaluated: the second's time is named
-            (["--kappa-range", "0:2e75:3", "--t-max", "1e80", "--dt", "1e79"], 1),
-            # a window per row: the first is written, the second refused for its time
-            (["--kappa-range", "0:2e75:3", "--t-max", "5e79", "--dt", "1e76"], 2),
+            ["--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"],
+            ["--kappa-range", "0:2e75:3", "--t-max", "1e80", "--dt", "1e79"],
+            ["--kappa-range", "0:2e75:3", "--t-max", "5e79", "--dt", "1e76"],
         ],
     )
-    def test_refusal_runs_no_second_kernel_pass(self, argv, calls, monkeypatch, tmp_path):
+    def test_refused_contour_evaluates_no_window(self, argv, monkeypatch, tmp_path):
+        # every refusal is decided before the first window, by ModelParams and the time check alone
         made, kernel = [], analytic._kernel
         monkeypatch.setattr(analytic, "_kernel", lambda *args: made.append(args) or kernel(*args))
         assert cli.main(["contour", *argv, "--out", str(tmp_path / "c.csv")]) == 1
-        assert len(made) == calls
+        assert made == []
 
     def test_refusal_after_the_first_window_leaves_no_file(self, tmp_path, capsys):
-        # 5,001 times a row, so each kappa row is a window of its own: the first row is written
-        # before the second is refused for its time
-        argv = ["contour", "--kappa-range", "0:2e75:3", "--t-max", "5e79", "--dt", "1e76"]
+        # 5,001 times a row, so each kappa row is a window of its own; the first row passes and the
+        # last is refused for its time, before the first window is evaluated
+        argv = ["contour", "--kappa-range", "1e74:1e75:3", "--t-max", "5e79", "--dt", "1e76"]
         error = "error: time must be <= 4e+79: MAX_TIME = 1e+150, less where disc*(t/4)**2 overflows\n"
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         old.write_bytes(b"t,kappa\n0,1\n")
@@ -262,9 +271,7 @@ class TestContour:
         assert [path.name for path in tmp_path.iterdir()] == ["old.csv"]  # no temporary file left either
         assert old.read_bytes() == b"t,kappa\n0,1\n"
         assert cli.main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == error
-        assert captured.out.count("\n") <= 1 + 5_001  # the head and at most the first row's times
+        assert capsys.readouterr() == ("", error)
 
     def test_refusal_of_the_first_window_prints_nothing(self, capsys):
         assert cli.main(["contour", "--kappa-range", "1e60:4e60:4", "--t-max", "1e100", "--dt", "1e99"]) == 1
