@@ -16,21 +16,21 @@ the route ``evolve`` uses.
 
 The checks read their points as array passes, not one point at a time: the
 criteria grid's witnesses, scans and measures go through the batched routes
-of :mod:`qubitbath.markovianity`, ``blp_closed_form`` makes one batched call
-for its four rates, ``contour_sign_structure`` judges the windows of whole
-rows that ``contour`` writes, by the one route of d|c|/dt in analytic, and
-``conservation`` reads each state's
-smallest eigenvalue in closed form: the eight diagonal and anti-diagonal
-Pauli terms make two 2x2 blocks (an X state), and Weyl's inequality bounds
-what the other eight can add.  One run calls ``np.linalg.eigvalsh`` once,
-for the generic Choi operators of ``criteria_agreement``, and builds no
-(n, 4, 4) density matrix.  One run makes 37 ``_kernel`` calls (228,721
-lanes) and 88 increase-sign calls (263,590 lanes); ``np.float_power``
-squares 5,721 values, as the kernel's terms are computed once per point.
-The batched witness and measure each decide their points' regimes once a
-call; one run decides 2,107, 862 of them in ``has_information_backflow``
-and ``blp_tail_bound``.  The tests pin these as bounds: at most 125 calls
-of the two for exactly 492,311 lanes, 5,721 squares and 2,107 regimes.
+of :mod:`qubitbath.markovianity`, which read one point record per batch,
+``blp_closed_form`` makes one batched call for its four rates,
+``contour_sign_structure`` judges the windows of whole rows that ``contour``
+writes, by the one route of d|c|/dt in analytic, and ``conservation`` reads
+each state's smallest eigenvalue in closed form: the eight diagonal and
+anti-diagonal Pauli terms make two 2x2 blocks (an X state), and Weyl's
+inequality bounds what the other eight can add.  One run calls
+``np.linalg.eigvalsh`` once, for the generic Choi operators of
+``criteria_agreement``, and builds no (n, 4, 4) density matrix.  One run makes
+37 ``_kernel`` calls (228,721 lanes) and 88 increase-sign calls (263,590
+lanes); ``np.float_power`` squares 4,105 values.  It decides 1,307 regimes:
+405 in the records, once per point, and 902 in one-point calls: 405 in
+``blp_tail_bound``, 457 in ``has_information_backflow`` (400 rate verdicts,
+57 contour rows), 32 in ``increase_intervals`` (the underdamped contour rows)
+and 4 each in ``blp_analytic`` and ``default_blp_horizon``.  The tests pin these.
 The five oracle trajectories are freed after the two checks that read them.
 """
 
@@ -47,7 +47,6 @@ from .analytic import (
     BLP_REL_TAIL,
     ORACLE_TOL,
     _abs_derivative_windows,
-    _first_window_ends,
     bath_correlation,
     blp_analytic,
     coherence_factor,
@@ -59,8 +58,7 @@ from .markovianity import (
     _SLICE_POINTS,
     DivisibilityVerdict,
     _blp_many,
-    _parameters,
-    _underdamped,
+    _points,
     _witness_many,
     blp_numeric,
     threshold_scan,
@@ -289,9 +287,9 @@ def _check_threshold_reproduction(tol: float) -> tuple[bool, str]:
 def _check_blp_closed_form(gap_tol: float, seed: int) -> tuple[bool, str]:
     worst_gap = 0.0
     kappas = (2.0, 4.0, 6.0, 7.5)
-    points = [ModelParams(1.0, kappa) for kappa in kappas]
+    points = _points(ModelParams(1.0, kappa) for kappa in kappas)
     # one batched call: the 8 pairs depend only on the seed and the pair count, as in one call per kappa
-    for kappa, params, result in zip(kappas, points, _blp_many(points, [None] * len(points), 8, seed)):
+    for kappa, params, result in zip(kappas, points.params, _blp_many(points, [None] * len(points), 8, seed)):
         analytic = blp_analytic(params)
         gap = abs(result.value - analytic)
         if result.tail_bound > BLP_REL_TAIL * analytic * 1.001:
@@ -309,22 +307,20 @@ def _check_blp_closed_form(gap_tol: float, seed: int) -> tuple[bool, str]:
 def _check_criteria_agreement() -> tuple[bool, str]:
     xis = np.linspace(0.25, 2.0, 20)
     fractions = np.linspace(0.0, 1.9, 20)
-    points = [ModelParams(xi, f * 8.0 * xi) for xi in xis.tolist() for f in fractions.tolist()]
+    points = _points(ModelParams(xi, f * 8.0 * xi) for xi in xis.tolist() for f in fractions.tolist())
     witnesses = _witness_many(points)
     keep = [k for k, w in enumerate(witnesses) if w.verdict is not DivisibilityVerdict.INCONCLUSIVE]
-    conclusive = [points[k] for k in keep]
-    under = _underdamped(conclusive)
+    conclusive = points.take(keep)
     # the first window decides; the regime, not the rate verdict under test, says so
-    xi, kappa = _parameters(conclusive)
-    ends = iter(_first_window_ends(xi[under], kappa[under]).tolist())
-    horizons = [1.25 * next(ends) if u else None for u in under.tolist()]
+    horizons = [1.25 * end if u else None for u, end in zip(conclusive.under.tolist(), conclusive.ends.tolist())]
     blp = iter(_blp_many(conclusive, horizons, n_pairs=0, seed=0))
     # the closed-form Choi minima against the generic Choi operators of the worst intervals'
     # maps: one kernel pass builds the maps, one eigvalsh over the stack gives the minima
-    maps = _intermediate_maps(conclusive, [witnesses[k].worst_interval for k in keep])
+    maps = _intermediate_maps(conclusive.params, [witnesses[k].worst_interval for k in keep])
     generic = iter(choi_min_eigenvalue(maps).tolist())
-    disagreements = []
-    for params, witness in zip(points, witnesses):
+    disagreements, judged = [], 0
+    for params, witness in zip(points.params, witnesses):
+        judged += 1
         markov_rate = not has_information_backflow(params)
         if witness.verdict is DivisibilityVerdict.INCONCLUSIVE:
             disagreements.append((params.xi, params.kappa, "inconclusive witness"))
@@ -336,13 +332,11 @@ def _check_criteria_agreement() -> tuple[bool, str]:
         markov_blp = next(blp).value < 1e-6
         if not markov_rate == markov_cp == markov_blp:
             disagreements.append((params.xi, params.kappa, f"rate={markov_rate} cp={markov_cp} blp={markov_blp}"))
-    ok = not disagreements
-    detail = (
-        "all three criteria agree on the 20x20 grid"
-        if ok
-        else f"{len(disagreements)} disagreements, first: {disagreements[0]}"
-    )
-    return ok, detail
+    if judged != len(points):  # a short witness list would end the loop early and judge too few
+        return False, f"judged {judged} of the {len(points)} grid points"
+    if disagreements:
+        return False, f"{len(disagreements)} disagreements, first: {disagreements[0]}"
+    return True, "all three criteria agree on the 20x20 grid"
 
 
 @_timed(budget=1.0)
@@ -361,11 +355,12 @@ def _check_bath_correlation() -> tuple[bool, str]:
 
 @_timed(budget=10.0)
 def _check_contour_sign_structure() -> tuple[bool, str]:
-    xi, problems = 1.0, []
+    xi, problems, judged = 1.0, [], 0
     # the windows contour writes, each of whole rows of the 1,001 times k * 0.01
     windows = _abs_derivative_windows(xi, np.linspace(0.0, 14.0, 57), TimeGrid(0.01, 1001), _SLICE_POINTS)
     for kappas, times, rows in windows:
         for kappa, values in zip(kappas.tolist(), rows):
+            judged += 1
             params = ModelParams(xi, kappa)
             if not has_information_backflow(params):
                 if values.max() > 1e-12:
@@ -377,9 +372,9 @@ def _check_contour_sign_structure() -> tuple[bool, str]:
                 inside = (times > t_lo) & (times < t_hi)
                 if not np.any(values[inside] > 0.0):
                     problems.append(f"kappa={kappa:g}: no positive value in window {n}")
-    ok = not problems
-    detail = "sign structure matches on all 57 rows" if ok else problems[0]
-    return ok, detail
+    if judged != 57:  # windows that yield too few rows judge too few
+        return False, f"judged {judged} of the 57 rows"
+    return not problems, problems[0] if problems else "sign structure matches on all 57 rows"
 
 
 @_timed(budget=1.0)

@@ -29,7 +29,8 @@ or sin and cos, the envelope, c and dc are computed per lane.
 :func:`classify_regime` is the one place the regime is decided, with a
 band relative to kappa**2 and 64*xi**2 alone, so every verdict depends on
 kappa/|xi| only; the backflow predicate, the measure, its tail bound and
-the horizons all read it.
+the horizons all read it.  The batched routes of markovianity read each
+point's regime from their record of the batch, which decides it once.
 
 Everything in this module is a pure function; scalar time arguments give
 scalars, arrays give arrays.
@@ -290,13 +291,6 @@ def increase_intervals(params: ModelParams, n_max: int) -> np.ndarray:
     delta = 4.0 * math.atan2(r, params.kappa) / r
     t_hi = np.arange(1, n_max + 1) * (4.0 * math.pi / r)
     return np.column_stack((t_hi - delta, t_hi))
-
-
-def _first_window_ends(xi, kappa) -> np.ndarray:
-    """The t_hi = 4*pi/r of the first increase window of every underdamped point (``xi``, ``kappa``
-    arrays), in one array pass with the operations of :func:`increase_intervals` in their order,
-    so each is ``increase_intervals(params, 1)[0, 1]`` bit for bit; disc is :func:`_point_terms`'."""
-    return (4.0 * math.pi) / np.sqrt(-_point_terms(xi, kappa)[1])
 
 
 def blp_analytic(params: ModelParams) -> float:

@@ -69,7 +69,7 @@ import numpy as np
 from .analytic import ORACLE_TOL, _abs_derivative_windows, _check_times, blp_analytic, coherence_factor
 from .errors import NumericsError, ValidationError
 from .lindblad import MAX_RATE, ModelParams, TimeGrid, build_generator, expm_trajectory
-from .markovianity import _blp_many, threshold_scan
+from .markovianity import _blp_many, _points, threshold_scan
 from .operator_space import initial_joint_vector
 
 __all__ = ["SUBCOMMANDS", "build_parser", "main", "entry"]
@@ -570,7 +570,7 @@ def cmd_blp(args: argparse.Namespace) -> int:
     # the measure diverges where analytic is inf: those rows report the sentinel, not a horizon artifact;
     # --t-max 0 (the default) leaves the horizon to blp_numeric
     finite = [params for params, value in zip(points, analytic) if value != math.inf]
-    results = iter(_blp_many(finite, [args.t_max or None] * len(finite), args.pairs, args.seed))
+    results = iter(_blp_many(_points(finite), [args.t_max or None] * len(finite), args.pairs, args.seed))
     rows = []
     for params, value in zip(points, analytic):
         if value == math.inf:

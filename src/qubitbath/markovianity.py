@@ -29,14 +29,13 @@ discriminant kappa**2 - 64*xi**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .analytic import (
     Regime,
-    _first_window_ends,
     _increasing,
     _increasing_lanes,
     _kernel,
@@ -118,39 +117,57 @@ class DivisibilityWitness:
     horizon: float
 
 
-def _parameters(points) -> tuple[np.ndarray, np.ndarray]:
-    """The xi and the kappa of every point, as two 1-d arrays."""
-    return np.array([p.xi for p in points], dtype=float), np.array([p.kappa for p in points], dtype=float)
+@dataclass(frozen=True, eq=False)
+class _Points:
+    """A batch of points as the batched routes read it, each fact decided once per point: ``xi``,
+    ``kappa``, ``disc`` and its branch ``pos`` (``analytic._point_terms``); ``under``, the regime of
+    :func:`classify_regime`; ``ends``, the first increase window's end 4*pi/r where underdamped (nan
+    elsewhere), ``increase_intervals(params, 1)[0, 1]`` bit for bit; ``horizons``, the default witness
+    horizon: 1.5 * ends where underdamped, else 80/max(kappa, 8|xi|, 1).  Built by :func:`_points`."""
+
+    params: tuple[ModelParams, ...]
+    xi: np.ndarray
+    kappa: np.ndarray
+    disc: np.ndarray
+    pos: np.ndarray
+    under: np.ndarray
+    ends: np.ndarray
+    horizons: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def take(self, idx) -> _Points:
+        """The record of the points ``idx``, in that order: every field sliced, nothing decided again."""
+        idx = np.asarray(idx, dtype=int)
+        return _Points(tuple(self.params[k] for k in idx.tolist()), *(getattr(self, f.name)[idx] for f in fields(self)[1:]))
 
 
-def _underdamped(points) -> np.ndarray:
-    """Whether each point is underdamped: :func:`classify_regime`, once per point."""
-    return np.array([classify_regime(p) is Regime.UNDERDAMPED for p in points], dtype=bool)
+def _points(params) -> _Points:
+    """The record of the points ``params``, in array passes but for the regime, which
+    :func:`classify_regime` decides once per point."""
+    params = tuple(params)
+    xi, kappa = (np.array([getattr(p, name) for p in params], dtype=float) for name in ("xi", "kappa"))
+    _, disc, pos = _point_terms(xi, kappa)
+    under = np.array([classify_regime(p) is Regime.UNDERDAMPED for p in params], dtype=bool)
+    ends = np.full(len(params), math.nan)
+    ends[under] = (4.0 * math.pi) / np.sqrt(-disc[under])
+    horizons = np.where(under, 1.5 * ends, 80.0 / np.maximum(np.maximum(kappa, 8.0 * np.abs(xi)), 1.0))
+    return _Points(params, xi, kappa, disc, pos, under, ends, horizons)
 
 
-def _witness_horizons(xi, kappa, underdamped) -> np.ndarray:
-    """The default witness horizon of every point, in one array pass: 1.5 times the end of the first
-    increase window where ``underdamped``, else 80/max(kappa, 8|xi|, 1)."""
-    horizons = 80.0 / np.maximum(np.maximum(kappa, 8.0 * np.abs(xi)), 1.0)
-    horizons[underdamped] = 1.5 * _first_window_ends(xi[underdamped], kappa[underdamped])
-    return horizons
-
-
-def _witness_many(points) -> list[DivisibilityWitness]:
-    """:func:`cp_divisibility_witness` of every point: per slice of their 401-time grids, one kernel
-    call and one array pass over the (points, 400) sub-interval ratios; only the dataclass is per point.
-    The regimes and the horizons are read once per point.
+def _witness_many(points: _Points) -> list[DivisibilityWitness]:
+    """:func:`cp_divisibility_witness` of every point of the record: per slice of their 401-time grids,
+    one kernel call and one array pass over the (points, 400) sub-interval ratios; only the dataclass
+    is per point.  The regimes and the default horizons are the record's.
 
     An invalid sub-interval reads -inf, below every |r|, so the first row maximum is the first
     largest valid ratio; a row without one keeps the infinite minimum and no worst interval."""
-    xi, kappa = _parameters(points)
-    underdamped = _underdamped(points)
-    horizons = _witness_horizons(xi, kappa, underdamped)
     out, batch = [], _SLICE_POINTS // 401
     for start in range(0, len(points), batch):
         stop = start + batch
-        grids = np.linspace(0.0, horizons[start:stop], 401, axis=-1)
-        c = _kernel(xi[start:stop, None], kappa[start:stop, None], grids)[0]
+        grids = np.linspace(0.0, points.horizons[start:stop], 401, axis=-1)
+        c = _kernel(points.xi[start:stop, None], points.kappa[start:stop, None], grids)[0]
         resolved = np.abs(c) >= MAP_SINGULARITY_TOL
         valid = resolved[:, :-1] & resolved[:, 1:]
         ratios = np.full(valid.shape, -np.inf)
@@ -161,7 +178,7 @@ def _witness_many(points) -> list[DivisibilityWitness]:
         min_eigs = np.where(found, _choi_min_eigenvalue(ratios[rows, k]), math.inf).tolist()
         worst = [(lo, hi) if f else None for lo, hi, f in zip(grids[rows, k].tolist(), grids[rows, k + 1].tolist(), found)]
         for horizon, under, min_eig, interval, n_skipped in zip(
-            horizons[start:stop].tolist(), underdamped[start:stop].tolist(), min_eigs, worst, (~valid).sum(axis=1).tolist()
+            points.horizons[start:stop].tolist(), points.under[start:stop].tolist(), min_eigs, worst, (~valid).sum(axis=1).tolist()
         ):
             if min_eig < -CP_EIGENVALUE_TOL:
                 verdict = DivisibilityVerdict.NON_DIVISIBLE
@@ -189,7 +206,7 @@ def cp_divisibility_witness(params: ModelParams) -> DivisibilityWitness:
     the threshold |c| underflows before the first window), and DIVISIBLE
     elsewhere.
     """
-    return _witness_many([params])[0]
+    return _witness_many(_points([params]))[0]
 
 
 def _trace_distance(difference, c):
@@ -239,28 +256,26 @@ def _bisect(lo, hi, width, upper) -> np.ndarray:
         lo[active[~up]] = mid[~up]
 
 
-def _refine_crossings(xi, kappa, owner, lo, hi, rising) -> np.ndarray:
-    """Bisect the sign change bracketed by [lo[k], hi[k]] of point (xi[owner[k]], kappa[owner[k]]),
-    every k at once, to its point's width min(1e-10, 1e-9/|xi|); ``rising[k]`` says whether the
-    signal is positive at ``hi[k]``.  The width, computed as the equal 1e-9/max(|xi|, 10), and the
-    point terms are computed per point, and each bracket gathers its kappa, disc and branch once.
-    A halving evaluates only the increase sign at the midpoints (``analytic._increasing_lanes``):
-    each lies inside a bracket whose ends the scan has checked, so its time needs no check."""
-    width = (1e-9 / np.maximum(np.abs(xi), 10.0))[owner]
-    _, disc, pos = _point_terms(xi, kappa)
-    kappa, disc, pos = kappa[owner], disc[owner], pos[owner]
+def _refine_crossings(points: _Points, owner, lo, hi, rising) -> np.ndarray:
+    """Bisect the sign change bracketed by [lo[k], hi[k]] of point owner[k] of the record, every k at
+    once, to its point's width min(1e-10, 1e-9/|xi|), computed per point as the equal 1e-9/max(|xi|, 10);
+    ``rising[k]`` says whether the signal is positive at ``hi[k]``.  Each bracket gathers its point's
+    kappa, disc and branch from the record once.  A halving evaluates only the increase sign at the
+    midpoints (``analytic._increasing_lanes``): each lies inside a bracket whose ends the scan has
+    checked, so its time needs no check."""
+    width = (1e-9 / np.maximum(np.abs(points.xi), 10.0))[owner]
+    kappa, disc, pos = points.kappa[owner], points.disc[owner], points.pos[owner]
     return _bisect(lo, hi, width, lambda k, mid: _increasing_lanes(kappa[k], disc[k], pos[k], mid) == rising[k])
 
 
-def _detect_many(points, horizons) -> list[np.ndarray]:
-    """:func:`detect_increase_segments` of every (point, horizon) pair; all horizons are checked
-    before any grid is built, and one bisection refines the brackets of every point.  Each point's
-    grid step, kernel terms and bisection width are computed once, in array passes over the points.
-    The grids are laid end to end and read in windows of at most _SLICE_POINTS lanes: a window ends
-    at the last grid end that fits in it, and only a longer grid is split."""
-    xis, kappas = _parameters(points)
+def _detect_many(points: _Points, horizons) -> list[np.ndarray]:
+    """:func:`detect_increase_segments` of every point of the record with its horizon; all horizons are
+    checked before any grid is built, and one bisection refines the brackets of every point.  Each
+    point's grid step and bisection width are computed once, in array passes over the record's xi and
+    disc.  The grids are laid end to end and read in windows of at most _SLICE_POINTS lanes: a window
+    ends at the last grid end that fits in it, and only a longer grid is split."""
+    xis, kappas, disc = points.xi, points.kappa, points.disc
     h = np.array(horizons, dtype=float)
-    disc = _point_terms(xis, kappas)[1]
     oscillating = disc < 0  # 200 points per oscillation period, at most max(0.01, 0.0025/|xi|) apart
     step = np.maximum(0.01, np.divide(0.0025, np.abs(xis), out=np.zeros(len(points)), where=xis != 0))
     step[oscillating] = np.minimum(step[oscillating], (8.0 * math.pi) / np.sqrt(-disc[oscillating]) / 200.0)
@@ -300,8 +315,7 @@ def _detect_many(points, horizons) -> list[np.ndarray]:
         found.append((times[idx], times[idx + 1], positive[idx + 1], first + np.searchsorted(local[:-1], idx, "right")))
         lane, first, carry = stop, max(first, last), None if last > first else (times[-1], positive[-1])
     lo, hi, rising, owner = (np.concatenate(column) for column in zip(*found))
-    held = np.flatnonzero(np.bincount(owner, minlength=len(points)))  # the points that own a bracket
-    edges = _refine_crossings(xis[held], kappas[held], np.searchsorted(held, owner), lo, hi, rising)
+    edges = _refine_crossings(points, owner, lo, hi, rising)
     bounds = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
     out = []
     for horizon, first, last in zip(h.tolist(), bounds, bounds[1:]):
@@ -327,7 +341,7 @@ def detect_increase_segments(params: ModelParams, horizon: float) -> np.ndarray:
     to the horizon, also where c itself has underflowed to 0.  A grid of
     more than :data:`MAX_SCAN_POINTS` points is refused before any of it
     is built."""
-    return _detect_many([params], [horizon])[0]
+    return _detect_many(_points([params]), [horizon])[0]
 
 
 def _random_differences(seed: int, n: int) -> np.ndarray:
@@ -365,25 +379,22 @@ class BlpResult:
     horizon: float
 
 
-def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
-    """:func:`blp_numeric` of every (point, horizon) pair: one batched detection, one kernel call
-    for the window edges of all points and one draw of the pairs.  A horizon of None is the
-    default of its point's regime.  The optimal pair and each random pair are summed over the
-    windows of every point in one array pass: the points with w windows are the rows of one
+def _blp_many(points: _Points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
+    """:func:`blp_numeric` of every point of the record with its horizon: one batched detection, one
+    kernel call for the window edges of all points and one draw of the pairs.  A horizon of None is
+    the default of the regime the record holds.  The optimal pair and each random pair are summed
+    over the windows of every point in one array pass: the points with w windows are the rows of one
     (points, w) array, and a row sum adds in the order of ``np.sum`` over one point's windows
     (pairwise from 8 windows on), so each point keeps the bits of its one-point call."""
     if not 0 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must be between 0 and {MAX_PAIRS}, got {n_pairs}")
-    underdamped = _underdamped(points)
-    xi, kappa = _parameters(points)
-    witness = _witness_horizons(xi, kappa, underdamped).tolist()
     horizons = [h if h is not None else default_blp_horizon(p)[0] if under else w
-                for p, h, under, w in zip(points, horizons, underdamped.tolist(), witness)]
+                for p, h, under, w in zip(points.params, horizons, points.under.tolist(), points.horizons.tolist())]
     all_segments = _detect_many(points, horizons)
     counts = np.array([len(segments) for segments in all_segments], dtype=int)
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
     owner = np.repeat(np.arange(len(points)), counts)[:, None]
-    c_all = _kernel(xi, kappa, np.concatenate([np.empty((0, 2)), *all_segments]), owner)[0]
+    c_all = _kernel(points.xi, points.kappa, np.concatenate([np.empty((0, 2)), *all_segments]), owner)[0]
     starts = np.cumsum(counts) - counts
     rows = []  # for each count w > 0: the points with w windows and their (points, w) window indices
     for w in sorted(set(counts.tolist()) - {0}):  # np.unique of integers imports numpy.ma: 1.6 MB of peak RSS
@@ -403,7 +414,7 @@ def _blp_many(points, horizons, n_pairs: int, seed: int) -> list[BlpResult]:
     random_values = np.array([measures(_trace_distance(d, c_all)) for d in _random_differences(seed, n_pairs)])
     out = []
     for params, horizon, segments, best, randoms in zip(
-        points, horizons, all_segments, optimal, random_values.reshape(n_pairs, len(points)).T.tolist()
+        points.params, horizons, all_segments, optimal, random_values.reshape(n_pairs, len(points)).T.tolist()
     ):
         segments.flags.writeable = False
         randoms = tuple(randoms)
@@ -434,7 +445,7 @@ def blp_numeric(
     Where the measure diverges (kappa = 0) an explicit horizon is required
     and the tail bound is infinite.
     """
-    return _blp_many([params], [horizon], n_pairs, seed)[0]
+    return _blp_many(_points([params]), [horizon], n_pairs, seed)[0]
 
 
 def threshold_scan(

@@ -268,14 +268,35 @@ def test_verify_kernel_calls(monkeypatch):
 
 def test_verify_computes_point_terms_once_per_point(monkeypatch):
     # squares, discriminants and regimes per point, read by the lanes: when each lane computed its
-    # own, one run squared 527,319 values with float_power and decided the regime 2,892 times.  The
-    # batched witness and measure decide their points' regimes themselves, 800 of the 2,107
-    squared, decided = [], []
+    # own, one run squared 527,319 values with float_power and decided the regime 2,892 times.  When
+    # the batched witness and measure and the criteria check each decided their points' regimes, one
+    # run made 2,107 decisions and 5,721 squares; the point record decides each point once
+    squared, decided, recorded = [], [], []
     power, classify = np.float_power, analytic.classify_regime
     monkeypatch.setattr(np, "float_power", lambda x, *args: squared.append(np.size(x)) or power(x, *args))
     for module in list(sys.modules.values()):
         if module.__name__.startswith("qubitbath") and vars(module).get("classify_regime") is classify:
-            monkeypatch.setattr(module, "classify_regime", lambda p: decided.append(p) or classify(p))
+            counts = recorded if module is markovianity else decided
+            monkeypatch.setattr(module, "classify_regime", lambda p, counts=counts: counts.append(p) or classify(p))
     assert all(r.passed for r in run_acceptance())
-    assert sum(squared) <= 5_721
-    assert len(decided) <= 2_107
+    assert sum(squared) <= 4_105
+    assert len(decided) + len(recorded) <= 1_307
+    # the records of the criteria grid (400 points), blp_closed_form's four rates and its threshold point
+    assert len(recorded) == 405
+
+
+def test_criteria_agreement_fails_on_a_short_witness_list(monkeypatch):
+    # a witness list shorter than the grid ended the verdict loop early, and the check passed on 10 points
+    witness_many = acceptance._witness_many
+    monkeypatch.setattr(acceptance, "_witness_many", lambda points: witness_many(points)[:10])
+    result = acceptance._check_criteria_agreement()
+    assert not result.passed
+    assert result.detail == "judged 10 of the 400 grid points"
+
+
+def test_contour_sign_structure_fails_without_rows(monkeypatch):
+    # windows that yield nothing judged no row, and the check reported all 57
+    monkeypatch.setattr(acceptance, "_abs_derivative_windows", lambda *args: iter(()))
+    result = acceptance._check_contour_sign_structure()
+    assert not result.passed
+    assert result.detail == "judged 0 of the 57 rows"

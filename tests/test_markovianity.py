@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from qubitbath import analytic, markovianity
 from qubitbath.analytic import (
     Regime,
-    _first_window_ends,
     blp_analytic,
     blp_tail_bound,
     classify_regime,
@@ -23,6 +23,7 @@ from qubitbath.markovianity import (
     DivisibilityVerdict,
     QubitState,
     _choi_min_eigenvalue,
+    _points,
     _refine_crossings,
     blp_numeric,
     cp_divisibility_witness,
@@ -423,7 +424,7 @@ class TestRefineCrossing:
     @staticmethod
     def refine(params, lo, hi, rising):
         owner = np.zeros(len(lo), dtype=int)  # every bracket belongs to the one point
-        return _refine_crossings(np.array([params.xi]), np.array([params.kappa]), owner, np.array(lo), np.array(hi), np.array(rising))
+        return _refine_crossings(_points([params]), owner, np.array(lo), np.array(hi), np.array(rising))
 
     def test_terminates_below_ulp_resolution(self):
         (t,) = self.refine(ModelParams(1.0, 4.0), [900000.1], [900000.11], [True])
@@ -478,7 +479,7 @@ class TestRefineCrossing:
         monkeypatch.setattr(markovianity, "_bisect", spied)
         monkeypatch.setattr(analytic, "_check_times", lambda *args: checks.append(args) or check(*args))
         points = [ModelParams(1.0, float(kappa)) for kappa in np.linspace(0.0, 8.0, 17)] + [ModelParams(1.0, 4.0)]
-        markovianity._detect_many(points, [30.0] * 17 + [2000.0])
+        markovianity._detect_many(_points(points), [30.0] * 17 + [2000.0])
         ((lo, hi),) = brackets
         assert len(lo) > 1102 and len(halvings) > 20
         for active, mid, checked in halvings:
@@ -634,7 +635,7 @@ class TestBatchedScans:
 
     @staticmethod
     def same_detection(points, horizons):
-        batched = markovianity._detect_many(points, horizons)
+        batched = markovianity._detect_many(_points(points), horizons)
         single = [detect_increase_segments(p, h) for p, h in zip(points, horizons)]
         assert [s.shape for s in batched] == [s.shape for s in single]
         assert _hex(batched) == _hex(single)
@@ -684,7 +685,7 @@ class TestBatchedScans:
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match="over the limit"):
-                markovianity._detect_many(points, [10_000.0, 10_000.0, 1e6])
+                markovianity._detect_many(_points(points), [10_000.0, 10_000.0, 1e6])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -693,7 +694,7 @@ class TestBatchedScans:
     def test_blp_many_equals_blp_numeric_on_the_readme_sweep(self):
         points = [ModelParams(1.0, float(kappa)) for kappa in np.linspace(0.0, 8.0, 17)]
         horizons = [10.0] + [None] * 16  # kappa = 0 diverges and needs one
-        batched = markovianity._blp_many(points, horizons, 16, 0)
+        batched = markovianity._blp_many(_points(points), horizons, 16, 0)
         for params, horizon, result in zip(points, horizons, batched):
             single = blp_numeric(params, horizon=horizon, n_pairs=16, seed=0)
             for name in ("value", "tail_bound", "horizon"):
@@ -708,7 +709,7 @@ class TestBatchedScans:
         # and the ratio kappa/|xi| = 2 gives three points the same count, one row array
         points = [ModelParams(1.0, k) for k in (0.1, 0.3, 1.0, 2.0, 7.9, 9.0)]
         points += [ModelParams(2.0, 4.0), ModelParams(-0.5, 1.0), ModelParams(3.0, 1.0)]
-        results = markovianity._blp_many(points, [None] * len(points), 5, 3)
+        results = markovianity._blp_many(_points(points), [None] * len(points), 5, 3)
         differences = markovianity._random_differences(3, 5)
         counts = [len(r.segments) for r in results]
         assert min(counts) == 0 and max(counts) > 128 and counts.count(counts[3]) == 3
@@ -721,7 +722,7 @@ class TestBatchedScans:
 
     def test_witness_many_equals_the_one_point_witness(self):
         points = [ModelParams(xi, f * 8.0 * xi) for xi in (0.25, 1.3) for f in np.linspace(0.0, 1.9, 20).tolist()]
-        assert markovianity._witness_many(points) == [cp_divisibility_witness(p) for p in points]
+        assert markovianity._witness_many(_points(points)) == [cp_divisibility_witness(p) for p in points]
 
     def test_witness_grids_equal_the_per_point_linspaces(self):
         # one linspace over the horizons of verify's criteria grid gives every point its own 401 times
@@ -747,8 +748,8 @@ def reference_scan(points, horizons):
         times = np.linspace(0.0, horizon, reference_grid_size(params, horizon))
         positive = markovianity._increasing(params.xi, params.kappa, times)
         idx = np.flatnonzero(positive[1:] != positive[:-1])
-        xi, kappa, owner = np.array([params.xi]), np.array([params.kappa]), np.zeros(idx.size, dtype=int)
-        edges = _refine_crossings(xi, kappa, owner, times[idx], times[idx + 1], positive[idx + 1])
+        owner = np.zeros(idx.size, dtype=int)
+        edges = _refine_crossings(_points([params]), owner, times[idx], times[idx + 1], positive[idx + 1])
         if idx.size and not positive[idx[0] + 1]:  # a leading fall
             edges = edges[1:]
         if edges.size % 2:  # a trailing rise
@@ -762,7 +763,7 @@ class TestWindowedScan:
 
     @staticmethod
     def same_as_reference(points, horizons):
-        windowed = markovianity._detect_many(points, horizons)
+        windowed = markovianity._detect_many(_points(points), horizons)
         reference = reference_scan(points, horizons)
         assert [s.shape for s in windowed] == [s.shape for s in reference]
         assert _hex(windowed) == _hex(reference)
@@ -801,9 +802,9 @@ class TestWindowedScan:
         # the 12,001-point grid was read in one kernel call, and so was the 550,001-point one below
         lanes, sign = [], analytic._increasing_lanes
         monkeypatch.setattr(analytic, "_increasing_lanes", lambda kappa, disc, pos, t: lanes.append(np.size(t)) or sign(kappa, disc, pos, t))
-        monkeypatch.setattr(markovianity, "_refine_crossings", lambda xi, kappa, owner, lo, hi, rising: lo)
+        monkeypatch.setattr(markovianity, "_refine_crossings", lambda points, owner, lo, hi, rising: lo)
         points, horizons = [ModelParams(1.0, 3.0), ModelParams(0.5, 1.0), ModelParams(1.0, 0.01)], [20.0, 120.0, 5500.0]
-        markovianity._detect_many(points, horizons)
+        markovianity._detect_many(_points(points), horizons)
         assert max(lanes) <= markovianity._SLICE_POINTS
         assert sum(lanes) == sum(reference_grid_size(p, h) for p, h in zip(points, horizons))  # no lane twice
 
@@ -871,14 +872,42 @@ class TestPerPointHorizons:
     def test_first_window_ends_equal_increase_intervals(self, params):
         if classify_regime(params) is not Regime.UNDERDAMPED:
             return
-        (end,) = _first_window_ends(np.array([params.xi]), np.array([params.kappa])).tolist()
+        (end,) = _points([params]).ends.tolist()
         assert end.hex() == increase_intervals(params, 1)[0, 1].hex()
 
-    def test_witness_horizons_equal_the_per_point_ones(self):
-        points = [ModelParams(xi, f * 8.0 * abs(xi)) for xi in (0.25, -1.3, 2e7, 1e-30) for f in np.linspace(0.0, 1.9, 20).tolist()]
-        xi, kappa = markovianity._parameters(points)
-        horizons = markovianity._witness_horizons(xi, kappa, markovianity._underdamped(points)).tolist()
-        assert [h.hex() for h in horizons] == [float(reference_witness_horizon(p)).hex() for p in points]
+    @given(st.lists(witness_points, max_size=30), st.lists(st.integers(0, 1000), max_size=30))
+    @example([], [])
+    @example([ModelParams(xi, f * 8.0 * abs(xi)) for xi in (0.25, -1.3, 2e7, 1e-30) for f in np.linspace(0.0, 1.9, 20).tolist()],
+             [79, 0, 41, 41, 20])
+    @settings(max_examples=60, deadline=None)
+    def test_point_record_equals_the_per_point_values(self, points, picks):
+        # every field against its one-point route, bit for bit, and a record's take against the record of the subset
+        record = _points(points)
+        under = [classify_regime(p) is Regime.UNDERDAMPED for p in points]
+        assert record.params == tuple(points)
+        assert _bits(_columns(record)) == _bits([
+            [float(p.xi) for p in points],
+            [float(p.kappa) for p in points],
+            [p.discriminant for p in points],
+            [p.discriminant > 0 for p in points],
+            under,
+            [increase_intervals(p, 1)[0, 1] if u else math.nan for p, u in zip(points, under)],
+            [float(reference_witness_horizon(p)) for p in points],
+        ])
+        idx = [k % len(points) for k in picks] if points else []
+        subset = record.take(idx)
+        assert subset.params == _points([points[k] for k in idx]).params
+        assert _bits(_columns(subset)) == _bits(_columns(_points([points[k] for k in idx])))
+
+
+def _columns(record):
+    """Every array field of a point record, as a list."""
+    return [getattr(record, f.name).tolist() for f in fields(record)[1:]]
+
+
+def _bits(columns):
+    """The columns with each float as its hex, so that equal means bit for bit (nan too)."""
+    return [[v.hex() if isinstance(v, float) else v for v in column] for column in columns]
 
 
 class TestBatchedWitness:
@@ -888,14 +917,14 @@ class TestBatchedWitness:
     @settings(max_examples=40, deadline=None)
     def test_equals_the_per_point_loop(self, points):
         assert markovianity._SLICE_POINTS // 401 < 45  # some draws span two slices
-        assert markovianity._witness_many(points) == reference_witnesses(points)
+        assert markovianity._witness_many(_points(points)) == reference_witnesses(points)
 
     def test_fixed_cases(self):
         # kappa = 0, both sides of the critical band and a point whose |c| underflows before its
         # first window (skipped sub-intervals), each at three couplings
         fractions = (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.999)
         points = [ModelParams(xi, f * 8.0 * abs(xi)) for f in fractions for xi in (1.0, -3e-5, 2e7)]
-        batched = markovianity._witness_many(points)
+        batched = markovianity._witness_many(_points(points))
         assert batched == reference_witnesses(points)
         verdicts = [{(w.verdict, w.n_skipped > 0) for w in batched[k : k + 3]} for k in range(0, 12, 3)]
         assert verdicts[0] == {(DivisibilityVerdict.NON_DIVISIBLE, True)}
@@ -907,7 +936,7 @@ class TestBatchedWitness:
         kernel = markovianity._kernel
         monkeypatch.setattr(markovianity, "_kernel", lambda xi, kappa, t: (kernel(xi, kappa, t)[0] * (xi != 1.0), None))
         points = [ModelParams(1.0, 4.0), ModelParams(2.0, 4.0)]
-        batched = markovianity._witness_many(points)
+        batched = markovianity._witness_many(_points(points))
         assert batched == reference_witnesses(points)
         assert batched[0].min_choi_eigenvalue == math.inf and batched[0].worst_interval is None
         assert batched[0].n_skipped == 400 and batched[1].worst_interval is not None
