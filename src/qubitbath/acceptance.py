@@ -289,7 +289,7 @@ def _check_blp_closed_form(gap_tol: float, seed: int) -> tuple[bool, str]:
     kappas = (2.0, 4.0, 6.0, 7.5)
     points = _points(ModelParams(1.0, kappa) for kappa in kappas)
     # one batched call: the 8 pairs depend only on the seed and the pair count, as in one call per kappa
-    for kappa, params, result in zip(kappas, points.params, _blp_many(points, [None] * len(points), 8, seed)):
+    for kappa, params, result in zip(kappas, points.params, _blp_many(points, [None] * len(kappas), 8, seed)):
         analytic = blp_analytic(params)
         gap = abs(result.value - analytic)
         if result.tail_bound > BLP_REL_TAIL * analytic * 1.001:
@@ -332,8 +332,8 @@ def _check_criteria_agreement() -> tuple[bool, str]:
         markov_blp = next(blp).value < 1e-6
         if not markov_rate == markov_cp == markov_blp:
             disagreements.append((params.xi, params.kappa, f"rate={markov_rate} cp={markov_cp} blp={markov_blp}"))
-    if judged != len(points):  # a short witness list would end the loop early and judge too few
-        return False, f"judged {judged} of the {len(points)} grid points"
+    if judged != len(points.params):  # a short witness list would end the loop early and judge too few
+        return False, f"judged {judged} of the {len(points.params)} grid points"
     if disagreements:
         return False, f"{len(disagreements)} disagreements, first: {disagreements[0]}"
     return True, "all three criteria agree on the 20x20 grid"

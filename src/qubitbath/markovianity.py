@@ -29,8 +29,9 @@ discriminant kappa**2 - 64*xi**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,13 +118,13 @@ class DivisibilityWitness:
     horizon: float
 
 
-@dataclass(frozen=True, eq=False)
-class _Points:
+class _Points(NamedTuple):
     """A batch of points as the batched routes read it, each fact decided once per point: ``xi``,
     ``kappa``, ``disc`` and its branch ``pos`` (``analytic._point_terms``); ``under``, the regime of
     :func:`classify_regime`; ``ends``, the first increase window's end 4*pi/r where underdamped (nan
     elsewhere), ``increase_intervals(params, 1)[0, 1]`` bit for bit; ``horizons``, the default witness
-    horizon: 1.5 * ends where underdamped, else 80/max(kappa, 8|xi|, 1).  Built by :func:`_points`."""
+    horizon: 1.5 * ends where underdamped, else 80/max(kappa, 8|xi|, 1).  Built by :func:`_points`;
+    as a tuple, its len is that of its fields, and ``len(points.params)`` counts the points."""
 
     params: tuple[ModelParams, ...]
     xi: np.ndarray
@@ -134,13 +135,10 @@ class _Points:
     ends: np.ndarray
     horizons: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.params)
-
     def take(self, idx) -> _Points:
         """The record of the points ``idx``, in that order: every field sliced, nothing decided again."""
         idx = np.asarray(idx, dtype=int)
-        return _Points(tuple(self.params[k] for k in idx.tolist()), *(getattr(self, f.name)[idx] for f in fields(self)[1:]))
+        return _Points(tuple(self.params[k] for k in idx.tolist()), *(a[idx] for a in self[1:]))
 
 
 def _points(params) -> _Points:
@@ -164,7 +162,7 @@ def _witness_many(points: _Points) -> list[DivisibilityWitness]:
     An invalid sub-interval reads -inf, below every |r|, so the first row maximum is the first
     largest valid ratio; a row without one keeps the infinite minimum and no worst interval."""
     out, batch = [], _SLICE_POINTS // 401
-    for start in range(0, len(points), batch):
+    for start in range(0, len(points.params), batch):
         stop = start + batch
         grids = np.linspace(0.0, points.horizons[start:stop], 401, axis=-1)
         c = _kernel(points.xi[start:stop, None], points.kappa[start:stop, None], grids)[0]
@@ -277,7 +275,7 @@ def _detect_many(points: _Points, horizons) -> list[np.ndarray]:
     xis, kappas, disc = points.xi, points.kappa, points.disc
     h = np.array(horizons, dtype=float)
     oscillating = disc < 0  # 200 points per oscillation period, at most max(0.01, 0.0025/|xi|) apart
-    step = np.maximum(0.01, np.divide(0.0025, np.abs(xis), out=np.zeros(len(points)), where=xis != 0))
+    step = np.maximum(0.01, np.divide(0.0025, np.abs(xis), out=np.zeros(len(points.params)), where=xis != 0))
     step[oscillating] = np.minimum(step[oscillating], (8.0 * math.pi) / np.sqrt(-disc[oscillating]) / 200.0)
     with np.errstate(over="ignore"):
         span = h / step  # inf for an infinite horizon, or one beyond the float range
@@ -296,7 +294,7 @@ def _detect_many(points: _Points, horizons) -> list[np.ndarray]:
     starts, spacing = ends - sizes, h / (sizes - 1)  # n >= 2, and h/(n-1) is at least the grid step: never 0
     found = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=int))]
     lane, first, carry = 0, 0, None  # carry: the last time and signal of a window that splits a grid
-    while first < len(points):
+    while first < len(points.params):
         last = int(np.searchsorted(ends, lane + _SLICE_POINTS, "right"))  # grids first..last-1 end in the window
         stop = int(ends[last - 1]) if last > first else lane + _SLICE_POINTS
         grids = slice(first, max(last, first + 1))
@@ -316,7 +314,7 @@ def _detect_many(points: _Points, horizons) -> list[np.ndarray]:
         lane, first, carry = stop, max(first, last), None if last > first else (times[-1], positive[-1])
     lo, hi, rising, owner = (np.concatenate(column) for column in zip(*found))
     edges = _refine_crossings(points, owner, lo, hi, rising)
-    bounds = np.searchsorted(owner, np.arange(len(points) + 1)).tolist()
+    bounds = np.searchsorted(owner, np.arange(len(points.params) + 1)).tolist()
     out = []
     for horizon, first, last in zip(h.tolist(), bounds, bounds[1:]):
         # sign changes alternate: drop a leading fall, close a trailing rise
@@ -393,7 +391,7 @@ def _blp_many(points: _Points, horizons, n_pairs: int, seed: int) -> list[BlpRes
     all_segments = _detect_many(points, horizons)
     counts = np.array([len(segments) for segments in all_segments], dtype=int)
     # c at each window's (t_lo, t_hi), one row per window, shared by every pair
-    owner = np.repeat(np.arange(len(points)), counts)[:, None]
+    owner = np.repeat(np.arange(len(points.params)), counts)[:, None]
     c_all = _kernel(points.xi, points.kappa, np.concatenate([np.empty((0, 2)), *all_segments]), owner)[0]
     starts = np.cumsum(counts) - counts
     rows = []  # for each count w > 0: the points with w windows and their (points, w) window indices
@@ -403,7 +401,7 @@ def _blp_many(points: _Points, horizons, n_pairs: int, seed: int) -> list[BlpRes
 
     def measures(distance) -> np.ndarray:
         """Each point's sum of distance(t_hi) - distance(t_lo) over its windows; 0 without one."""
-        increase, out = distance[:, 1] - distance[:, 0], np.zeros(len(points))
+        increase, out = distance[:, 1] - distance[:, 0], np.zeros(len(points.params))
         for idx, windows in rows:
             out[idx] = increase[windows].sum(axis=1)
         return out
@@ -414,7 +412,7 @@ def _blp_many(points: _Points, horizons, n_pairs: int, seed: int) -> list[BlpRes
     random_values = np.array([measures(_trace_distance(d, c_all)) for d in _random_differences(seed, n_pairs)])
     out = []
     for params, horizon, segments, best, randoms in zip(
-        points.params, horizons, all_segments, optimal, random_values.reshape(n_pairs, len(points)).T.tolist()
+        points.params, horizons, all_segments, optimal, random_values.reshape(n_pairs, len(points.params)).T.tolist()
     ):
         segments.flags.writeable = False
         randoms = tuple(randoms)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -902,7 +901,7 @@ class TestPerPointHorizons:
 
 def _columns(record):
     """Every array field of a point record, as a list."""
-    return [getattr(record, f.name).tolist() for f in fields(record)[1:]]
+    return [column.tolist() for column in record[1:]]
 
 
 def _bits(columns):
