@@ -142,8 +142,8 @@ class _Points(NamedTuple):
 
 
 def _points(params) -> _Points:
-    """The record of the points ``params``, in array passes but for the regime, which
-    :func:`classify_regime` decides once per point."""
+    """The record of the points ``params``, read once into a tuple (a generator too), in array passes
+    but for the regime, which :func:`classify_regime` decides once per point."""
     params = tuple(params)
     xi, kappa = (np.array([getattr(p, name) for p in params], dtype=float) for name in ("xi", "kappa"))
     _, disc, pos = _point_terms(xi, kappa)
