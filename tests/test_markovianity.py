@@ -894,9 +894,9 @@ class TestPerPointHorizons:
             [float(reference_witness_horizon(p)) for p in points],
         ])
         idx = [k % len(points) for k in picks] if points else []
-        subset = record.take(idx)
-        assert subset.params == _points([points[k] for k in idx]).params
-        assert _bits(_columns(subset)) == _bits(_columns(_points([points[k] for k in idx])))
+        subset, fresh = record.take(idx), _points([points[k] for k in idx])
+        assert subset.params == fresh.params
+        assert _bits(_columns(subset)) == _bits(_columns(fresh))
 
 
 def _columns(record):
